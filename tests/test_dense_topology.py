@@ -29,6 +29,33 @@ from repro.fleet.experiment import fleet_spec_for_cell
 from repro.fleet.spec import nearest_cell_for
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+GOLDEN_CORRIDOR = (
+    Path(__file__).resolve().parent / "data" / "golden_fleet_corridor_c64.json"
+)
+
+
+def corridor_golden_spec():
+    """The spec behind ``golden_fleet_corridor_c64.json``.
+
+    32 users on a 64-cell corridor for 1 s.  It records no handovers:
+    what it pins is coalesced scheduling, tick arbitration and spatial
+    pruning.  Regenerate the golden with
+    ``canonical_json(run_fleet_trial(corridor_golden_spec()).to_dict())``
+    plus a trailing newline.
+    """
+    return FleetSpec(
+        "golden-corridor",
+        n_users=32,
+        profiles=(
+            UserProfile("walkers", weight=0.7, scenario="walk",
+                        start_jitter_s=0.2),
+            UserProfile("spinners", weight=0.3, scenario="rotation"),
+        ),
+        seed=17,
+        duration_s=1.0,
+        n_cells=64,
+        topology="corridor",
+    )
 
 
 def corridor_spec(n_users=6, seed=17, duration_s=1.0, n_cells=12):
@@ -139,6 +166,25 @@ class TestEnvSwitchValidation:
         with env_override("REPRO_CELL_INDEX", "yes"):
             with pytest.raises(ValueError, match="REPRO_CELL_INDEX"):
                 Deployment()
+
+
+class TestCorridorGolden:
+    """The corridor fleet reproduces its golden with the index on or off."""
+
+    @pytest.mark.parametrize("index", ["on", "off"])
+    def test_byte_identical(self, index):
+        from repro.obs import Telemetry
+        from repro.obs import telemetry as telemetry_mod
+
+        with env_override("REPRO_CELL_INDEX", index), \
+                telemetry_mod.use(Telemetry()) as hub:
+            produced = canonical_json(
+                run_fleet_trial(corridor_golden_spec()).to_dict()
+            )
+        assert (produced + "\n").encode("utf-8") == GOLDEN_CORRIDOR.read_bytes()
+        # The index really prunes this corridor, so "on" is a real check.
+        pruned = hub.counter("net.cell_index.pruned_links")
+        assert (pruned > 0) is (index == "on")
 
 
 class TestDenseEquivalenceMatrix:

@@ -36,6 +36,30 @@ from repro.phy.codebook import Codebook
 from repro.sim.rng import RngRegistry
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+GOLDEN_STREET = Path(__file__).resolve().parent / "data" / "golden_fleet_street_u64.json"
+
+
+def street_golden_spec():
+    """The spec behind ``golden_fleet_street_u64.json``.
+
+    64 mixed-mobility users on the 3-cell street for 1 s (26 handovers,
+    72 search samples).  Regenerate the golden with
+    ``canonical_json(run_fleet_trial(street_golden_spec()).to_dict())``
+    plus a trailing newline — the bytes ``repro fleet run --out`` writes.
+    """
+    return FleetSpec(
+        "golden-street",
+        n_users=64,
+        profiles=(
+            UserProfile("walkers", weight=0.6, scenario="walk",
+                        start_jitter_s=0.2),
+            UserProfile("spinners", weight=0.25, scenario="rotation"),
+            UserProfile("drivers", weight=0.15, scenario="vehicular",
+                        codebook="wide"),
+        ),
+        seed=11,
+        duration_s=1.0,
+    )
 
 
 def fleet_spec(n_users=10, seed=11, duration_s=1.5):
@@ -177,6 +201,20 @@ class TestFleetPathEquivalence:
         first = canonical_json(run_fleet_trial(fleet_spec()).to_dict())
         second = canonical_json(run_fleet_trial(fleet_spec()).to_dict())
         assert first == second
+
+
+class TestStreetGolden:
+    """The production burst path reproduces the committed street fleet."""
+
+    def test_unsharded_byte_identical(self):
+        produced = canonical_json(run_fleet_trial(street_golden_spec()).to_dict())
+        assert (produced + "\n").encode("utf-8") == GOLDEN_STREET.read_bytes()
+
+    def test_sharded_byte_identical(self, tmp_path):
+        from repro.fleet import run_fleet_sharded
+
+        run_fleet_sharded(street_golden_spec(), 4, out_dir=tmp_path, workers=2)
+        assert (tmp_path / "fleet.json").read_bytes() == GOLDEN_STREET.read_bytes()
 
 
 class TestCampaignWorkerEquivalence:
