@@ -1,28 +1,14 @@
 """The ``repro bench --suite fleet`` suite: users-vs-wall-time scaling.
 
 Runs the same short fleet (walkers spread across the street grid, full
-Silent Tracker protocols) at growing population sizes under three burst
-paths:
-
-* ``scalar`` — per-mobile delivery loop with the scalar per-dwell
-  reference (``REPRO_FLEET_PATH=scalar`` + ``REPRO_BURST_PATH=scalar``):
-  the fully scalar path population size multiplies linearly.
-* ``permobile`` — per-mobile delivery with the PR 2 per-link vectorized
-  burst evaluation (``REPRO_FLEET_PATH=scalar``).
-* ``batch`` — the cross-user batched grid path (the fleet default).
-
-The artifact (``BENCH_fleet.json``) records the full scaling curve per
-path plus derived speedups at each population size; the acceptance
-target is the batch path beating the scalar path >= 3x at 64 users.
-The determinism contract is proven on real artifacts too: one fleet
-spec is run per delivery path and the canonical JSON results are
-byte-compared (``artifacts_identical``), a sharded run's merged
-artifact is byte-compared against the unsharded run
-(``sharded_identical``), and a dense-corridor fleet is byte-compared
-across burst scheduling modes — coalesced + cell index vs the legacy
-per-station path (``sched_identical``).  The ``fleet.dense.c64``
-cases time that corridor fleet under both modes
-(``derived.dense_fleet_speedup``).
+Silent Tracker protocols) at growing population sizes on the production
+burst path (``fleet.run.u{N}.batch``), plus a dense-corridor fleet
+under coalesced scheduling and the cell index (``fleet.dense.c64``).
+The artifact (``BENCH_fleet.json``) records the scaling curve; one
+determinism check rides along: a sharded run's merged artifact is
+byte-compared against the unsharded run (``sharded_identical``).
+Whole-artifact byte identity is otherwise pinned by the committed
+goldens under ``tests/data``.
 
 Sharded cases (``fleet.sharded.*``) run :func:`~repro.fleet.runner.
 run_fleet_sharded` on the campaign worker pool with streaming metric
@@ -34,15 +20,14 @@ is the shard's own footprint, not a fork-inherited high-water mark;
 count next to ``cpu_count`` so a single-core CI runner's flat curve
 reads as what it is.
 
-Quick mode (CI smoke) trims the big populations and the fully scalar
-64-user reference but keeps case ``meta`` identical to the committed
-full-mode artifact, so the ``--compare`` median-regression gate always
-has comparable cases.
+Quick mode (CI smoke) trims the big populations and the 64-user point
+but keeps case ``meta`` identical to the committed full-mode artifact,
+so the ``--compare`` median-regression gate always has comparable
+cases.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import platform
 import sys
@@ -52,9 +37,7 @@ import numpy as np
 
 from repro.bench.harness import (
     TimingResult,
-    env_override,
     results_payload,
-    speedup,
     time_fn,
     write_bench_json,
 )
@@ -65,9 +48,8 @@ BENCH_FORMAT = 1
 #: Default artifact filename.
 BENCH_FILENAME = "BENCH_fleet.json"
 
-#: Population sizes of the scaling curve.  64 is the acceptance point of
-#: the committed full-mode artifact; quick mode (CI smoke) drops it so
-#: the fully scalar 64-user reference is not timed on every push.
+#: Population sizes of the scaling curve; quick mode (CI smoke) drops
+#: the 64-user point.
 USER_COUNTS = (4, 16, 64)
 USER_COUNTS_QUICK = (4, 16)
 
@@ -88,20 +70,6 @@ SHARDED_CASES_QUICK = ((64, 4, 2, 1.0, None),)
 
 #: Worker counts of the 10^4-user scaling sweep (derived section).
 WORKER_SWEEP_USERS = 10_000
-
-
-@contextlib.contextmanager
-def fleet_path(mode: str):
-    """Force the burst-delivery path for deployments built inside.
-
-    ``scalar`` also implies nothing about the per-dwell path — combine
-    with :func:`repro.bench.suites.burst_path` for the fully scalar
-    reference.
-    """
-    if mode not in ("scalar", "batch"):
-        raise ValueError(f"unknown fleet path {mode!r}")
-    with env_override("REPRO_FLEET_PATH", mode):
-        yield
 
 
 def _bench_spec(n_users: int, duration_s: float):
@@ -148,67 +116,17 @@ def _bench_scaling(
     user_counts,
     duration_s: float,
 ) -> None:
-    from repro.bench.suites import burst_path
-
     for n_users in user_counts:
         meta = {"n_users": n_users, "duration_s": duration_s, "cells": 3}
-        with fleet_path("scalar"), burst_path("scalar"):
-            results.append(
-                time_fn(
-                    f"fleet.run.u{n_users}.scalar",
-                    lambda n=n_users: _run_fleet(n, duration_s),
-                    repeats,
-                    warmup,
-                    meta,
-                )
+        results.append(
+            time_fn(
+                f"fleet.run.u{n_users}.batch",
+                lambda n=n_users: _run_fleet(n, duration_s),
+                repeats,
+                warmup,
+                meta,
             )
-        with fleet_path("scalar"), burst_path("vectorized"):
-            results.append(
-                time_fn(
-                    f"fleet.run.u{n_users}.permobile",
-                    lambda n=n_users: _run_fleet(n, duration_s),
-                    repeats,
-                    warmup,
-                    meta,
-                )
-            )
-        with fleet_path("batch"), burst_path("vectorized"):
-            results.append(
-                time_fn(
-                    f"fleet.run.u{n_users}.batch",
-                    lambda n=n_users: _run_fleet(n, duration_s),
-                    repeats,
-                    warmup,
-                    meta,
-                )
-            )
-
-
-def _check_artifact_identity(n_users: int, duration_s: float) -> bool:
-    """Run one fleet per delivery path; byte-compare canonical artifacts."""
-    from repro.campaign.spec import canonical_json
-    from repro.fleet import run_fleet_trial
-
-    spec = _bench_spec(n_users, duration_s)
-    payloads = []
-    for mode in ("scalar", "batch"):
-        with fleet_path(mode):
-            payloads.append(canonical_json(run_fleet_trial(spec).to_dict()))
-    return payloads[0] == payloads[1]
-
-
-def _check_sched_identity(n_users: int, n_cells: int, duration_s: float) -> bool:
-    """Byte-compare coalesced vs legacy scheduling on a corridor fleet."""
-    from repro.bench.suites import burst_sched, cell_index
-    from repro.campaign.spec import canonical_json
-    from repro.fleet import run_fleet_trial
-
-    spec = _dense_spec(n_users, n_cells, duration_s)
-    payloads = []
-    for sched, index in (("coalesced", "on"), ("legacy", "off")):
-        with burst_sched(sched), cell_index(index):
-            payloads.append(canonical_json(run_fleet_trial(spec).to_dict()))
-    return payloads[0] == payloads[1]
+        )
 
 
 def _bench_dense_fleet(
@@ -221,11 +139,10 @@ def _bench_dense_fleet(
 ) -> None:
     """Dense corridor fleet under the coalesced + cell-index stack.
 
-    One case per scheduling mode; ``derived.dense_fleet_speedup``
-    reports coalesced-over-legacy on this population.  Kept in quick
-    mode (identical meta) so the CI gate covers the dense path.
+    Kept in quick mode (identical meta) so the CI gate covers the dense
+    path.
     """
-    from repro.bench.suites import burst_sched, cell_index
+    from repro.bench.suites import cell_index
 
     meta = {
         "topology": "corridor",
@@ -233,17 +150,7 @@ def _bench_dense_fleet(
         "n_users": n_users,
         "duration_s": duration_s,
     }
-    with burst_sched("legacy"), cell_index("off"):
-        results.append(
-            time_fn(
-                f"fleet.dense.c{n_cells}.legacy",
-                lambda: _run_dense(n_users, n_cells, duration_s),
-                repeats,
-                warmup,
-                meta,
-            )
-        )
-    with burst_sched("coalesced"), cell_index("on"):
+    with cell_index("on"):
         results.append(
             time_fn(
                 f"fleet.dense.c{n_cells}.coalesced",
@@ -347,12 +254,11 @@ def run_fleet_bench(
 ) -> Dict[str, object]:
     """Run the fleet suite; write ``BENCH_fleet.json`` when requested.
 
-    The ``derived`` section carries, per population size, the speedup of
-    the batch path over the fully scalar path (``speedup_vs_scalar``)
-    and over the per-mobile vectorized loop (``speedup_vs_permobile``),
-    plus the wall-seconds-per-user scaling curve of each path, the
-    sharded worker-scaling sweep (``worker_scaling``) and the per-worker
-    peak RSS of the streaming sharded runs (``peak_rss``).
+    The ``derived`` section carries the wall-seconds scaling curve per
+    population size (``scaling_median_s``), the sharded worker-scaling
+    sweep (``worker_scaling``), the per-worker peak RSS of the streaming
+    sharded runs (``peak_rss``) and the sharded byte-identity check
+    (``sharded_identical``).
 
     Quick and full mode time identical workloads (same ``meta``) for
     the cases quick mode keeps, so a quick run gates cleanly against
@@ -371,19 +277,10 @@ def run_fleet_bench(
     rss_kb: Dict[str, int] = {}
     _bench_sharded(results, n_repeats, n_warmup, sharded_cases, rss_kb)
     by_name = {result.name: result for result in results}
-    scaling: Dict[str, Dict[str, float]] = {"scalar": {}, "permobile": {}, "batch": {}}
-    speedups: Dict[str, Dict[str, float]] = {}
-    for n_users in user_counts:
-        scalar = by_name[f"fleet.run.u{n_users}.scalar"]
-        permobile = by_name[f"fleet.run.u{n_users}.permobile"]
-        batch = by_name[f"fleet.run.u{n_users}.batch"]
-        scaling["scalar"][str(n_users)] = scalar.median_s
-        scaling["permobile"][str(n_users)] = permobile.median_s
-        scaling["batch"][str(n_users)] = batch.median_s
-        speedups[str(n_users)] = {
-            "speedup_vs_scalar": speedup(scalar, batch),
-            "speedup_vs_permobile": speedup(permobile, batch),
-        }
+    scaling = {
+        str(n_users): by_name[f"fleet.run.u{n_users}.batch"].median_s
+        for n_users in user_counts
+    }
     worker_scaling: Dict[str, float] = {}
     for n_users, shards, workers, case_duration, _ in sharded_cases:
         if n_users != WORKER_SWEEP_USERS:
@@ -401,21 +298,10 @@ def run_fleet_bench(
         "results": results_payload(results),
         "derived": {
             "scaling_median_s": scaling,
-            "speedups": speedups,
             "worker_scaling": worker_scaling,
             "peak_rss": {"unit": "kb", "by_users": rss_kb},
-            "dense_fleet_speedup": speedup(
-                by_name["fleet.dense.c64.legacy"],
-                by_name["fleet.dense.c64.coalesced"],
-            ),
-            "artifacts_identical": _check_artifact_identity(
-                n_users=8, duration_s=0.5 if quick else 1.0
-            ),
             "sharded_identical": _check_sharded_identity(
                 n_users=8, duration_s=0.5 if quick else 1.0
-            ),
-            "sched_identical": _check_sched_identity(
-                n_users=8, n_cells=16, duration_s=0.5 if quick else 1.0
             ),
         },
     }

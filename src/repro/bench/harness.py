@@ -85,8 +85,8 @@ def env_override(name: str, value: str):
     """Temporarily set environment variable ``name`` to ``value``.
 
     Restores the previous value (or unsets the variable) on exit — the
-    one save/set/restore implementation behind the suite path overrides
-    (``REPRO_BURST_PATH``, ``REPRO_FLEET_PATH``).
+    one save/set/restore implementation behind scoped switch overrides
+    such as ``REPRO_CELL_INDEX=off`` in tests and bench cases.
     """
     previous = os.environ.get(name)
     os.environ[name] = value

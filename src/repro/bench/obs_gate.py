@@ -21,13 +21,14 @@ from typing import Dict, Optional, Union
 from pathlib import Path
 
 from repro.bench.harness import BenchError, load_bench_json, time_fn
-from repro.bench.suites import _burst_heavy_session, _SweepListener, burst_path
+from repro.bench.suites import _burst_heavy_session, _SweepListener
 from repro.obs import telemetry as _telemetry
 
 PathLike = Union[str, Path]
 
-#: Baseline case the gate compares against: the vectorized burst-heavy
-#: macro, the same case the PHY suite's acceptance targets.
+#: Baseline case the gate compares against: the PHY suite's burst-heavy
+#: macro (the name keeps its historical ``.vectorized`` suffix so
+#: committed baselines stay usable).
 GATE_CASE = "fig2a.burst_heavy.vectorized"
 
 #: Acceptance criterion: disabled telemetry may cost at most +2%.
@@ -69,13 +70,12 @@ def run_overhead_gate(
     def run() -> None:
         # Telemetry explicitly disabled: the gate times the hooks'
         # guard-branch cost, not the collection cost.
-        with burst_path("vectorized"):
-            with _telemetry.use(_telemetry.DISABLED):
-                with _burst_heavy_session(1, beamwidth_deg) as session:
-                    session.attach_listener(
-                        _SweepListener(len(session.mobile.codebook))
-                    )
-                    session.run(duration_s)
+        with _telemetry.use(_telemetry.DISABLED):
+            with _burst_heavy_session(1, beamwidth_deg) as session:
+                session.attach_listener(
+                    _SweepListener(len(session.mobile.codebook))
+                )
+                session.run(duration_s)
 
     result = time_fn(GATE_CASE, run, n_repeats, n_warmup, meta)
     baseline_median = float(record["median_s"])

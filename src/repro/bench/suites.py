@@ -1,9 +1,9 @@
 """The ``repro bench`` PHY suite: micro + macro burst-evaluation cases.
 
-Every vectorized case is timed against its scalar reference so the
-artifact records both the absolute trajectory and the speedup of the
-batch path.  The macro cases run the fig2a cell-edge testbed end to
-end:
+The micro cases time the vectorized PHY primitives — antenna patterns,
+codebook gains and Rician fading each next to the scalar call they
+batch — and single-link burst evaluation.  The macro cases run the
+fig2a cell-edge testbed end to end:
 
 * ``fig2a.search`` — the standard Fig. 2a search trial (bursts stop
   once the beam is found; engine-bound).
@@ -13,18 +13,14 @@ end:
   lives in burst evaluation.
 * ``dense.c{64,256,1024}`` — the dense-corridor macro: N
   phase-staggered cells and a population spread along the corridor,
-  timed under the legacy per-station scheduling (no spatial pruning)
-  and under the coalesced + cell-index stack.  The derived
-  ``dense.c256`` speedup is the acceptance point (>= 2x).
+  under coalesced scheduling and the spatial cell index.
 * ``engine.events.drain`` — raw event-loop throughput over no-op
   events with unique timestamps (``derived.events_per_s``), so a
   scheduler-layer regression is visible even when macros hide it
   behind channel work.
 
-The suite also proves the determinism contract on real artifacts: it
-runs a small fig2a campaign once per burst path and byte-compares the
-per-cell JSON files (``artifacts_identical`` in the ``derived``
-section).
+Artifact byte-identity is pinned by the committed goldens under
+``tests/data``, not by this suite.
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ import contextlib
 import math
 import platform
 import sys
-import tempfile
-from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -55,27 +49,8 @@ BENCH_FORMAT = 1
 BENCH_FILENAME = "BENCH_phy.json"
 
 
-#: Cell counts of the dense-topology scaling curve; 256 is the
-#: acceptance point (coalesced + index >= 2x the legacy reference).
+#: Cell counts of the dense-topology scaling curve.
 DENSE_CELL_COUNTS = (64, 256, 1024)
-
-
-@contextlib.contextmanager
-def burst_path(mode: str):
-    """Force the LinkEngine burst path for deployments built inside."""
-    if mode not in ("scalar", "vectorized"):
-        raise ValueError(f"unknown burst path {mode!r}")
-    with env_override("REPRO_BURST_PATH", mode):
-        yield
-
-
-@contextlib.contextmanager
-def burst_sched(mode: str):
-    """Force the burst scheduling mode for deployments built inside."""
-    if mode not in ("coalesced", "legacy"):
-        raise ValueError(f"unknown burst scheduling mode {mode!r}")
-    with env_override("REPRO_BURST_SCHED", mode):
-        yield
 
 
 @contextlib.contextmanager
@@ -205,36 +180,26 @@ def _bench_burst_micro(
 ) -> None:
     from repro.api import Session
 
-    def run(mode: str) -> None:
-        with burst_path(mode):
-            with Session(scenario="walk", seed=1) as session:
-                mobile = session.mobile
-                station = session.deployment.station("cellB")
-                links = session.deployment.links
-                for k in range(n_bursts):
-                    t = k * 0.02
-                    pose = mobile.pose_at(t)
-                    links.measure_burst(
-                        station,
-                        mobile.mobile_id,
-                        pose,
-                        mobile.rx_gain_fn(t, pose),
-                        3,
-                        t,
-                    )
+    def run() -> None:
+        with Session(scenario="walk", seed=1) as session:
+            mobile = session.mobile
+            station = session.deployment.station("cellB")
+            links = session.deployment.links
+            for k in range(n_bursts):
+                t = k * 0.02
+                pose = mobile.pose_at(t)
+                links.measure_burst(
+                    station,
+                    mobile.mobile_id,
+                    pose,
+                    mobile.rx_gain_fn(t, pose),
+                    3,
+                    t,
+                )
 
     meta = {"n_bursts": n_bursts, "ssb_per_burst": 18}
     results.append(
-        time_fn("burst.measure.scalar", lambda: run("scalar"), repeats, warmup, meta)
-    )
-    results.append(
-        time_fn(
-            "burst.measure.vectorized",
-            lambda: run("vectorized"),
-            repeats,
-            warmup,
-            meta,
-        )
+        time_fn("burst.measure.vectorized", run, repeats, warmup, meta)
     )
 
 
@@ -243,22 +208,12 @@ def _bench_fig2a_search(
 ) -> None:
     from repro.experiments.fig2a import run_search_trial
 
-    def run(mode: str) -> None:
-        with burst_path(mode):
-            run_search_trial("narrow", scenario="walk", seed=1, deadline_s=deadline_s)
+    def run() -> None:
+        run_search_trial("narrow", scenario="walk", seed=1, deadline_s=deadline_s)
 
     meta = {"scenario": "walk", "codebook": "narrow", "deadline_s": deadline_s}
     results.append(
-        time_fn("fig2a.search.scalar", lambda: run("scalar"), repeats, warmup, meta)
-    )
-    results.append(
-        time_fn(
-            "fig2a.search.vectorized",
-            lambda: run("vectorized"),
-            repeats,
-            warmup,
-            meta,
-        )
+        time_fn("fig2a.search.vectorized", run, repeats, warmup, meta)
     )
 
 
@@ -269,15 +224,14 @@ def _bench_fig2a_burst_heavy(
 
     beamwidth_deg = 10.0  # 36 SSB per burst: dense FR2-style sweep
 
-    def run(mode: str, telemetry: bool = False) -> None:
+    def run(telemetry: bool = False) -> None:
         hub = _telemetry.Telemetry() if telemetry else _telemetry.DISABLED
-        with burst_path(mode):
-            with _telemetry.use(hub):
-                with _burst_heavy_session(1, beamwidth_deg) as session:
-                    session.attach_listener(
-                        _SweepListener(len(session.mobile.codebook))
-                    )
-                    session.run(duration_s)
+        with _telemetry.use(hub):
+            with _burst_heavy_session(1, beamwidth_deg) as session:
+                session.attach_listener(
+                    _SweepListener(len(session.mobile.codebook))
+                )
+                session.run(duration_s)
 
     meta = {
         "scenario": "walk",
@@ -285,26 +239,16 @@ def _bench_fig2a_burst_heavy(
         "duration_s": duration_s,
         "cells": 3,
     }
+    # The name is obs gate's GATE_CASE: keep it stable.
     results.append(
-        time_fn(
-            "fig2a.burst_heavy.scalar", lambda: run("scalar"), repeats, warmup, meta
-        )
-    )
-    results.append(
-        time_fn(
-            "fig2a.burst_heavy.vectorized",
-            lambda: run("vectorized"),
-            repeats,
-            warmup,
-            meta,
-        )
+        time_fn("fig2a.burst_heavy.vectorized", run, repeats, warmup, meta)
     )
     # Same workload with telemetry *enabled*: derived.telemetry_overhead
     # tracks what span/counter collection costs on the hottest macro.
     results.append(
         time_fn(
             "fig2a.burst_heavy.telemetry",
-            lambda: run("vectorized", telemetry=True),
+            lambda: run(telemetry=True),
             repeats,
             warmup,
             {**meta, "telemetry": True},
@@ -344,15 +288,8 @@ def _run_dense_corridor(n_cells: int, duration_s: float) -> None:
 def _bench_dense_corridor(
     results: List[TimingResult], repeats: int, warmup: int, duration_s: float
 ) -> None:
-    """Dense-topology macro: the coalesced+index stack vs the legacy path.
-
-    ``legacy`` is the pre-coalescing configuration (one PeriodicTask
-    per station, no spatial pruning); ``coalesced`` is the default
-    stack (one event per shared SSB tick, multi-station batched
-    measurement, cell index on).  Both produce byte-identical
-    artifacts — the equivalence suite pins that — so the ratio is pure
-    scheduling + pruning overhead.
-    """
+    """Dense-topology macro under the production stack: one event per
+    shared SSB tick, multi-station batched measurement, cell index on."""
     for n_cells in DENSE_CELL_COUNTS:
         meta = {
             "topology": "corridor",
@@ -361,17 +298,7 @@ def _bench_dense_corridor(
             "n_users": 4,
             "duration_s": duration_s,
         }
-        with burst_sched("legacy"), cell_index("off"):
-            results.append(
-                time_fn(
-                    f"dense.c{n_cells}.legacy",
-                    lambda n=n_cells: _run_dense_corridor(n, duration_s),
-                    repeats,
-                    warmup,
-                    meta,
-                )
-            )
-        with burst_sched("coalesced"), cell_index("on"):
+        with cell_index("on"):
             results.append(
                 time_fn(
                     f"dense.c{n_cells}.coalesced",
@@ -411,37 +338,6 @@ def _bench_engine_events(
     )
 
 
-def _check_artifact_identity(n_seeds: int) -> bool:
-    """Run a small fig2a campaign per burst path; compare artifact bytes."""
-    from repro.campaign.runner import run_campaign
-    from repro.experiments.fig2a import fig2a_spec
-
-    spec = fig2a_spec(
-        n_trials=n_seeds,
-        scenario="walk",
-        deadline_s=0.5,
-        codebooks=("narrow",),
-        name="bench-identity",
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        roots = {}
-        for mode in ("scalar", "vectorized"):
-            out_dir = Path(tmp) / mode
-            with burst_path(mode):
-                run_campaign(spec, out_dir=out_dir)
-            roots[mode] = out_dir / "cells"
-        scalar_cells = sorted(roots["scalar"].glob("*.json"))
-        vector_cells = sorted(roots["vectorized"].glob("*.json"))
-        if [p.name for p in scalar_cells] != [p.name for p in vector_cells]:
-            return False
-        if not scalar_cells:
-            return False
-        return all(
-            a.read_bytes() == b.read_bytes()
-            for a, b in zip(scalar_cells, vector_cells)
-        )
-
-
 # ------------------------------------------------------------------- suite
 def run_bench(
     quick: bool = False,
@@ -474,20 +370,8 @@ def run_bench(
     by_name = {result.name: result for result in results}
     derived = {
         pair: speedup(by_name[f"{pair}.scalar"], by_name[f"{pair}.vectorized"])
-        for pair in (
-            "antenna.gain",
-            "codebook.gains",
-            "fading.rician",
-            "burst.measure",
-            "fig2a.search",
-            "fig2a.burst_heavy",
-        )
+        for pair in ("antenna.gain", "codebook.gains", "fading.rician")
     }
-    for n_cells in DENSE_CELL_COUNTS:
-        derived[f"dense.c{n_cells}"] = speedup(
-            by_name[f"dense.c{n_cells}.legacy"],
-            by_name[f"dense.c{n_cells}.coalesced"],
-        )
     drain = by_name["engine.events.drain"]
     payload: Dict[str, object] = {
         "format": BENCH_FORMAT,
@@ -510,9 +394,6 @@ def run_bench(
                     / by_name["fig2a.burst_heavy.vectorized"].median_s
                 ),
             },
-            "artifacts_identical": _check_artifact_identity(
-                n_seeds=2 if quick else 4
-            ),
         },
     }
     if out_path is not None:

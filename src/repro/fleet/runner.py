@@ -7,9 +7,11 @@ protocol instance, all resolved through :mod:`repro.registry` — and
 :func:`run_fleet_trial` runs it to completion and folds the per-user
 event logs into fleet metrics.
 
-Burst delivery uses the deployment's cross-user batched path by default
-(``REPRO_FLEET_PATH=scalar`` selects the per-mobile reference loop);
-both paths produce byte-identical artifacts for the same spec.
+A fleet deployment with more than one user delivers each coalesced SSB
+tick through the deployment's cross-user batched path (one
+``measure_burst_multi`` grid per tick); a one-user fleet or shard takes
+the single-link ``measure_burst`` path.  A user's outcome is the same
+on either branch, which is why sharded runs merge byte-identically.
 """
 
 from __future__ import annotations
@@ -143,9 +145,8 @@ def build_fleet(
     """Materialize a fleet spec onto the street grid.
 
     Construction order is user-index order throughout (mobiles, then
-    each user's protocol), so both burst-delivery paths — and any worker
-    count driving this via a campaign — see identical RNG stream
-    creation and event scheduling.  ``progress`` receives one
+    each user's protocol), so any worker count driving this via a
+    campaign sees identical RNG stream creation and event scheduling.  ``progress`` receives one
     :meth:`~repro.fleet.progress.FleetProgress.on_build` call per user.
 
     ``users`` restricts the build to a subset of the population (a
@@ -313,7 +314,7 @@ def write_fleet_artifact(result: FleetTrialResult, path: PathLike) -> Path:
     """Write a fleet result as canonical JSON (sorted keys, atomic).
 
     Canonical encoding is what makes the determinism contract testable
-    at the byte level: same spec -> same bytes, across burst paths,
+    at the byte level: same spec -> same bytes, across shard counts,
     worker counts and processes.
     """
     target = Path(path)

@@ -18,7 +18,7 @@ Determinism story, mirroring the campaign machinery:
   ``derive_seed(fleet_hash, "user/k")`` — the same SHA-256 scheme the
   RNG registry uses (:func:`repro.sim.rng.derive_seed`).  User ``k`` is
   therefore a pure function of ``(fleet_hash, k)``: the same user in
-  every process, on every worker, on every burst path — and a shard can
+  every process, on every worker, in every shard — and a shard can
   synthesize just its own users in O(shard) work.
 * Sharding (:func:`partition_fleet`) assigns user ``k`` to shard
   ``seed_k % n_shards`` using that content-hash-derived mobility seed,

@@ -94,7 +94,7 @@ class BaseStation:
 
         The cross-user counterpart of :meth:`tx_gains_dbi`: the frame
         conversion stays scalar per target (bit-identical to the
-        per-mobile path) while the codebook evaluates the whole
+        single-link path) while the codebook evaluates the whole
         users x beams grid in one array op per pattern.  Row ``u`` is
         bit-identical to ``tx_gains_dbi(target_world_azimuths[u], ...)``.
         """

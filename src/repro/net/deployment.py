@@ -5,38 +5,32 @@ registry, channel, link engine, trace, metrics — and drives SSB burst
 delivery from each base station to each mobile.  Experiment runners
 construct a fresh deployment per trial.
 
-Burst **scheduling** offers two modes with one determinism contract
-(``REPRO_BURST_SCHED``, default ``coalesced``):
+Burst **scheduling** is coalesced: stations whose SSB grids share the
+same absolute tick ride one :class:`~repro.sim.engine.BurstScheduler`
+event, so a dense K-cell corridor with G phase slots pays G heap events
+per period instead of K, and the whole same-tick station group is
+delivered (and measured) together by :meth:`Deployment._deliver_tick`.
 
-* ``legacy`` — one drift-free :class:`PeriodicTask` per station, the
-  original reference path; and
-* ``coalesced`` — stations whose SSB grids share the same absolute tick
-  ride one :class:`~repro.sim.engine.BurstScheduler` event, so a dense
-  K-cell corridor with G phase slots pays G heap events per period
-  instead of K, and the whole same-tick station group is delivered (and
-  measured) together.
+Burst **delivery** branches on the population size only:
 
-Burst **delivery** likewise offers two paths (``REPRO_FLEET_PATH``):
+* with **several mobiles**, arbitration runs station-by-station in tick
+  order and mobile-by-mobile in registration order, every admitted
+  (station, mobile) link of the tick is evaluated in one
+  :meth:`~repro.net.link_engine.LinkEngine.measure_burst_multi` call,
+  and the measurements reach the listeners in that same order;
+* with **one mobile**, each station's burst is arbitrated, measured by
+  the single-link :meth:`~repro.net.link_engine.LinkEngine.measure_burst`
+  and delivered in turn — the cheaper plan when there is no population
+  to batch over.
 
-* the **per-mobile loop** — each mobile handles the burst end to end
-  (arbitration, dwell evaluation, listener callback) before the next
-  mobile is visited; and
-* the **cross-user batched path** — arbitration runs for every mobile
-  first (in the same registration order), the admitted population's
-  dwell grid is evaluated in one link-engine call, and the measurements
-  are delivered to the listeners in that same order.  Under coalesced
-  scheduling the batch spans every station due on the tick
-  (:meth:`~repro.net.link_engine.LinkEngine.measure_burst_multi`),
-  arbitrated station-by-station in scheduling order.
-
-Per-link RNG streams are consumed identically on every path (the grid
-draws per link, in station-then-user order, from each link's own
-streams), and the decode stream is only touched inside listener
-callbacks — which run in the same relative order on all paths — so a
-run is byte-identical whichever scheduler and path deliver its bursts.
-With :attr:`DeploymentConfig.per_link_decode` the decode draws too come
-from per-link streams, making every user's outcome independent of the
-rest of the population — the property the fleet shard runner relies on.
+Both branches draw from each link's own RNG streams in station-then-user
+order, and the decode stream is only touched inside listener callbacks,
+which run in the same relative order — so a user's outcome does not
+depend on which branch delivered its bursts.  With
+:attr:`DeploymentConfig.per_link_decode` the decode draws too come from
+per-link streams, making every user's outcome independent of the rest
+of the population — the property the fleet shard runner relies on.
+``tests/data/golden_fleet_*.json`` pin the delivered artifacts.
 
 Dense topologies additionally get a **spatial cell index**
 (:mod:`repro.net.cell_index`, ``REPRO_CELL_INDEX`` to force ``off``):
@@ -64,7 +58,7 @@ from repro.obs import telemetry as _telemetry
 from repro.obs.log import get_logger
 from repro.phy.channel import Channel, ChannelConfig
 from repro.phy.frame import FrameConfig, RachConfig
-from repro.sim.engine import BurstScheduler, PeriodicTask, Simulator
+from repro.sim.engine import BurstMember, BurstScheduler, Simulator
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -114,19 +108,11 @@ class Deployment:
         self.telemetry = _telemetry.current()
         self._stations: Dict[str, BaseStation] = {}
         self._mobiles: Dict[str, Mobile] = {}
-        #: Live burst-schedule handles keyed by cell id.  Values are
-        #: PeriodicTask (legacy) or BurstMember (coalesced); both expose
-        #: ``next_fire_s`` and ``stop()``, which is all stop() needs.
-        self._burst_tasks: Dict[str, object] = {}
+        #: Live burst-schedule handles keyed by cell id.
+        self._burst_tasks: Dict[str, BurstMember] = {}
         self._burst_scheduler: Optional[BurstScheduler] = None
         self._resume_at: Dict[str, float] = {}
         self._started = False
-        #: Cross-user burst delivery path; the per-mobile loop is kept
-        #: as the reference for equivalence tests and perf comparison.
-        self.fleet_batch = switch_value("REPRO_FLEET_PATH") != "scalar"
-        #: Burst scheduling mode; ``legacy`` keeps the original
-        #: one-PeriodicTask-per-station reference path.
-        self.burst_sched = switch_value("REPRO_BURST_SCHED")
         #: Spatial pruning switch; the index is also self-disabling
         #: whenever safety cannot be proven (see _build_cell_index).
         self.cell_index_enabled = switch_value("REPRO_CELL_INDEX") == "on"
@@ -281,15 +267,12 @@ class Deployment:
             raise RuntimeError("deployment already started")
         self._started = True
         _log.debug(
-            "start: %d stations, %d mobiles, t=%.3fs, sched=%s",
+            "start: %d stations, %d mobiles, t=%.3fs",
             len(self._stations), len(self._mobiles), self.sim.now,
-            self.burst_sched,
         )
         self._build_cell_index()
         now = self.sim.now
-        coalesced = self.burst_sched == "coalesced"
-        if coalesced:
-            self._burst_scheduler = BurstScheduler(self.sim, self._deliver_tick)
+        self._burst_scheduler = BurstScheduler(self.sim, self._deliver_tick)
         for station in self._stations.values():
             # First burst: the next grid point at or after now — but
             # never one that already fired before a stop().  When a
@@ -300,69 +283,29 @@ class Deployment:
             resume = self._resume_at.get(station.cell_id)
             if resume is not None:
                 first = max(first, station.schedule.next_burst_start(resume))
-            if coalesced:
-                self._burst_tasks[station.cell_id] = self._burst_scheduler.add(
-                    station.frame.ssb_period_s,
-                    station,
-                    start_delay=first - now,
-                    label=f"ssb.{station.cell_id}",
-                )
-            else:
-                self._burst_tasks[station.cell_id] = PeriodicTask(
-                    self.sim,
-                    station.frame.ssb_period_s,
-                    self._make_burst_handler(station),
-                    start_delay=first - now,
-                    label=f"ssb.{station.cell_id}",
-                )
+            self._burst_tasks[station.cell_id] = self._burst_scheduler.add(
+                station.frame.ssb_period_s,
+                station,
+                start_delay=first - now,
+                label=f"ssb.{station.cell_id}",
+            )
 
-    # --------------------------------------------------- legacy scheduling
-    def _make_burst_handler(self, station: BaseStation):
-        def handle_burst() -> None:
-            self.metrics.incr(f"bursts.{station.cell_id}")
-            if self.fleet_batch and len(self._mobiles) > 1 and self.links.vectorized:
-                self._deliver_burst_batch(station)
-            else:
-                with self.telemetry.span("net.burst_scalar"):
-                    for mobile in self._mobiles.values():
-                        self._deliver_burst_scalar(station, mobile)
-
-        return handle_burst
-
-    def _deliver_burst_batch(self, station: BaseStation) -> None:
-        """Cross-user batched burst delivery for one station's burst.
-
-        Three phases, each visiting mobiles in registration order —
-        exactly the order the per-mobile loop uses: arbitration
-        (listener beam choices, radio occupancy), one grid evaluation
-        for the admitted non-pruned population, then listener delivery.
-        """
-        with self.telemetry.span("net.burst_batch"):
-            now = self.sim.now
-            admitted, requests = self._arbitrate_station(station, now)
-            self.telemetry.observe("net.burst_batch_size", len(admitted))
-            if not admitted:
-                return
-            measurements = self.links.measure_burst_batch(station, requests, now)
-            self._deliver_measurements(station, admitted, measurements, now)
-
-    # ------------------------------------------------ coalesced scheduling
+    # -------------------------------------------------------------- delivery
     def _deliver_tick(self, stations: List[BaseStation]) -> None:
         """Deliver one coalesced tick: every station due right now.
 
-        Stations arrive in scheduler registration order, which under
-        legacy scheduling is exactly the order their same-time events
-        would fire; per-station processing is identical to the legacy
-        handlers, so the two modes consume RNG streams identically.
+        Stations arrive in scheduler registration order.  Several
+        mobiles take the batched multi-station path; a lone mobile
+        takes the single-link path, station by station.
         """
-        if self.fleet_batch and len(self._mobiles) > 1 and self.links.vectorized:
+        if len(self._mobiles) > 1:
             self._deliver_tick_batch(stations)
-        else:
-            with self.telemetry.span("net.burst_scalar"):
-                for station in stations:
-                    self.metrics.incr(f"bursts.{station.cell_id}")
-                    for mobile in self._mobiles.values():
-                        self._deliver_burst_scalar(station, mobile)
+            return
+        with self.telemetry.span("net.burst_single"):
+            for station in stations:
+                self.metrics.incr(f"bursts.{station.cell_id}")
+                for mobile in self._mobiles.values():
+                    self._deliver_burst_single(station, mobile)
 
     def _deliver_tick_batch(self, stations: List[BaseStation]) -> None:
         """Multi-station batched delivery for one coalesced tick.
@@ -380,8 +323,9 @@ class Deployment:
         calls — and a mobile that admits a station is busy for the
         group's remainder.  Listener ``choose_rx_beam`` calls happen
         for exactly the (station, mobile) pairs, in exactly the order,
-        the per-station legacy events produce, and the skip counters
-        commute, so runs are byte-identical to legacy scheduling.
+        that calling :meth:`Mobile.begin_burst` per station would
+        produce, and the skip counters commute, so the accounting is
+        identical to per-station arbitration.
         """
         with self.telemetry.span("net.burst_batch"):
             now = self.sim.now
@@ -414,7 +358,7 @@ class Deployment:
                         mobile.occupy_radio(now, burst_s)
                         if burst_s > 0.0:
                             # Busy for the rest of the group: account the
-                            # per-station skips the legacy events would.
+                            # skips per-station arbitration would count.
                             mobile.bursts_skipped_busy += remaining
                         else:  # zero-length burst never occupies the chain
                             still_active.append(mobile)
@@ -441,33 +385,9 @@ class Deployment:
                 measurements = results[group] if group is not None else ()
                 self._deliver_measurements(station, admitted, measurements, now)
 
-    # ------------------------------------------------------ shared delivery
-    def _arbitrate_station(self, station: BaseStation, now: float):
-        """Arbitration pass for one station's burst.
-
-        Returns ``(admitted, requests)``: every admitted
-        ``(mobile, rx_beam, measure_index)`` in registration order —
-        ``measure_index`` is ``None`` for spatially pruned links — and
-        the link-engine request rows for the measured subset.
-        """
-        admitted = []
-        measured = []
-        for mobile in self._mobiles.values():
-            rx_beam = mobile.begin_burst(station, now)
-            if rx_beam is None:
-                continue
-            if self._excluded(station, mobile, now):
-                admitted.append((mobile, rx_beam, None))
-            else:
-                admitted.append((mobile, rx_beam, len(measured)))
-                measured.append((mobile, rx_beam))
-        return admitted, self._measure_requests(measured, now)
-
     @staticmethod
     def _measure_requests(measured, now: float):
         """Link-engine request rows for the measured (mobile, beam) pairs."""
-        if not measured:
-            return []
         poses = sample_poses([mobile.trajectory for mobile, _ in measured], now)
         return [
             (mobile.mobile_id, pose, mobile.rx_gain_fn(now, pose), rx_beam)
@@ -487,12 +407,10 @@ class Deployment:
             else:
                 mobile.complete_burst(measurements[index])
 
-    def _deliver_burst_scalar(self, station: BaseStation, mobile: Mobile) -> None:
-        """Per-mobile reference delivery (one station, one mobile).
-
-        Same flow as :meth:`Mobile.deliver_burst` plus the spatial
-        pruning branch, which skips only the channel evaluation.
-        """
+    def _deliver_burst_single(self, station: BaseStation, mobile: Mobile) -> None:
+        """One station's burst to one mobile: arbitration, the spatial
+        pruning branch (which skips only the channel evaluation), the
+        single-link measurement and listener delivery."""
         now = self.sim.now
         rx_beam = mobile.begin_burst(station, now)
         if rx_beam is None:

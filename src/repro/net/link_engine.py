@@ -14,14 +14,13 @@ meet.  Three operations cover everything the protocols need:
   current receive beam, the base station listens on its serving/detected
   beam.
 
-Bursts are evaluated on the vectorized batch path by default
+Bursts are evaluated in one vectorized pass per link
 (:meth:`~repro.phy.channel.Channel.burst_rss_dbm` + batched codebook
-gains + argmax-over-threshold selection); the scalar per-dwell loop is
-kept as the reference implementation, selectable via the ``vectorized``
-attribute or the ``REPRO_BURST_PATH=scalar`` environment variable.
-Both paths consume identical RNG draws and produce bit-identical
-measurements, so switching paths never changes an artifact — only the
-wall clock.
+gains + argmax-over-threshold selection).  A coalesced tick with several
+mobiles goes through :meth:`LinkEngine.measure_burst_multi`, which
+evaluates every (station, mobile) link of the tick as one grid and is
+bit-identical, row for row, to calling :meth:`LinkEngine.measure_burst`
+per link in the same order.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from repro.obs import telemetry as _telemetry
 from repro.obs.telemetry import wall_clock
 from repro.phy.channel import Channel
 from repro.sim.rng import RngRegistry
-from repro.util.switches import switch_value
 
 
 class LinkEngine:
@@ -62,8 +60,8 @@ class LinkEngine:
       innovation, ``n - 1`` zero-innovation draws at the shared burst
       pose), the blockage renewal draws needed to extend the timeline
       past the burst timestamp, then ``2n`` interleaved I/Q fading
-      normals.  The scalar and vectorized burst paths consume
-      identically.
+      normals.  Single-link and multi-station burst evaluation
+      consume identically.
     """
 
     def __init__(
@@ -81,9 +79,6 @@ class LinkEngine:
         #: Uplink transmit power of the mobile, dBm.  Handsets run well
         #: below the base station's EIRP.
         self.mobile_tx_power_dbm = 5.0
-        #: Burst-evaluation path; the scalar reference loop exists for
-        #: perf comparison and equivalence tests.
-        self.vectorized = switch_value("REPRO_BURST_PATH") != "scalar"
         # Ambient telemetry: burst evaluation is the wall-clock hot
         # path, so spans are dispatched behind an ``enabled`` check.
         self._telemetry = _telemetry.current()
@@ -161,11 +156,6 @@ class LinkEngine:
         rx_gain = rx_gain_fn(rx_beam, bearing_to_station)
         link = self.link_id(station.cell_id, mobile_id)
         beams = station.schedule.beams_in_burst()
-        if not self.vectorized:
-            return self._measure_burst_scalar(
-                station, mobile_pose, link, beams, bearing_to_mobile,
-                rx_gain, rx_beam, time_s, budget, threshold,
-            )
         # One batch gain evaluation for the burst's sweep order; passing
         # the beam list keeps the mapping correct even for a schedule
         # that sweeps a subset or reorders the codebook.
@@ -183,7 +173,7 @@ class LinkEngine:
         if detected.size == 0:
             return RssMeasurement(time_s, station.cell_id, rx_beam)
         # Argmax over the detected dwells; ties resolve to the earliest
-        # dwell, matching the scalar loop's strict-improvement scan.
+        # dwell, like a strict-improvement scan in sweep order.
         best = int(detected[np.argmax(rss[detected])])
         best_rss = float(rss[best])
         return RssMeasurement(
@@ -195,107 +185,6 @@ class LinkEngine:
             snr_db=budget.snr_db(best_rss),
         )
 
-    def measure_burst_batch(
-        self,
-        station: BaseStation,
-        requests,
-        time_s: float,
-        detection_snr_db: Optional[float] = None,
-    ):
-        """Evaluate one SSB burst for a whole population in one pass.
-
-        ``requests`` is a sequence of ``(mobile_id, mobile_pose,
-        rx_gain_fn, rx_beam)`` tuples — one entry per radio-eligible
-        mobile, in delivery order.  The burst's sweep is evaluated as a
-        ``(users, dwells)`` grid: one codebook array op covers every
-        user's transmit gains, one :meth:`Channel.burst_rss_grid_dbm`
-        call covers every link's RSS, and detection + argmax run on the
-        grid.  Per-link RNG draws happen per user in request order from
-        that link's own streams, so the returned measurements — and the
-        stream states left behind — are bit-identical to calling
-        :meth:`measure_burst` per request in the same order.
-
-        Returns one :class:`RssMeasurement` per request, in order.
-        """
-        telemetry = self._telemetry
-        if not telemetry.enabled:
-            return self._measure_burst_batch_impl(
-                station, requests, time_s, detection_snr_db
-            )
-        started = wall_clock()
-        try:
-            return self._measure_burst_batch_impl(
-                station, requests, time_s, detection_snr_db
-            )
-        finally:
-            telemetry.record_span(
-                "phy.measure_burst_batch", started, wall_clock()
-            )
-            telemetry.incr("phy.bursts_measured", len(requests))
-
-    def _measure_burst_batch_impl(
-        self,
-        station: BaseStation,
-        requests,
-        time_s: float,
-        detection_snr_db: Optional[float] = None,
-    ):
-        budget = station.link_budget
-        threshold = (
-            budget.detection_snr_db if detection_snr_db is None else detection_snr_db
-        )
-        beams = station.schedule.beams_in_burst()
-        if not requests:
-            return []
-        # Per-user scalar geometry: bearings, rx gain and the body-frame
-        # conversion stay on the exact scalar ops the per-mobile path
-        # uses (O(users), cheap); only the users x dwells work batches.
-        bearings_to_mobile = []
-        rx_gains = []
-        link_ids = []
-        poses = []
-        for mobile_id, mobile_pose, rx_gain_fn, rx_beam in requests:
-            bearings_to_mobile.append(station.pose.bearing_to(mobile_pose.position))
-            rx_gains.append(
-                rx_gain_fn(rx_beam, mobile_pose.bearing_to(station.pose.position))
-            )
-            link_ids.append(self.link_id(station.cell_id, mobile_id))
-            poses.append(mobile_pose)
-        tx_gains = station.tx_gains_grid_dbi(bearings_to_mobile, beams)
-        rss = self.channel.burst_rss_grid_dbm(
-            link_ids,
-            time_s,
-            station.pose,
-            poses,
-            tx_gains,
-            np.asarray(rx_gains, dtype=float),
-            station.tx_power_dbm,
-        )
-        detected = rss - budget.noise_floor_dbm >= threshold
-        any_detected = detected.any(axis=1)
-        # Argmax over the detected dwells only; ties resolve to the
-        # earliest dwell exactly like the per-mobile paths.
-        best = np.argmax(np.where(detected, rss, -np.inf), axis=1)
-        measurements = []
-        for u, (mobile_id, mobile_pose, rx_gain_fn, rx_beam) in enumerate(requests):
-            if not any_detected[u]:
-                measurements.append(
-                    RssMeasurement(time_s, station.cell_id, rx_beam)
-                )
-                continue
-            best_rss = float(rss[u, best[u]])
-            measurements.append(
-                RssMeasurement(
-                    time_s,
-                    station.cell_id,
-                    rx_beam,
-                    tx_beam=beams[int(best[u])],
-                    rss_dbm=best_rss,
-                    snr_db=budget.snr_db(best_rss),
-                )
-            )
-        return measurements
-
     def measure_burst_multi(
         self,
         groups,
@@ -305,16 +194,17 @@ class LinkEngine:
         """Evaluate several stations' same-tick bursts in one pass.
 
         ``groups`` is a sequence of ``(station, requests)`` pairs in
-        delivery order, each ``requests`` shaped exactly like
-        :meth:`measure_burst_batch`'s.  The whole tick becomes one
+        delivery order; ``requests`` is a sequence of ``(mobile_id,
+        mobile_pose, rx_gain_fn, rx_beam)`` tuples, one per measured
+        mobile, in delivery order.  The whole tick becomes one
         ``(rows, max_dwells)`` grid — one row per (station, user) link,
         station-major / user-minor, short bursts padded with ``-inf``
         transmit gain — evaluated by a single
-        :meth:`Channel.burst_rss_rows_dbm` call.  Because the row order
-        equals the order of the per-station grid calls it replaces,
-        every per-link RNG stream is left in the identical state and the
-        measurements are bit-identical to calling
-        :meth:`measure_burst_batch` once per group, in order.
+        :meth:`Channel.burst_rss_rows_dbm` call.  Per-link RNG draws
+        happen row by row in that order, from each link's own streams,
+        so the measurements — and the stream states left behind — are
+        bit-identical to calling :meth:`measure_burst` once per request,
+        group by group, in order.
 
         Returns one list of :class:`RssMeasurement` per group, each in
         its requests' order.
@@ -363,8 +253,9 @@ class LinkEngine:
                 if detection_snr_db is None
                 else detection_snr_db
             )
-            # Per-user scalar geometry, identical ops and order to
-            # _measure_burst_batch_impl.
+            # Per-user scalar geometry: bearings and rx gain use the
+            # exact ops measure_burst uses (O(users), cheap); only the
+            # users x dwells work batches.
             bearings_to_mobile = []
             for mobile_id, mobile_pose, rx_gain_fn, rx_beam in requests:
                 bearings_to_mobile.append(
@@ -435,52 +326,6 @@ class LinkEngine:
                 )
             results.append(measurements)
         return results
-
-    def _measure_burst_scalar(
-        self,
-        station: BaseStation,
-        mobile_pose: Pose,
-        link: str,
-        beams,
-        bearing_to_mobile: float,
-        rx_gain: float,
-        rx_beam: int,
-        time_s: float,
-        budget,
-        threshold: float,
-    ) -> RssMeasurement:
-        """Reference per-dwell loop (the pre-vectorization hot path)."""
-        best_rss: Optional[float] = None
-        best_tx: Optional[int] = None
-        for tx_beam in beams:
-            tx_gain = station.tx_gain_dbi(tx_beam, bearing_to_mobile)
-            # Dwells within a burst are microseconds apart; geometry and
-            # large-scale state are evaluated at the burst timestamp, but
-            # each dwell draws its own small-scale fade.
-            rss = self.channel.rss_dbm(
-                link,
-                time_s,
-                station.pose,
-                mobile_pose,
-                tx_gain,
-                rx_gain,
-                station.tx_power_dbm,
-            )
-            if budget.snr_db(rss) < threshold:
-                continue
-            if best_rss is None or rss > best_rss:
-                best_rss = rss
-                best_tx = tx_beam
-        if best_rss is None:
-            return RssMeasurement(time_s, station.cell_id, rx_beam)
-        return RssMeasurement(
-            time_s,
-            station.cell_id,
-            rx_beam,
-            tx_beam=best_tx,
-            rss_dbm=best_rss,
-            snr_db=budget.snr_db(best_rss),
-        )
 
     def downlink_rss(
         self,

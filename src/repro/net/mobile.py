@@ -125,6 +125,7 @@ class Mobile:
         when it is skipped (busy or declined) — in which case all
         skip accounting has already happened.
 
+        Pair with :meth:`complete_burst` once the burst is measured.
         The check sequence here (no listener -> silent skip, busy ->
         count, decline -> count, else occupy) is the arbitration
         contract; ``Deployment._deliver_tick_batch`` inlines it across
@@ -149,32 +150,6 @@ class Mobile:
         self.bursts_measured += 1
         self._listener.on_measurement(measurement)
         return measurement
-
-    def deliver_burst(
-        self,
-        station: BaseStation,
-        link_engine,
-        now_s: float,
-    ) -> Optional[RssMeasurement]:
-        """Handle one SSB burst from ``station`` (called by the deployment).
-
-        Applies the single-RF-chain arbitration, asks the listener for a
-        receive beam, performs the dwell, and feeds the result back to
-        the listener.  Returns the measurement when one was made.
-        """
-        rx_beam = self.begin_burst(station, now_s)
-        if rx_beam is None:
-            return None
-        pose = self.pose_at(now_s)
-        measurement = link_engine.measure_burst(
-            station,
-            self.mobile_id,
-            pose,
-            self.rx_gain_fn(now_s, pose),
-            rx_beam,
-            now_s,
-        )
-        return self.complete_burst(measurement)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Mobile({self.mobile_id}, {len(self.codebook)} beams)"

@@ -6,19 +6,23 @@ All statistical state (shadowing trajectory, blockage timeline, fading
 stream) is kept per link and derived from named RNG streams, so any two
 runs with the same master seed produce identical RSS traces.
 
-Two evaluation paths are offered with one determinism contract:
+Three evaluation entry points share one determinism contract:
 
-* :meth:`Channel.rss_dbm` — one dwell at a time (the scalar reference).
-* :meth:`Channel.burst_rss_dbm` — every dwell of one SSB burst in a
-  single vectorized pass.  Geometry, path loss, shadowing and blockage
-  are evaluated once per burst (all dwells share one timestamp and
-  pose); each dwell still draws its own small-scale fade.
+* :meth:`Channel.rss_dbm` — one dwell (directed downlink and uplink
+  messages).
+* :meth:`Channel.burst_rss_dbm` — every dwell of one SSB burst on one
+  link in a single vectorized pass.  Geometry, path loss, shadowing and
+  blockage are evaluated once per burst (all dwells share one timestamp
+  and pose); each dwell still draws its own small-scale fade.
+* :meth:`Channel.burst_rss_rows_dbm` — the bursts of many (station,
+  user) links at once, one row per link, for a coalesced tick.
 
-The batch path consumes exactly the RNG draws the equivalent scalar
-loop would (n shadowing normals, the blockage renewal draws needed to
-pass the burst timestamp, 2n interleaved fading normals) and produces
-bit-identical RSS values, so scalar- and batch-evaluated runs yield
-byte-identical artifacts.
+A burst of ``n`` dwells consumes exactly the RNG draws ``n`` calls of
+:meth:`Channel.rss_dbm` would (n shadowing normals, the blockage renewal
+draws needed to pass the burst timestamp, 2n interleaved fading normals)
+and produces bit-identical RSS values; a rows call draws link by link in
+row order, so each row is bit-identical to the matching
+:meth:`Channel.burst_rss_dbm` call.
 """
 
 from __future__ import annotations
@@ -235,73 +239,6 @@ class Channel:
             + fading_db
         )
 
-    def burst_rss_grid_dbm(
-        self,
-        link_ids,
-        time_s: float,
-        tx_pose: Pose,
-        rx_poses,
-        tx_gains_dbi: np.ndarray,
-        rx_gains_dbi,
-        tx_power_dbm: float,
-        include_fading: bool = True,
-    ) -> np.ndarray:
-        """Vectorized RSS of one SSB burst heard by a whole population.
-
-        The cross-user extension of :meth:`burst_rss_dbm`: ``link_ids``
-        and ``rx_poses`` name one receiving link per user, and
-        ``tx_gains_dbi`` is the ``(users, dwells)`` transmit-gain grid of
-        the burst's sweep toward each user.  Large-scale terms and the
-        per-link RNG draws (shadowing, blockage, fading) are made
-        per user *in user order*, each from that link's own streams, so
-        the grid is bit-identical to stacking ``burst_rss_dbm`` rows for
-        the same users in the same order — and leaves every stream in
-        the exact state that loop would.  Only the final dB combination
-        runs as one ``(U, B)`` array op.
-        """
-        tx_gains = np.asarray(tx_gains_dbi, dtype=float)
-        if tx_gains.ndim != 2:
-            raise ValueError(
-                f"tx gains must be a (users, dwells) grid, got shape {tx_gains.shape}"
-            )
-        n_users, n_dwells = tx_gains.shape
-        if len(link_ids) != n_users or len(rx_poses) != n_users:
-            raise ValueError(
-                f"need one link id and rx pose per user, got "
-                f"{len(link_ids)} links / {len(rx_poses)} poses for {n_users} rows"
-            )
-        if n_dwells == 0 or n_users == 0:
-            # A zero-dwell burst touches no per-link state in the scalar
-            # loop either.
-            return np.empty((n_users, n_dwells), dtype=float)
-        rx_gains_dbi = np.asarray(rx_gains_dbi, dtype=float)
-        loss_db = np.empty(n_users, dtype=float)
-        shadowing_db = np.empty(n_users, dtype=float)
-        blockage_db = np.empty(n_users, dtype=float)
-        fading_db = np.zeros((n_users, n_dwells), dtype=float)
-        for u, link_id in enumerate(link_ids):
-            state = self.link_state(link_id)
-            distance = tx_pose.position.distance_to(rx_poses[u].position)
-            loss_db[u] = self.pathloss.path_loss_db(distance)
-            shadowing_db[u] = state.shadowing.sample_repeat_db(
-                state.traveled_m(rx_poses[u]), n_dwells
-            )
-            blockage_db[u] = state.blockage.attenuation_db(time_s)
-            if include_fading:
-                fading_db[u] = state.fading.sample_db_array(n_dwells)
-        # Same left-to-right operation order as burst_rss_dbm, with the
-        # per-user terms broadcast down columns, so every element is
-        # bit-identical to its per-mobile counterpart.
-        return (
-            tx_power_dbm
-            + tx_gains
-            + rx_gains_dbi[:, None]
-            - loss_db[:, None]
-            - shadowing_db[:, None]
-            - blockage_db[:, None]
-            + fading_db
-        )
-
     def burst_rss_rows_dbm(
         self,
         link_ids,
@@ -316,17 +253,17 @@ class Channel:
     ) -> np.ndarray:
         """Vectorized RSS over heterogeneous (station, user) link rows.
 
-        The multi-station extension of :meth:`burst_rss_grid_dbm`: each
-        row is one link of one station's burst — its own transmit pose,
-        power, and dwell count — and ``tx_gains_dbi`` is a ``(rows,
+        The multi-link extension of :meth:`burst_rss_dbm`: each row is
+        one link of one station's burst — its own transmit pose, power,
+        and dwell count — and ``tx_gains_dbi`` is a ``(rows,
         max_dwells)`` grid whose columns beyond a row's ``n_dwells`` are
         padded with ``-inf`` (a padded slot can never detect).  Per-link
         RNG draws happen row by row *in row order*, each sized by that
-        row's true dwell count, so as long as the caller orders rows
-        exactly as the per-station grid calls it replaces (station-major,
-        user-minor), every stream is left in the identical state and the
-        real (unpadded) entries are bit-identical to the per-station
-        :meth:`burst_rss_grid_dbm` rows.
+        row's true dwell count, so every stream is left in the state a
+        loop of :meth:`burst_rss_dbm` calls over the same rows would
+        leave, and the real (unpadded) entries of each row are
+        bit-identical to that call's result.  Only the final dB
+        combination runs as one ``(rows, max_dwells)`` array op.
         """
         tx_gains = np.asarray(tx_gains_dbi, dtype=float)
         if tx_gains.ndim != 2:
@@ -365,10 +302,10 @@ class Channel:
             blockage_db[r] = state.blockage.attenuation_db(time_s)
             if include_fading:
                 fading_db[r, :n_g] = state.fading.sample_db_array(n_g)
-        # Same left-to-right operation order as burst_rss_grid_dbm; the
-        # per-row transmit power broadcasts down columns like the other
-        # per-row terms, so adding identical floats yields bit-identical
-        # elements.  -inf gain pads stay -inf through the sum.
+        # Same left-to-right operation order as burst_rss_dbm, with the
+        # per-row terms (transmit power included) broadcast down columns,
+        # so adding identical floats yields bit-identical elements.
+        # -inf gain pads stay -inf through the sum.
         return (
             tx_powers[:, None]
             + tx_gains

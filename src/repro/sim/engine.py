@@ -509,10 +509,10 @@ class BurstScheduler:
       ``PeriodicTask`` it replaces: its event fires at the same times
       with the same label, and the tick-advance / deliver / re-arm
       sequence allocates event sequence numbers at the same execution
-      positions, so runs are byte-identical to the legacy per-station
-      scheduling for *any* workload.
+      positions, so runs are byte-identical to one ``PeriodicTask`` per
+      station for *any* workload.
     * A **multi-member grid** re-arms once per tick (after the whole
-      group delivers) where the legacy path re-armed once per member
+      group delivers) where per-station tasks would re-arm once per member
       (interleaved with deliveries).  The two orderings diverge only if
       some *other* event lands exactly on a shared grid tick.  Dense
       topologies built by this repo therefore place coalesced phases on

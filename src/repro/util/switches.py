@@ -5,20 +5,17 @@ is declared here — name, allowed values, default, and what the switch
 trades off — and read through :func:`switch_value`.  Centralizing the
 reads buys three things:
 
-* the byte-identity test matrix (``tests/test_dense_topology.py``,
-  ``tests/test_fleet_equivalence.py``, the bench suites) can enumerate
-  the full switch space instead of chasing ad-hoc ``os.environ`` reads;
+* one table documents every toggle (``repro list switches``) instead
+  of ad-hoc ``os.environ`` reads scattered through the code;
 * an undeclared or misspelled switch name is a hard error, not a
   silently-ignored environment variable; and
 * the :mod:`repro.lint` determinism linter (rule DET004) can statically
   reject any raw ``os.environ`` read of a ``REPRO_*`` name outside this
   module.
 
-``repro list switches`` prints the table.
-
 Values are read from the environment *at call time* (not import time),
-so the bench suites' ``env_override`` contexts and test monkeypatching
-behave as expected.
+so :func:`repro.bench.harness.env_override` contexts and test
+monkeypatching behave as expected.
 """
 
 from __future__ import annotations
@@ -56,33 +53,6 @@ class Switch:
 #: The declared switches, in display order.  Adding a runtime toggle
 #: means adding a row here — DET004 rejects raw reads elsewhere.
 _TABLE: Tuple[Switch, ...] = (
-    Switch(
-        name="REPRO_BURST_PATH",
-        default="vectorized",
-        values=("vectorized", "scalar"),
-        description=(
-            "LinkEngine burst evaluation: the vectorized batch path or "
-            "the scalar per-dwell reference loop (byte-identical)"
-        ),
-    ),
-    Switch(
-        name="REPRO_BURST_SCHED",
-        default="coalesced",
-        values=("coalesced", "legacy"),
-        description=(
-            "Burst scheduling: one coalesced heap event per shared SSB "
-            "tick, or the legacy one-PeriodicTask-per-station reference"
-        ),
-    ),
-    Switch(
-        name="REPRO_FLEET_PATH",
-        default="batch",
-        values=("batch", "scalar"),
-        description=(
-            "Burst delivery: the cross-user batched grid call or the "
-            "per-mobile reference loop (byte-identical)"
-        ),
-    ),
     Switch(
         name="REPRO_CELL_INDEX",
         default="on",

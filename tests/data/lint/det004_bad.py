@@ -10,7 +10,7 @@ import os
 
 
 def flags():
-    fast = os.environ.get("REPRO_BURST_PATH", "vectorized")
+    index = os.environ.get("REPRO_CELL_INDEX", "on")
     undeclared = os.getenv("REPRO_TURBO")
-    sched = os.environ["REPRO_BURST_SCHED"]
-    return fast, undeclared, sched
+    stall = os.environ["REPRO_STALL_S"]
+    return index, undeclared, stall

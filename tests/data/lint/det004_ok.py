@@ -4,4 +4,4 @@ from repro.util.switches import switch_value
 
 
 def flags():
-    return switch_value("REPRO_BURST_PATH")
+    return switch_value("REPRO_CELL_INDEX")

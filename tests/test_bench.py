@@ -275,17 +275,18 @@ class TestFleetSuite:
         )
         assert out.exists()
         assert payload["suite"] == "fleet"
+        names = {r["name"] for r in payload["results"]}
+        assert {"fleet.run.u4.batch", "fleet.run.u16.batch",
+                "fleet.dense.c64.coalesced"} <= names
+        assert not any(
+            name.endswith((".scalar", ".permobile", ".legacy"))
+            for name in names
+        )
         derived = payload["derived"]
-        assert derived["artifacts_identical"] is True
-        for n_users, speedups in derived["speedups"].items():
-            assert set(speedups) == {
-                "speedup_vs_scalar", "speedup_vs_permobile",
-            }
-        curves = derived["scaling_median_s"]
-        assert set(curves) == {"scalar", "permobile", "batch"}
-        # The batch path never loses to the fully scalar reference.
-        for n_users in curves["batch"]:
-            assert curves["batch"][n_users] < curves["scalar"][n_users]
+        assert set(derived["scaling_median_s"]) == {"4", "16"}
+        assert derived["sharded_identical"] is True
+        assert "speedups" not in derived
+        assert "artifacts_identical" not in derived
 
 
 class TestSuite:
@@ -297,19 +298,21 @@ class TestSuite:
         assert out.exists()
         assert payload["format"] == 1
         names = {r["name"] for r in payload["results"]}
-        assert {"burst.measure.scalar", "burst.measure.vectorized",
-                "fig2a.burst_heavy.scalar",
-                "fig2a.burst_heavy.vectorized"} <= names
+        # fig2a.burst_heavy.vectorized is obs gate's GATE_CASE.
+        assert {"burst.measure.vectorized", "fig2a.search.vectorized",
+                "fig2a.burst_heavy.vectorized", "dense.c64.coalesced",
+                "dense.c256.coalesced", "dense.c1024.coalesced"} <= names
+        assert not any(
+            name.startswith(("burst.", "fig2a.", "dense."))
+            and name.endswith((".scalar", ".legacy"))
+            for name in names
+        )
         derived = payload["derived"]
+        # Speedups compare live vectorized primitives with the scalar
+        # calls they batch; no retired burst path is timed any more.
         assert set(derived["speedups"]) == {
             "antenna.gain", "codebook.gains", "fading.rician",
-            "burst.measure", "fig2a.search", "fig2a.burst_heavy",
-            "dense.c64", "dense.c256", "dense.c1024",
         }
-        # Coalesced scheduling + the cell index must actually win on
-        # the dense corridor, even at quick-mode durations.
-        for n_cells in (64, 256, 1024):
-            assert derived["speedups"][f"dense.c{n_cells}"] > 1.0
         assert derived["events_per_s"] > 0
-        assert derived["artifacts_identical"] is True
+        assert "artifacts_identical" not in derived
         assert json.loads(out.read_text(encoding="utf-8")) == payload

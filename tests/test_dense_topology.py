@@ -1,19 +1,14 @@
 """Dense corridor topology: builder, spec plumbing, byte equivalence.
 
-The coalesced burst scheduler and the spatial cell index are pure
-execution-plan changes, so a corridor fleet artifact must be
-byte-identical across every combination of
-
-* ``REPRO_BURST_SCHED`` (coalesced | legacy),
-* ``REPRO_FLEET_PATH`` (batch | scalar),
-* ``REPRO_CELL_INDEX`` (on | off),
-
-in-process, sharded, and in a fresh interpreter via the CLI.  The spec
-layer must keep old street-topology identity hashes stable so existing
-campaign artifacts still resume.
+Coalesced burst scheduling and the spatial cell index are execution
+plans, not model changes: the corridor golden
+(``tests/data/golden_fleet_corridor_c64.json``) must be reproduced with
+``REPRO_CELL_INDEX`` on or off, and a corridor fleet must be
+byte-identical sharded and in a fresh interpreter via the CLI.  The
+spec layer must keep old street-topology identity hashes stable so
+existing campaign artifacts still resume.
 """
 
-import itertools
 import os
 import subprocess
 import sys
@@ -153,13 +148,6 @@ class TestSpecPlumbing:
 
 
 class TestEnvSwitchValidation:
-    def test_bad_burst_sched_value_raises(self):
-        from repro.net.deployment import Deployment
-
-        with env_override("REPRO_BURST_SCHED", "turbo"):
-            with pytest.raises(ValueError, match="REPRO_BURST_SCHED"):
-                Deployment()
-
     def test_bad_cell_index_value_raises(self):
         from repro.net.deployment import Deployment
 
@@ -188,34 +176,11 @@ class TestCorridorGolden:
 
 
 class TestDenseEquivalenceMatrix:
-    """The execution-plan switches never change a byte."""
+    """Sharding and fresh interpreters never change a corridor byte."""
 
     @pytest.fixture(scope="class")
     def reference_bytes(self):
-        # legacy + scalar + index-off is the untouched pre-PR path.
-        with env_override("REPRO_BURST_SCHED", "legacy"), \
-                env_override("REPRO_FLEET_PATH", "scalar"), \
-                env_override("REPRO_CELL_INDEX", "off"):
-            return canonical_json(run_fleet_trial(corridor_spec()).to_dict())
-
-    @pytest.mark.parametrize(
-        "sched,path,index",
-        [
-            combo
-            for combo in itertools.product(
-                ("coalesced", "legacy"), ("batch", "scalar"), ("on", "off")
-            )
-            if combo != ("legacy", "scalar", "off")
-        ],
-    )
-    def test_matrix_byte_identical(self, sched, path, index, reference_bytes):
-        with env_override("REPRO_BURST_SCHED", sched), \
-                env_override("REPRO_FLEET_PATH", path), \
-                env_override("REPRO_CELL_INDEX", index):
-            artifact = canonical_json(
-                run_fleet_trial(corridor_spec()).to_dict()
-            )
-        assert artifact == reference_bytes
+        return canonical_json(run_fleet_trial(corridor_spec()).to_dict())
 
     def test_sharded_corridor_byte_identical(self, reference_bytes, tmp_path):
         from repro.fleet import run_fleet_sharded
@@ -224,8 +189,8 @@ class TestDenseEquivalenceMatrix:
         assert canonical_json(result.merged.to_dict()) == reference_bytes
 
     def test_cli_fresh_process_matrix(self, tmp_path):
-        """Fresh interpreters on the CLI corridor flags agree across
-        the burst-scheduling and index switches."""
+        """Fresh interpreters on the CLI corridor flags agree with the
+        cell index on and off."""
         env_base = dict(os.environ)
         env_base["PYTHONPATH"] = SRC + (
             os.pathsep + env_base["PYTHONPATH"]
@@ -236,11 +201,10 @@ class TestDenseEquivalenceMatrix:
             "--topology", "corridor", "--cells", "12",
         ]
         artifacts = {}
-        for sched, index in (("coalesced", "on"), ("legacy", "off")):
+        for index in ("on", "off"):
             env = dict(env_base)
-            env["REPRO_BURST_SCHED"] = sched
             env["REPRO_CELL_INDEX"] = index
-            out = tmp_path / f"{sched}-{index}.json"
+            out = tmp_path / f"index-{index}.json"
             result = subprocess.run(
                 [
                     sys.executable, "-m", "repro", "fleet", "run", *flags,
@@ -249,10 +213,8 @@ class TestDenseEquivalenceMatrix:
                 env=env, capture_output=True, text=True,
             )
             assert result.returncode == 0, result.stderr
-            artifacts[(sched, index)] = out.read_bytes()
-        assert (
-            artifacts[("coalesced", "on")] == artifacts[("legacy", "off")]
-        )
+            artifacts[index] = out.read_bytes()
+        assert artifacts["on"] == artifacts["off"]
 
 
 class TestObsTopEvents:

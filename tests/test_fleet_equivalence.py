@@ -1,15 +1,18 @@
-"""Determinism contract of the cross-user batched burst path.
+"""Determinism contract of the fleet burst path.
 
-Three layers of evidence, mirroring the PR 2 scalar/vectorized suite:
+Layers of evidence:
 
-* grid micro-equivalence — the (users x dwells) batch APIs are
-  bit-identical to stacking their per-mobile counterparts and leave
+* grid micro-equivalence — the multi-link batch APIs
+  (``Channel.burst_rss_rows_dbm``, ``LinkEngine.measure_burst_multi``)
+  are bit-identical to looping their single-link counterparts and leave
   every RNG stream in the same state;
-* fleet-run equivalence — a fleet artifact is byte-identical across
-  ``REPRO_FLEET_PATH=scalar|batch`` and across campaign worker counts;
+* goldens — the committed ``tests/data/golden_fleet_street_u64.json``
+  is reproduced unsharded and sharded;
+* branch equivalence — every user run alone (the one-mobile,
+  single-link delivery branch) matches its row of the batched
+  population run;
 * sharded equivalence — a sharded run's merged artifact is
-  byte-identical to the unsharded run across shard counts, worker
-  counts and burst paths (the PR 7 correctness pin);
+  byte-identical to the unsharded run across shard and worker counts;
 * fresh-process repeatability — the same spec produces the same bytes
   in a brand-new interpreter.
 """
@@ -24,7 +27,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench.harness import env_override
 from repro.campaign.spec import canonical_json
 from repro.fleet import FleetSpec, UserProfile, run_fleet_trial
 from repro.geometry.pose import Pose
@@ -78,11 +80,6 @@ def fleet_spec(n_users=10, seed=11, duration_s=1.5):
     )
 
 
-def run_with_path(mode, spec=None):
-    with env_override("REPRO_FLEET_PATH", mode):
-        return run_fleet_trial(spec or fleet_spec())
-
-
 class TestGridMicroEquivalence:
     def test_codebook_grid_rows_bit_identical(self):
         codebook = Codebook.uniform_azimuth(20.0)
@@ -113,23 +110,31 @@ class TestGridMicroEquivalence:
         def make_channel():
             return Channel(ChannelConfig(), RngRegistry(5))
 
-        tx_pose = Pose(Vec3(0.0, 10.0))
-        poses = [Pose(Vec3(4.0 + k, 0.0), heading=0.1 * k) for k in range(3)]
-        links = [f"cellA|ue{k}" for k in range(3)]
-        tx_gains = np.linspace(-5.0, 12.0, 18)
+        # Two stations with different dwell counts, tx poses and powers:
+        # rows of the short burst are padded with -inf gain.
+        tx_poses = [Pose(Vec3(0.0, 10.0))] * 2 + [Pose(Vec3(50.0, 10.0))] * 2
+        tx_powers = [0.0, 0.0, 3.0, 3.0]
+        n_dwells = [18, 18, 12, 12]
+        poses = [Pose(Vec3(4.0 + k, 0.0), heading=0.1 * k) for k in range(4)]
+        links = ["cellA|ue0", "cellA|ue1", "cellB|ue0", "cellB|ue1"]
+        rx_gains = [1.0, 2.0, 3.0, 4.0]
+        gains = [np.linspace(-5.0, 12.0, n) for n in n_dwells]
+        padded = np.full((4, 18), -np.inf)
+        for r, row in enumerate(gains):
+            padded[r, :len(row)] = row
         grid_channel = make_channel()
-        grid = grid_channel.burst_rss_grid_dbm(
-            links, 0.25, tx_pose, poses,
-            np.tile(tx_gains, (3, 1)), np.array([1.0, 2.0, 3.0]), 0.0,
+        grid = grid_channel.burst_rss_rows_dbm(
+            links, 0.25, tx_poses, poses, padded, rx_gains, tx_powers,
+            n_dwells,
         )
         loop_channel = make_channel()
-        for u, (link, pose, rx_gain) in enumerate(
-            zip(links, poses, [1.0, 2.0, 3.0])
-        ):
+        for r in range(4):
             row = loop_channel.burst_rss_dbm(
-                link, 0.25, tx_pose, pose, tx_gains, rx_gain, 0.0
+                links[r], 0.25, tx_poses[r], poses[r], gains[r],
+                rx_gains[r], tx_powers[r],
             )
-            assert np.array_equal(grid[u], row)
+            assert np.array_equal(grid[r, :n_dwells[r]], row)
+            assert np.all(grid[r, n_dwells[r]:] == -np.inf)
         # Both channels drew identically from every stream.
         for name in loop_channel._rng_registry.stream_names():
             assert (
@@ -138,15 +143,19 @@ class TestGridMicroEquivalence:
             )
 
     def test_link_engine_batch_matches_scalar_loop(self):
+        """``measure_burst_multi`` equals ``measure_burst`` per request."""
         def make_deployment():
             deployment = Deployment(DeploymentConfig(master_seed=9))
-            station = deployment.add_station(
-                BaseStation(
-                    "cellA", Pose(Vec3(0.0, 10.0), heading=-math.pi / 2.0),
-                    Codebook.uniform_azimuth(20.0), tx_power_dbm=0.0,
+            # Different sweep lengths, so cellB's rows are padded.
+            for cell_id, x, width in (("cellA", 0.0, 20.0), ("cellB", 30.0, 30.0)):
+                deployment.add_station(
+                    BaseStation(
+                        cell_id,
+                        Pose(Vec3(x, 10.0), heading=-math.pi / 2.0),
+                        Codebook.uniform_azimuth(width), tx_power_dbm=0.0,
+                    )
                 )
-            )
-            return deployment, station
+            return deployment
 
         rx_codebook = Codebook.uniform_azimuth(20.0)
         poses = [Pose(Vec3(6.0 + 2.0 * k, 0.0), heading=0.2 * k) for k in range(4)]
@@ -161,18 +170,26 @@ class TestGridMicroEquivalence:
             )
             for k in range(4)
         ]
-        batch_dep, batch_station = make_deployment()
-        batched = batch_dep.links.measure_burst_batch(
-            batch_station, requests, 0.1
-        )
-        loop_dep, loop_station = make_deployment()
+        multi_dep = make_deployment()
+        groups = [
+            (multi_dep.station("cellA"), requests),
+            (multi_dep.station("cellB"), []),
+            (multi_dep.station("cellB"), requests[1:3]),
+        ]
+        batched = multi_dep.links.measure_burst_multi(groups, 0.1)
+        loop_dep = make_deployment()
         looped = [
-            loop_dep.links.measure_burst(
-                loop_station, mobile_id, pose, gain_fn, rx_beam, 0.1
-            )
-            for mobile_id, pose, gain_fn, rx_beam in requests
+            [
+                loop_dep.links.measure_burst(
+                    loop_dep.station(station.cell_id), mobile_id, pose,
+                    gain_fn, rx_beam, 0.1,
+                )
+                for mobile_id, pose, gain_fn, rx_beam in group
+            ]
+            for station, group in groups
         ]
         assert batched == looped
+        assert any(m.detected for group in batched for m in group)
 
     def test_empty_request_list(self):
         deployment = Deployment(DeploymentConfig(master_seed=1))
@@ -180,22 +197,28 @@ class TestGridMicroEquivalence:
             BaseStation("cellA", Pose(Vec3(0.0, 10.0)),
                         Codebook.uniform_azimuth(30.0))
         )
-        assert deployment.links.measure_burst_batch(station, [], 0.0) == []
+        assert deployment.links.measure_burst_multi([(station, [])], 0.0) == [[]]
+        assert deployment.channel.active_links == 0
 
 
 class TestFleetPathEquivalence:
     def test_scalar_and_batch_artifacts_byte_identical(self):
-        scalar = canonical_json(run_with_path("scalar").to_dict())
-        batch = canonical_json(run_with_path("batch").to_dict())
-        assert scalar == batch
+        """Each user run alone — a one-mobile deployment, so every burst
+        takes the single-link ``measure_burst`` branch — reproduces its
+        row of the batched population run byte for byte."""
+        from repro.fleet import build_fleet, run_built_fleet, synthesize_users
 
-    def test_env_var_controls_deployment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_PATH", "scalar")
-        assert Deployment().fleet_batch is False
-        monkeypatch.setenv("REPRO_FLEET_PATH", "batch")
-        assert Deployment().fleet_batch is True
-        monkeypatch.delenv("REPRO_FLEET_PATH")
-        assert Deployment().fleet_batch is True
+        spec = fleet_spec()
+        batch = run_fleet_trial(spec)
+        alone = []
+        for user in synthesize_users(spec):
+            run = build_fleet(spec, users=[user])
+            assert len(run.deployment.mobiles) == 1
+            (result,) = run_built_fleet(run).users
+            alone.append(result.to_dict())
+        assert canonical_json(alone) == canonical_json(
+            [result.to_dict() for result in batch.users]
+        )
 
     def test_repeat_in_process_identical(self):
         first = canonical_json(run_fleet_trial(fleet_spec()).to_dict())
@@ -354,26 +377,21 @@ class TestShardedEquivalence:
     def unsharded_bytes(self):
         return canonical_json(run_fleet_trial(fleet_spec()).to_dict())
 
-    @pytest.mark.parametrize("path", ["batch", "scalar"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_matrix_byte_identical(
-        self, shards, workers, path, unsharded_bytes, tmp_path
+        self, shards, workers, unsharded_bytes, tmp_path
     ):
         from repro.fleet import run_fleet_sharded
 
-        with env_override("REPRO_FLEET_PATH", path):
-            expected = canonical_json(run_fleet_trial(fleet_spec()).to_dict())
-            out = tmp_path / f"s{shards}w{workers}{path}"
-            result = run_fleet_sharded(
-                fleet_spec(), shards, out_dir=out, workers=workers
-            )
-        # Byte-identical regardless of partitioning and pool size...
+        out = tmp_path / f"s{shards}w{workers}"
+        result = run_fleet_sharded(
+            fleet_spec(), shards, out_dir=out, workers=workers
+        )
+        # Byte-identical regardless of partitioning and pool size.
         merged = (out / "fleet.json").read_text()[:-1]
-        assert merged == expected
-        assert canonical_json(result.merged.to_dict()) == expected
-        # ...and regardless of the burst-delivery path.
-        assert expected == unsharded_bytes
+        assert merged == unsharded_bytes
+        assert canonical_json(result.merged.to_dict()) == unsharded_bytes
 
     def test_shard_artifacts_partition_users(self, tmp_path):
         from repro.fleet import partition_fleet, run_fleet_sharded

@@ -120,10 +120,10 @@ class TestRules:
     def test_det004_undeclared_name_flagged_even_in_tests(self):
         # monkeypatch.setenv of a misspelled switch would silently select
         # the default path — the declared-name check has no allowlist.
-        source = 'monkeypatch.setenv("REPRO_BRUST_PATH", "scalar")\n'
+        source = 'monkeypatch.setenv("REPRO_CELL_INDX", "off")\n'
         findings = LintEngine().lint_source(source, "tests/test_x.py")
         assert rules_of(findings) == ["DET004"]
-        assert "REPRO_BRUST_PATH" in findings[0].message
+        assert "REPRO_CELL_INDX" in findings[0].message
 
     def test_det005_positive(self):
         findings = lint_fixture("det005_bad.py")

@@ -9,11 +9,10 @@ from repro.geometry.vectors import Vec3
 from repro.mobility.base import StaticPose
 from repro.mobility.rotation import DeviceRotation
 from repro.net.base_station import BaseStation
-from repro.net.link_engine import LinkEngine
+from repro.net.deployment import Deployment, DeploymentConfig
 from repro.net.mobile import Mobile
-from repro.phy.channel import Channel, ChannelConfig
+from repro.phy.channel import ChannelConfig
 from repro.phy.codebook import Codebook
-from repro.sim.rng import RngRegistry
 
 
 def make_mobile(trajectory=None, codebook=None):
@@ -31,11 +30,6 @@ def make_station(tx_power=10.0):
         Codebook.uniform_azimuth(20.0),
         tx_power_dbm=tx_power,
     )
-
-
-def make_links(seed=1):
-    registry = RngRegistry(seed)
-    return LinkEngine(Channel(ChannelConfig.deterministic(), registry), registry)
 
 
 class RecordingListener:
@@ -98,43 +92,49 @@ class TestRadioArbitration:
         mobile = make_mobile()
         listener = RecordingListener()
         mobile.attach_listener(listener)
-        station = make_station()
-        links = make_links()
         mobile.occupy_radio(0.0, 1.0)
-        result = mobile.deliver_burst(station, links, 0.5)
-        assert result is None
+        assert mobile.begin_burst(make_station(), 0.5) is None
         assert mobile.bursts_skipped_busy == 1
         assert listener.measurements == []
 
     def test_burst_declined_by_listener(self):
         mobile = make_mobile()
         mobile.attach_listener(DecliningListener())
-        result = mobile.deliver_burst(make_station(), make_links(), 0.0)
-        assert result is None
+        assert mobile.begin_burst(make_station(), 0.0) is None
         assert mobile.bursts_declined == 1
+        assert not mobile.radio_busy(0.0)
 
     def test_burst_measured_and_delivered(self):
-        mobile = make_mobile()
-        station = make_station()
+        # A one-mobile deployment delivers each burst through
+        # begin_burst -> measure_burst -> complete_burst.
+        deployment = Deployment(
+            DeploymentConfig(channel=ChannelConfig.deterministic())
+        )
+        station = deployment.add_station(make_station())
+        mobile = deployment.add_mobile(make_mobile())
         best = mobile.best_rx_beam_towards(station, 0.0)
         listener = RecordingListener(beam=best)
         mobile.attach_listener(listener)
-        result = mobile.deliver_burst(station, make_links(), 0.0)
-        assert result is not None
-        assert result.detected
-        assert listener.measurements == [result]
+        deployment.run(0.5 * station.frame.ssb_period_s)
+        (measurement,) = listener.measurements
+        assert measurement.detected
+        assert measurement.cell_id == "cellA"
+        assert measurement.rx_beam == best
         assert mobile.bursts_measured == 1
 
     def test_burst_occupies_radio(self):
         mobile = make_mobile()
         station = make_station()
-        mobile.attach_listener(RecordingListener())
-        mobile.deliver_burst(station, make_links(), 0.0)
+        mobile.attach_listener(RecordingListener(beam=2))
+        assert mobile.begin_burst(station, 0.0) == 2
         assert mobile.radio_busy(station.schedule.burst_duration_s() / 2)
+        assert mobile.bursts_measured == 0  # until complete_burst
 
     def test_no_listener_no_measurement(self):
         mobile = make_mobile()
-        assert mobile.deliver_burst(make_station(), make_links(), 0.0) is None
+        assert mobile.begin_burst(make_station(), 0.0) is None
+        assert (mobile.bursts_skipped_busy, mobile.bursts_declined,
+                mobile.bursts_measured) == (0, 0, 0)
 
     def test_rejects_empty_id(self):
         with pytest.raises(ValueError):

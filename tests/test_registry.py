@@ -338,7 +338,10 @@ class TestListCli:
             "switches",
         }
         switches = {s["name"]: s for s in payload["switches"]}
-        assert switches["REPRO_BURST_PATH"]["default"] == "vectorized"
+        assert set(switches) == {
+            "REPRO_CELL_INDEX", "REPRO_HEARTBEAT_S", "REPRO_STALL_S",
+        }
+        assert switches["REPRO_CELL_INDEX"]["default"] == "on"
         experiments = {e["name"]: e for e in payload["experiments"]}
         assert experiments["comparison"]["protocol_axis"] == "protocol"
         assert "silent-tracker" in experiments["comparison"]["protocols"]

@@ -15,9 +15,6 @@ from repro.util.switches import (
 class TestTable:
     def test_declared_names(self):
         assert set(SWITCHES) == {
-            "REPRO_BURST_PATH",
-            "REPRO_BURST_SCHED",
-            "REPRO_FLEET_PATH",
             "REPRO_CELL_INDEX",
             "REPRO_HEARTBEAT_S",
             "REPRO_STALL_S",
@@ -44,14 +41,14 @@ class TestTable:
 
 class TestSwitchValue:
     def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BURST_PATH", raising=False)
-        assert switch_value("REPRO_BURST_PATH") == "vectorized"
+        monkeypatch.delenv("REPRO_CELL_INDEX", raising=False)
+        assert switch_value("REPRO_CELL_INDEX") == "on"
 
     def test_reads_env_at_call_time(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BURST_SCHED", "legacy")
-        assert switch_value("REPRO_BURST_SCHED") == "legacy"
-        monkeypatch.setenv("REPRO_BURST_SCHED", "coalesced")
-        assert switch_value("REPRO_BURST_SCHED") == "coalesced"
+        monkeypatch.setenv("REPRO_CELL_INDEX", "off")
+        assert switch_value("REPRO_CELL_INDEX") == "off"
+        monkeypatch.setenv("REPRO_CELL_INDEX", "on")
+        assert switch_value("REPRO_CELL_INDEX") == "on"
 
     def test_bad_value_is_loud(self, monkeypatch):
         monkeypatch.setenv("REPRO_CELL_INDEX", "maybe")
@@ -70,21 +67,28 @@ class TestSwitchValue:
 
 class TestCli:
     def test_bad_switch_value_is_one_line_exit_two(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_BURST_SCHED", "bogus")
+        monkeypatch.setenv("REPRO_CELL_INDEX", "bogus")
         assert main(["fleet", "run", "--users", "2", "--duration", "0.5",
                      "--out", "/dev/null"]) == 2
         err = capsys.readouterr().err
-        assert "REPRO_BURST_SCHED" in err
+        assert "REPRO_CELL_INDEX" in err
         assert "Traceback" not in err
 
     def test_list_switches(self, capsys):
         assert main(["list", "switches"]) == 0
         out = capsys.readouterr().out
-        assert "REPRO_BURST_PATH" in out
-        assert "vectorized" in out
         assert "REPRO_CELL_INDEX" in out
+        assert "on|off" in out
         # Free-form monitor switches show their hint where enumerated
         # switches show the value set.
         assert "REPRO_HEARTBEAT_S" in out
         assert "REPRO_STALL_S" in out
         assert "seconds > 0" in out
+        # Exactly the three declared switches, nothing else.
+        listed = {
+            line.split("|")[1].strip()
+            for line in out.splitlines()
+            if line.startswith("| REPRO_")
+        }
+        assert listed == {"REPRO_CELL_INDEX", "REPRO_HEARTBEAT_S",
+                          "REPRO_STALL_S"}

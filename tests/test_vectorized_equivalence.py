@@ -1,16 +1,16 @@
-"""Scalar-vs-vectorized equivalence of the burst-evaluation path.
+"""Vectorized burst evaluation against a per-dwell oracle.
 
-The batch path's contract is *bit-for-bit* equality with the scalar
-reference, including RNG stream state: any drift here silently changes
-every artifact.  These tests pin the contract at every layer — antenna
-patterns, codebook gains, fading/shadowing stream order, channel burst
-evaluation, the full link engine, and finally trace-level campaign
-artifacts.
+The vectorized burst path's contract is *bit-for-bit* equality with a
+loop of one :meth:`Channel.rss_dbm` call per transmit dwell, including
+RNG stream state: any drift here silently changes every artifact.
+These tests pin the contract at every layer — antenna patterns,
+codebook gains, fading/shadowing stream order, channel burst
+evaluation, the full link engine (against :func:`oracle_measure_burst`,
+the per-dwell loop kept here as a test fixture), and finally
+trace-level campaign artifacts.
 """
 
-import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -18,6 +18,8 @@ import pytest
 from repro.experiments.scenarios import build_cell_edge_deployment
 from repro.geometry.pose import Pose
 from repro.geometry.vectors import Vec3
+from repro.measure.report import RssMeasurement
+from repro.net.link_engine import LinkEngine
 from repro.phy.antenna import (
     AntennaPattern,
     GaussianBeamPattern,
@@ -33,6 +35,65 @@ from repro.sim.rng import RngRegistry
 #: Angles that stress the ±pi seam alongside generic offsets.
 SEAM_ANGLES = [0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi,
                0.5 * math.pi, -0.5 * math.pi, 3.75, -3.75]
+
+
+def oracle_measure_burst(
+    links, station, mobile_id, mobile_pose, rx_gain_fn, rx_beam, time_s,
+    detection_snr_db=None,
+):
+    """Per-dwell reference for :meth:`LinkEngine.measure_burst`.
+
+    One :meth:`Channel.rss_dbm` call per transmit dwell, in sweep order;
+    the strongest detected dwell wins, ties to the earliest.  Same
+    signature as the method (``links`` in the ``self`` slot), so tests
+    can patch it in for the whole simulator.
+    """
+    budget = station.link_budget
+    threshold = (
+        budget.detection_snr_db if detection_snr_db is None else detection_snr_db
+    )
+    bearing_to_mobile = station.pose.bearing_to(mobile_pose.position)
+    rx_gain = rx_gain_fn(rx_beam, mobile_pose.bearing_to(station.pose.position))
+    link = links.link_id(station.cell_id, mobile_id)
+    best_rss = best_tx = None
+    for tx_beam in station.schedule.beams_in_burst():
+        rss = links.channel.rss_dbm(
+            link, time_s, station.pose, mobile_pose,
+            station.tx_gain_dbi(tx_beam, bearing_to_mobile), rx_gain,
+            station.tx_power_dbm,
+        )
+        if budget.snr_db(rss) < threshold:
+            continue
+        if best_rss is None or rss > best_rss:
+            best_rss, best_tx = rss, tx_beam
+    if best_rss is None:
+        return RssMeasurement(time_s, station.cell_id, rx_beam)
+    return RssMeasurement(
+        time_s, station.cell_id, rx_beam, tx_beam=best_tx, rss_dbm=best_rss,
+        snr_db=budget.snr_db(best_rss),
+    )
+
+
+def patch_in_oracle(monkeypatch):
+    """Route every ``LinkEngine.measure_burst`` through the oracle.
+
+    Returns the call log, so a test can prove the oracle ran.
+    """
+    calls = []
+
+    def measure(links, *args, **kwargs):
+        calls.append(1)
+        return oracle_measure_burst(links, *args, **kwargs)
+
+    monkeypatch.setattr(LinkEngine, "measure_burst", measure)
+    return calls
+
+
+def _stream_states(registry):
+    return {
+        name: registry.stream(name).bit_generator.state
+        for name in registry.stream_names()
+    }
 
 
 def _patterns():
@@ -235,18 +296,18 @@ class TestLinkEngineBurst:
     @pytest.mark.parametrize("codebook", ["narrow", "wide", "omni"])
     @pytest.mark.parametrize("scenario", ["walk", "rotation"])
     def test_measure_burst_paths_identical(self, codebook, scenario):
-        def run(vectorized):
+        def run(measure):
             deployment, mobile = build_cell_edge_deployment(
                 11, mobile_codebook=codebook, scenario=scenario
             )
-            deployment.links.vectorized = vectorized
             station = deployment.station("cellB")
             measurements = []
             for k in range(40):
                 t = k * 0.02
                 pose = mobile.pose_at(t)
                 measurements.append(
-                    deployment.links.measure_burst(
+                    measure(
+                        deployment.links,
                         station,
                         mobile.mobile_id,
                         pose,
@@ -255,9 +316,13 @@ class TestLinkEngineBurst:
                         t,
                     )
                 )
-            return measurements
+            return measurements, _stream_states(deployment.rng)
 
-        assert run(vectorized=True) == run(vectorized=False)
+        vectorized, vectorized_streams = run(LinkEngine.measure_burst)
+        oracle, oracle_streams = run(oracle_measure_burst)
+        assert vectorized == oracle
+        # Every stream is left exactly where the per-dwell loop leaves it.
+        assert vectorized_streams == oracle_streams
 
     def test_detection_threshold_override(self):
         deployment, mobile = build_cell_edge_deployment(3)
@@ -278,6 +343,8 @@ class TestLinkEngineBurst:
 
 
 class TestTraceLevelArtifacts:
+    """Whole runs are unchanged when the oracle evaluates every burst."""
+
     def test_fig2a_campaign_artifacts_byte_identical(self, tmp_path, monkeypatch):
         from repro.campaign.runner import run_campaign
         from repro.experiments.fig2a import fig2a_spec
@@ -286,21 +353,26 @@ class TestTraceLevelArtifacts:
             n_trials=2, scenario="walk", deadline_s=0.5,
             codebooks=("narrow",), name="equivalence",
         )
-        contents = {}
-        for mode in ("scalar", "vectorized"):
-            monkeypatch.setenv("REPRO_BURST_PATH", mode)
-            out_dir = tmp_path / mode
+
+        def cell_bytes(out_dir):
             run_campaign(spec, out_dir=out_dir)
             cells = sorted((out_dir / "cells").glob("*.json"))
             assert cells, "campaign produced no artifacts"
-            contents[mode] = {p.name: p.read_bytes() for p in cells}
-        assert contents["scalar"] == contents["vectorized"]
+            return {p.name: p.read_bytes() for p in cells}
+
+        vectorized = cell_bytes(tmp_path / "vectorized")
+        with monkeypatch.context() as patch:
+            calls = patch_in_oracle(patch)
+            oracle = cell_bytes(tmp_path / "oracle")
+        assert calls, "the oracle never evaluated a burst"
+        assert oracle == vectorized
 
     def test_search_trial_identical_across_paths(self, monkeypatch):
         from repro.experiments.fig2a import run_search_trial
 
-        monkeypatch.setenv("REPRO_BURST_PATH", "scalar")
-        scalar = run_search_trial("narrow", scenario="walk", seed=5)
-        monkeypatch.setenv("REPRO_BURST_PATH", "vectorized")
         vectorized = run_search_trial("narrow", scenario="walk", seed=5)
-        assert scalar == vectorized
+        with monkeypatch.context() as patch:
+            calls = patch_in_oracle(patch)
+            oracle = run_search_trial("narrow", scenario="walk", seed=5)
+        assert calls, "the oracle never evaluated a burst"
+        assert oracle == vectorized
