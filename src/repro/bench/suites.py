@@ -2,8 +2,9 @@
 
 The micro cases time the vectorized PHY primitives — antenna patterns,
 codebook gains and Rician fading each next to the scalar call they
-batch — and single-link burst evaluation.  The macro cases run the
-fig2a cell-edge testbed end to end:
+batch — single-link burst evaluation (``burst.measure``) and one
+coalesced street tick of every user on every cell (``burst.rows``).
+The macro cases run the fig2a cell-edge testbed end to end:
 
 * ``fig2a.search`` — the standard Fig. 2a search trial (bursts stop
   once the beam is found; engine-bound).
@@ -203,6 +204,58 @@ def _bench_burst_micro(
     )
 
 
+def _bench_burst_rows(
+    results: List[TimingResult], repeats: int, warmup: int, n_users: int
+) -> None:
+    """One coalesced street tick through ``measure_burst_multi``.
+
+    Every user is measured by all three street cells in a single call:
+    ``3 x n_users`` link rows of 18 SSB each, on warm links (the links
+    are created before timing), so the case times the tick-wide link
+    pass itself.
+    """
+    from repro.experiments.scenarios import (
+        build_street_grid_deployment,
+        make_mobile_codebook,
+    )
+    from repro.geometry.pose import Pose
+    from repro.geometry.vectors import Vec3
+    from repro.mobility.base import StaticPose
+    from repro.net.mobile import Mobile
+
+    deployment = build_street_grid_deployment(1)
+    codebook = make_mobile_codebook("narrow")
+    rng = np.random.default_rng(1)
+    requests = []
+    for i in range(n_users):
+        pose = Pose(
+            Vec3(float(rng.uniform(-5.0, 45.0)), float(rng.uniform(-3.0, 3.0))),
+            float(rng.uniform(-math.pi, math.pi)),
+        )
+        mobile = Mobile(f"ue{i}", StaticPose(pose), codebook)
+        requests.append(
+            (mobile.mobile_id, pose, mobile.rx_gain_fn(0.0, pose), i % len(codebook))
+        )
+    groups = [(station, requests) for station in deployment.stations]
+    links = deployment.links
+    links.measure_burst_multi(groups, 0.0)
+
+    meta = {
+        "cells": len(groups),
+        "n_users": n_users,
+        "ssb_per_burst": len(deployment.stations[0].schedule.beams_in_burst()),
+    }
+    results.append(
+        time_fn(
+            "burst.rows.vectorized",
+            lambda: links.measure_burst_multi(groups, 0.0),
+            repeats,
+            warmup,
+            meta,
+        )
+    )
+
+
 def _bench_fig2a_search(
     results: List[TimingResult], repeats: int, warmup: int, deadline_s: float
 ) -> None:
@@ -357,6 +410,7 @@ def run_bench(
     _bench_codebook(results, n_repeats, n_warmup)
     _bench_fading(results, n_repeats, n_warmup)
     _bench_burst_micro(results, n_repeats, n_warmup, n_bursts=200 if quick else 500)
+    _bench_burst_rows(results, n_repeats, n_warmup, n_users=120)
     _bench_fig2a_search(results, n_repeats, n_warmup, deadline_s=1.0)
     _bench_fig2a_burst_heavy(
         results, n_repeats, n_warmup, duration_s=2.0 if quick else 6.0

@@ -87,7 +87,15 @@ class VehicularDriveBy(Trajectory):
         return (center, half)
 
     def pose_at(self, time_s: float) -> Pose:
-        position = self._start + self._velocity * time_s
+        # start + velocity * t in the Vec3 operators' order: one Vec3
+        # instead of two.
+        start = self._start
+        velocity = self._velocity
+        position = Vec3(
+            start.x + velocity.x * time_s,
+            start.y + velocity.y * time_s,
+            start.z + velocity.z * time_s,
+        )
         jitter = self._jitter_amplitude * (
             0.6 * math.sin(2.0 * math.pi * 1.7 * time_s + self._jitter_phases[0])
             + 0.4 * math.sin(2.0 * math.pi * 4.3 * time_s + self._jitter_phases[1])

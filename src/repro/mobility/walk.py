@@ -96,11 +96,19 @@ class HumanWalk(Trajectory):
         return (center, half + abs(self._sway_amplitude))
 
     def pose_at(self, time_s: float) -> Pose:
-        along = self._start + self._velocity * time_s
         sway = self._sway_amplitude * math.sin(
             2.0 * math.pi * self._gait_hz * time_s + self._sway_phase
         )
-        position = along + self._lateral * sway
+        # start + velocity * t + lateral * sway, component by component
+        # in the Vec3 operators' order: one Vec3 instead of four.
+        start = self._start
+        velocity = self._velocity
+        lateral = self._lateral
+        position = Vec3(
+            start.x + velocity.x * time_s + lateral.x * sway,
+            start.y + velocity.y * time_s + lateral.y * sway,
+            start.z + velocity.z * time_s + lateral.z * sway,
+        )
         wobble = self._wobble_amplitude * (
             0.7
             * math.sin(2.0 * math.pi * self._gait_hz * time_s + self._wobble_phase)

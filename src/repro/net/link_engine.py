@@ -25,6 +25,7 @@ per link in the same order.
 
 from __future__ import annotations
 
+from math import atan2
 from typing import Optional
 
 import numpy as np
@@ -56,12 +57,15 @@ class LinkEngine:
       a fleet population separable into shards with byte-identical
       per-user results (see :mod:`repro.fleet`).
     * A measured burst of ``n`` dwells consumes, from the link's own
-      streams and in this order: ``n`` shadowing normals (one real
-      innovation, ``n - 1`` zero-innovation draws at the shared burst
-      pose), the blockage renewal draws needed to extend the timeline
-      past the burst timestamp, then ``2n`` interleaved I/Q fading
-      normals.  Single-link and multi-station burst evaluation
-      consume identically.
+      streams and in this order: one ``standard_normal(n)`` shadowing
+      call (its first normal is the innovation; the other ``n - 1``
+      are the zero-innovation draws ``n`` scalar samples at the shared
+      burst pose would make), the blockage renewal draws needed to
+      extend the timeline past the burst timestamp, then one
+      ``standard_normal(2n)`` call of interleaved I/Q fading normals.
+      Single-link and multi-station burst evaluation consume
+      identically: the tick-wide pass makes the same calls link by
+      link, in row order.
     """
 
     def __init__(
@@ -238,6 +242,7 @@ class LinkEngine:
         row_dwells = []
         group_gains = []
         max_dwells = 0
+        link_id = self.link_id
         for station, requests in groups:
             if not requests:
                 # Dense-tick common case: most stations on a coalesced
@@ -253,22 +258,34 @@ class LinkEngine:
                 if detection_snr_db is None
                 else detection_snr_db
             )
-            # Per-user scalar geometry: bearings and rx gain use the
-            # exact ops measure_burst uses (O(users), cheap); only the
+            # Per-user scalar geometry: both bearings are atan2 of the
+            # row's offsets, the floats bearing_xy yields (each offset is
+            # computed in its own direction: negating one would turn a
+            # +0.0 into -0.0 and flip atan2 across the seam); only the
             # users x dwells work batches.
+            tx_pose = station.pose
+            sx = tx_pose.position.x
+            sy = tx_pose.position.y
+            cell_id = station.cell_id
             bearings_to_mobile = []
             for mobile_id, mobile_pose, rx_gain_fn, rx_beam in requests:
-                bearings_to_mobile.append(
-                    station.pose.bearing_to(mobile_pose.position)
-                )
+                position = mobile_pose.position
+                dx = position.x - sx
+                dy = position.y - sy
+                if dx == 0.0 and dy == 0.0:
+                    raise ValueError(
+                        "azimuth undefined for vector with zero xy projection"
+                    )
+                bearings_to_mobile.append(atan2(dy, dx))
                 row_rx_gains.append(
-                    rx_gain_fn(rx_beam, mobile_pose.bearing_to(station.pose.position))
+                    rx_gain_fn(rx_beam, atan2(sy - position.y, sx - position.x))
                 )
-                row_link_ids.append(self.link_id(station.cell_id, mobile_id))
-                row_tx_poses.append(station.pose)
+                row_link_ids.append(link_id(cell_id, mobile_id))
                 row_rx_poses.append(mobile_pose)
-                row_tx_powers.append(station.tx_power_dbm)
-                row_dwells.append(len(beams))
+            n_users = len(requests)
+            row_tx_poses.extend([tx_pose] * n_users)
+            row_tx_powers.extend([station.tx_power_dbm] * n_users)
+            row_dwells.extend([len(beams)] * n_users)
             group_gains.append(station.tx_gains_grid_dbi(bearings_to_mobile, beams))
             metas.append((station, requests, beams, budget, threshold))
             max_dwells = max(max_dwells, len(beams))
@@ -302,28 +319,25 @@ class LinkEngine:
             sub = rss[row:row + len(requests), :len(beams)]
             row += len(requests)
             detected = sub - budget.noise_floor_dbm >= threshold
-            any_detected = detected.any(axis=1)
             best = np.argmax(np.where(detected, sub, -np.inf), axis=1)
+            best_rss = sub[np.arange(len(requests)), best]
+            cell_id = station.cell_id
             measurements = []
-            for u, (mobile_id, mobile_pose, rx_gain_fn, rx_beam) in enumerate(
-                requests
+            for (_, _, _, rx_beam), hit, b, rss_dbm, snr_db in zip(
+                requests,
+                detected.any(axis=1).tolist(),
+                best.tolist(),
+                best_rss.tolist(),
+                budget.snr_db(best_rss).tolist(),
             ):
-                if not any_detected[u]:
+                if hit:
                     measurements.append(
-                        RssMeasurement(time_s, station.cell_id, rx_beam)
+                        RssMeasurement(
+                            time_s, cell_id, rx_beam, beams[b], rss_dbm, snr_db
+                        )
                     )
-                    continue
-                best_rss = float(sub[u, best[u]])
-                measurements.append(
-                    RssMeasurement(
-                        time_s,
-                        station.cell_id,
-                        rx_beam,
-                        tx_beam=beams[int(best[u])],
-                        rss_dbm=best_rss,
-                        snr_db=budget.snr_db(best_rss),
-                    )
-                )
+                else:
+                    measurements.append(RssMeasurement(time_s, cell_id, rx_beam))
             results.append(measurements)
         return results
 

@@ -131,13 +131,17 @@ class BlockageProcess:
                 f"blockage queries must be time-ordered "
                 f"({time_s!r} < {self._last_query_s!r})"
             )
-        self._last_query_s = max(self._last_query_s, time_s)
-        self._extend_to(time_s)
+        if time_s > self._last_query_s:
+            self._last_query_s = time_s
+        if self._horizon_s <= time_s:
+            self._extend_to(time_s)
         # Prune events that ended long before the query point.
-        while len(self._events) > 8 and self._events[0].end_s < time_s - 10.0:
-            self._events.pop(0)
-        for event in self._events:
-            if event.active_at(time_s):
+        events = self._events
+        while len(events) > 8 and events[0].end_s < time_s - 10.0:
+            events.pop(0)
+        for event in events:
+            # BlockageEvent.active_at, inlined: one call per link-burst.
+            if event.start_s <= time_s < event.end_s:
                 return event.attenuation_db
         return 0.0
 

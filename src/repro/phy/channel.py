@@ -15,12 +15,16 @@ Three evaluation entry points share one determinism contract:
   blockage are evaluated once per burst (all dwells share one timestamp
   and pose); each dwell still draws its own small-scale fade.
 * :meth:`Channel.burst_rss_rows_dbm` — the bursts of many (station,
-  user) links at once, one row per link, for a coalesced tick.
+  user) links at once, one row per link, for a coalesced tick: one
+  tick-wide pass in which only the per-link generator calls run per row.
 
 A burst of ``n`` dwells consumes exactly the RNG draws ``n`` calls of
-:meth:`Channel.rss_dbm` would (n shadowing normals, the blockage renewal
-draws needed to pass the burst timestamp, 2n interleaved fading normals)
-and produces bit-identical RSS values; a rows call draws link by link in
+:meth:`Channel.rss_dbm` would and produces bit-identical RSS values.
+It makes one ``standard_normal(n)`` shadowing call (the first normal is
+the innovation; the other ``n - 1`` are the scalar loop's
+zero-innovation draws), the blockage renewal draws needed to pass the
+burst timestamp, and one ``standard_normal(2n)`` call of interleaved
+I/Q fading normals.  A rows call makes the same calls link by link in
 row order, so each row is bit-identical to the matching
 :meth:`Channel.burst_rss_dbm` call.
 """
@@ -34,8 +38,14 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.geometry.pose import Pose
+from repro.geometry.vectors import Vec3
 from repro.phy.blockage import BlockageConfig, BlockageProcess
-from repro.phy.fading import NoFading, RicianFading
+from repro.phy.fading import (
+    NoFading,
+    RicianFading,
+    rician_amplitudes,
+    rician_fades_db,
+)
 from repro.phy.pathloss import CloseInPathLoss, PathLossModel
 from repro.phy.shadowing import ShadowingProcess
 from repro.sim.rng import RngRegistry
@@ -80,6 +90,15 @@ class ChannelConfig:
         )
 
 
+def _distance_m(a: Vec3, b: Vec3) -> float:
+    """``a.distance_to(b)`` with the same operation order, computed on
+    the float attributes without building a temporary ``Vec3``."""
+    dx = a.x - b.x
+    dy = a.y - b.y
+    dz = a.z - b.z
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 class LinkState:
     """Mutable per-link statistical state."""
 
@@ -116,11 +135,10 @@ class LinkState:
         decorrelates the shadowing process (the handset aperture moves
         through the local multipath field).
         """
-        if self._last_rx_pose is not None:
-            step = rx_pose.position.distance_to(self._last_rx_pose.position)
-            turn = abs(
-                math.remainder(rx_pose.heading - self._last_rx_pose.heading, math.tau)
-            )
+        last = self._last_rx_pose
+        if last is not None:
+            step = _distance_m(rx_pose.position, last.position)
+            turn = abs(math.remainder(rx_pose.heading - last.heading, math.tau))
             self._traveled_m += step + self._rotation_lever_arm * turn
         self._last_rx_pose = rx_pose
         return self._traveled_m
@@ -145,6 +163,13 @@ class Channel:
             config.frequency_hz, config.pathloss_exponent
         )
         self._links: Dict[str, LinkState] = {}
+        # Every link's fading shares the config's K-factor, so the tick
+        # pass converts all rows' I/Q draws with one amplitude pair.
+        self._rician = (
+            None
+            if config.rician_k_db is None
+            else rician_amplitudes(config.rician_k_db)
+        )
 
     def link_state(self, link_id: str) -> LinkState:
         """Per-link state, created on first use."""
@@ -170,7 +195,7 @@ class Channel:
         ``RSS = Ptx + Gtx + Grx - PL(d) - shadowing - blockage + fading``.
         """
         state = self.link_state(link_id)
-        distance = tx_pose.position.distance_to(rx_pose.position)
+        distance = _distance_m(tx_pose.position, rx_pose.position)
         loss_db = self.pathloss.path_loss_db(distance)
         shadowing_db = state.shadowing.sample_db(state.traveled_m(rx_pose))
         blockage_db = state.blockage.attenuation_db(time_s)
@@ -218,7 +243,7 @@ class Channel:
             # loop either.
             return np.empty(0, dtype=float)
         state = self.link_state(link_id)
-        distance = tx_pose.position.distance_to(rx_pose.position)
+        distance = _distance_m(tx_pose.position, rx_pose.position)
         loss_db = self.pathloss.path_loss_db(distance)
         shadowing_db = state.shadowing.sample_repeat_db(
             state.traveled_m(rx_pose), n_dwells
@@ -257,13 +282,21 @@ class Channel:
         one link of one station's burst — its own transmit pose, power,
         and dwell count — and ``tx_gains_dbi`` is a ``(rows,
         max_dwells)`` grid whose columns beyond a row's ``n_dwells`` are
-        padded with ``-inf`` (a padded slot can never detect).  Per-link
-        RNG draws happen row by row *in row order*, each sized by that
-        row's true dwell count, so every stream is left in the state a
+        padded with ``-inf`` (a padded slot can never detect).
+
+        Every row is validated before any link state is created or any
+        stream advanced, so a bad call leaves the channel untouched.
+        Then one pass over the rows updates each link's motion and
+        shadowing state and makes that link's two draw calls — one
+        ``standard_normal(n)`` for shadowing, one for the ``2n`` fading
+        normals into a shared ``(rows, 2 * max_dwells)`` buffer — in row
+        order (blockage draws stay lazy).  A link named twice is
+        therefore advanced twice, in sequence, exactly as two calls
+        would.  Path loss, I/Q -> power -> dB and the final sum then run
+        once for the whole tick.  Every stream is left in the state a
         loop of :meth:`burst_rss_dbm` calls over the same rows would
         leave, and the real (unpadded) entries of each row are
-        bit-identical to that call's result.  Only the final dB
-        combination runs as one ``(rows, max_dwells)`` array op.
+        bit-identical to that call's result.
         """
         tx_gains = np.asarray(tx_gains_dbi, dtype=float)
         if tx_gains.ndim != 2:
@@ -271,37 +304,47 @@ class Channel:
                 f"tx gains must be a (rows, dwells) grid, got shape {tx_gains.shape}"
             )
         n_rows, max_dwells = tx_gains.shape
+        rx_gains = np.asarray(rx_gains_dbi, dtype=float)
+        tx_powers = np.asarray(tx_powers_dbm, dtype=float)
         if not (
-            len(link_ids) == len(tx_poses) == len(rx_poses) == len(n_dwells) == n_rows
+            len(link_ids) == len(tx_poses) == len(rx_poses) == len(n_dwells)
+            == rx_gains.shape[0] == tx_powers.shape[0] == n_rows
         ):
             raise ValueError(
                 f"row inputs disagree: {len(link_ids)} links, "
                 f"{len(tx_poses)} tx poses, {len(rx_poses)} rx poses, "
+                f"{rx_gains.shape[0]} rx gains, {tx_powers.shape[0]} tx powers, "
                 f"{len(n_dwells)} dwell counts for {n_rows} rows"
             )
         if n_rows == 0 or max_dwells == 0:
             return np.empty((n_rows, max_dwells), dtype=float)
-        rx_gains = np.asarray(rx_gains_dbi, dtype=float)
-        tx_powers = np.asarray(tx_powers_dbm, dtype=float)
-        loss_db = np.empty(n_rows, dtype=float)
-        shadowing_db = np.empty(n_rows, dtype=float)
-        blockage_db = np.empty(n_rows, dtype=float)
-        fading_db = np.zeros((n_rows, max_dwells), dtype=float)
-        for r, link_id in enumerate(link_ids):
-            n_g = int(n_dwells[r])
-            if n_g <= 0 or n_g > max_dwells:
-                raise ValueError(
-                    f"row {r}: dwell count {n_g} outside [1, {max_dwells}]"
-                )
-            state = self.link_state(link_id)
-            distance = tx_poses[r].position.distance_to(rx_poses[r].position)
-            loss_db[r] = self.pathloss.path_loss_db(distance)
-            shadowing_db[r] = state.shadowing.sample_repeat_db(
-                state.traveled_m(rx_poses[r]), n_g
+        counts = [int(n) for n in n_dwells]
+        if min(counts) < 1 or max(counts) > max_dwells:
+            r = next(r for r, n in enumerate(counts) if not 1 <= n <= max_dwells)
+            raise ValueError(
+                f"row {r}: dwell count {counts[r]} outside [1, {max_dwells}]"
             )
-            blockage_db[r] = state.blockage.attenuation_db(time_s)
-            if include_fading:
-                fading_db[r, :n_g] = state.fading.sample_db_array(n_g)
+        fading = include_fading and self._rician is not None
+        # Zero padding keeps the fades of unused slots finite; their
+        # -inf gain still makes the slot -inf.
+        draws = np.zeros((n_rows, 2 * max_dwells)) if fading else None
+        link_state = self.link_state
+        distances = []
+        shadowing_db = []
+        blockage_db = []
+        for r, (link_id, tx_pose, rx_pose, n_g) in enumerate(
+            zip(link_ids, tx_poses, rx_poses, counts)
+        ):
+            state = link_state(link_id)
+            distances.append(_distance_m(tx_pose.position, rx_pose.position))
+            shadowing_db.append(
+                state.shadowing.sample_repeat_db(state.traveled_m(rx_pose), n_g)
+            )
+            blockage_db.append(state.blockage.attenuation_db(time_s))
+            if fading:
+                state.fading.draw_into(draws[r, :2 * n_g])
+        loss_db = np.fromiter(map(self.pathloss.path_loss_db, distances), float, n_rows)
+        fading_db = rician_fades_db(draws, *self._rician) if fading else 0.0
         # Same left-to-right operation order as burst_rss_dbm, with the
         # per-row terms (transmit power included) broadcast down columns,
         # so adding identical floats yields bit-identical elements.
@@ -311,8 +354,8 @@ class Channel:
             + tx_gains
             + rx_gains[:, None]
             - loss_db[:, None]
-            - shadowing_db[:, None]
-            - blockage_db[:, None]
+            - np.array(shadowing_db)[:, None]
+            - np.array(blockage_db)[:, None]
             + fading_db
         )
 
@@ -328,7 +371,7 @@ class Channel:
 
         Useful for link planning, oracle baselines, and tests.
         """
-        distance = tx_pose.position.distance_to(rx_pose.position)
+        distance = _distance_m(tx_pose.position, rx_pose.position)
         return (
             tx_power_dbm
             + tx_gain_dbi

@@ -15,6 +15,7 @@ independent fades.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -35,12 +36,7 @@ class RicianFading:
     def __init__(self, k_factor_db: float, rng: np.random.Generator) -> None:
         self.k_factor_db = k_factor_db
         self._rng = rng
-        k_linear = 10.0 ** (k_factor_db / 10.0)
-        self._k = k_linear
-        # Mean power of the Rician envelope is (K+1) * sigma^2 * ... ;
-        # we normalize so E[power] = 1, i.e. 0 dB mean.
-        self._los_amplitude = math.sqrt(self._k / (self._k + 1.0))
-        self._diffuse_sigma = math.sqrt(1.0 / (2.0 * (self._k + 1.0)))
+        self._los_amplitude, self._diffuse_sigma = rician_amplitudes(k_factor_db)
 
     def sample_db(self) -> float:
         """One envelope-power fade in dB (0 dB mean in the linear domain)."""
@@ -56,28 +52,59 @@ class RicianFading:
     def sample_db_array(self, n: int) -> np.ndarray:
         """``n`` fades drawn in the same stream order as ``n`` scalar calls.
 
-        One batched draw of ``2n`` normals, de-interleaved into I/Q
-        exactly as the per-call pairs of :meth:`sample_db` would consume
-        them, so the generator state after this call is identical to the
-        state after ``n`` scalar calls and each fade is bit-identical to
-        its scalar counterpart.  The batch burst-evaluation path
-        (:meth:`repro.phy.channel.Channel.burst_rss_dbm`) relies on both
-        properties.
+        One ``standard_normal(2n)`` call, de-interleaved into I/Q exactly
+        as the per-call pairs of :meth:`sample_db` would consume them, so
+        the generator state after this call is identical to the state
+        after ``n`` scalar calls and each fade is bit-identical to its
+        scalar counterpart.  The burst-evaluation paths of
+        :class:`repro.phy.channel.Channel` rely on both properties.
         """
         if n < 0:
             raise ValueError(f"need a non-negative draw count, got {n!r}")
-        draws = self._rng.normal(size=2 * n)
-        in_phase = self._los_amplitude + self._diffuse_sigma * draws[0::2]
-        quadrature = self._diffuse_sigma * draws[1::2]
-        power = in_phase * in_phase + quadrature * quadrature
-        # math.log10 per element (inlined linear_to_db): np.log10
-        # differs from the scalar path by 1 ULP on some inputs, which
-        # would break the byte-identical trace contract.
-        log10 = math.log10
-        return np.array(
-            [10.0 * log10(p if p > 1e-12 else 1e-12) for p in power.tolist()],
-            dtype=float,
+        return rician_fades_db(
+            self._rng.standard_normal(2 * n),
+            self._los_amplitude,
+            self._diffuse_sigma,
         )
+
+    def draw_into(self, out: np.ndarray) -> None:
+        """Fill ``out`` (length ``2n``) with the I/Q normals of ``n`` fades.
+
+        The stream consumption of :meth:`sample_db_array`; convert with
+        :func:`rician_fades_db`.  Lets a caller gather many links' draws
+        into one buffer and convert them in a single pass.
+        """
+        self._rng.standard_normal(out=out)
+
+
+def rician_amplitudes(k_factor_db: float) -> Tuple[float, float]:
+    """``(los_amplitude, diffuse_sigma)`` of a unit-mean-power Rician fade.
+
+    Mean power of the Rician envelope is (K+1) * sigma^2 * ... ; we
+    normalize so E[power] = 1, i.e. 0 dB mean.
+    """
+    k = 10.0 ** (k_factor_db / 10.0)
+    return math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (2.0 * (k + 1.0)))
+
+
+def rician_fades_db(
+    draws: np.ndarray, los_amplitude: float, diffuse_sigma: float
+) -> np.ndarray:
+    """Fades (dB) of interleaved I/Q standard normals along the last axis.
+
+    A last axis of ``2n`` normals yields ``n`` fades, each bit-identical
+    to :meth:`RicianFading.sample_db` fed the same pair.  Works on a
+    single burst or a whole ``(rows, 2 * dwells)`` tick buffer.
+    """
+    in_phase = los_amplitude + diffuse_sigma * draws[..., 0::2]
+    quadrature = diffuse_sigma * draws[..., 1::2]
+    power = in_phase * in_phase + quadrature * quadrature
+    np.maximum(power, 1e-12, out=power)
+    # math.log10 per element (inlined linear_to_db): np.log10 differs
+    # from the scalar path by 1 ULP on some inputs, which would break
+    # the byte-identical trace contract.
+    log10 = np.fromiter(map(math.log10, power.ravel().tolist()), float, power.size)
+    return 10.0 * log10.reshape(power.shape)
 
 
 class NoFading:

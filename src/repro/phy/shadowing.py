@@ -57,46 +57,46 @@ class ShadowingProcess:
 
         ``traveled_m`` is the arc length of the mobile's trajectory, which
         must be non-decreasing across calls (the simulator samples time
-        forward only).
+        forward only).  Consumes one normal (none when sigma is 0).
         """
-        if self.sigma_db == 0.0:
-            return 0.0
-        if self._last_value_db is None:
-            self._last_value_db = float(self._rng.normal(0.0, self.sigma_db))
-            self._last_distance = traveled_m
-            return self._last_value_db
-        delta = traveled_m - self._last_distance
-        if delta < -1e-9:
-            raise ValueError(
-                f"traveled distance must be non-decreasing "
-                f"({traveled_m!r} < {self._last_distance!r})"
-            )
-        delta = max(0.0, delta)
-        rho = math.exp(-delta / self.decorrelation_m)
-        innovation_sigma = self.sigma_db * math.sqrt(max(0.0, 1.0 - rho * rho))
-        self._last_value_db = rho * self._last_value_db + float(
-            self._rng.normal(0.0, innovation_sigma)
-        )
-        self._last_distance = traveled_m
-        return self._last_value_db
+        return self.sample_repeat_db(traveled_m, 1)
 
     def sample_repeat_db(self, traveled_m: float, n: int) -> float:
         """The shadowing value at ``traveled_m``, consuming ``n`` calls' draws.
 
         Within an SSB burst every dwell shares one rx pose, so ``n``
         scalar :meth:`sample_db` calls at the same ``traveled_m`` all
-        return the same value — but calls 2..n each still consume one
-        zero-innovation normal (``rho`` is exactly 1, the innovation
-        sigma exactly 0).  This batch equivalent returns the shared
-        value while consuming the identical number of draws, keeping the
-        generator state bit-compatible with the scalar path.
+        return the same value: calls 2..n see ``rho`` exactly 1 and an
+        innovation sigma exactly 0.  This batch equivalent makes one
+        ``standard_normal(n)`` call -- the stream consumption of those
+        ``n`` calls -- and uses only its first normal as the innovation,
+        so the value and the generator state match the scalar loop bit
+        for bit.  The inputs are checked before anything is drawn.
         """
         if n < 1:
             raise ValueError(f"need at least one sample, got {n!r}")
-        value = self.sample_db(traveled_m)
-        if self.sigma_db != 0.0 and n > 1:
-            # Burn the zero-innovation draws the scalar loop would make.
-            self._rng.standard_normal(n - 1)
+        if self.sigma_db == 0.0:
+            return 0.0
+        last = self._last_value_db
+        if last is None:
+            # ``normal(0, s)`` is ``0.0 + s * z``; spelled out so a
+            # burst needs one draw call.
+            value = 0.0 + self.sigma_db * float(self._rng.standard_normal(n)[0])
+        else:
+            delta = traveled_m - self._last_distance
+            if delta < -1e-9:
+                raise ValueError(
+                    f"traveled distance must be non-decreasing "
+                    f"({traveled_m!r} < {self._last_distance!r})"
+                )
+            delta = max(0.0, delta)
+            rho = math.exp(-delta / self.decorrelation_m)
+            innovation_sigma = self.sigma_db * math.sqrt(max(0.0, 1.0 - rho * rho))
+            value = rho * last + (
+                0.0 + innovation_sigma * float(self._rng.standard_normal(n)[0])
+            )
+        self._last_value_db = value
+        self._last_distance = traveled_m
         return value
 
     def reset(self) -> None:

@@ -299,7 +299,8 @@ class TestSuite:
         assert payload["format"] == 1
         names = {r["name"] for r in payload["results"]}
         # fig2a.burst_heavy.vectorized is obs gate's GATE_CASE.
-        assert {"burst.measure.vectorized", "fig2a.search.vectorized",
+        assert {"burst.measure.vectorized", "burst.rows.vectorized",
+                "fig2a.search.vectorized",
                 "fig2a.burst_heavy.vectorized", "dense.c64.coalesced",
                 "dense.c256.coalesced", "dense.c1024.coalesced"} <= names
         assert not any(
