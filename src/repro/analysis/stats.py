@@ -40,7 +40,9 @@ def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
     pos = q * (n - 1)
     lo = int(math.floor(pos))
     hi = int(math.ceil(pos))
-    if lo == hi:
+    # Equal neighbours return the sample itself: the lerp
+    # x*(1-f) + x*f can land 1 ulp above every sample.
+    if lo == hi or ordered[lo] == ordered[hi]:
         return float(ordered[lo])
     frac = pos - lo
     return float(ordered[lo]) * (1.0 - frac) + float(ordered[hi]) * frac

@@ -6,10 +6,10 @@ writing one JSON artifact per cell:
 
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec` / the content-hashed
   :class:`CampaignCell` grid.
-* :mod:`repro.campaign.runner` — serial / ``multiprocessing`` execution,
-  deterministic regardless of worker count.
-* :mod:`repro.campaign.store` — the on-disk artifact layout and resume
-  bookkeeping.
+* :mod:`repro.campaign.runner` — serial / process-pool execution,
+  deterministic regardless of worker count (shared with sharded fleets).
+* :mod:`repro.campaign.store` — the on-disk task store and resume
+  bookkeeping (shared with sharded fleets).
 * :mod:`repro.campaign.aggregate` — artifacts back into the summary
   structures :mod:`repro.analysis` consumes.
 * :mod:`repro.campaign.progress` — reporting hooks for the CLI.

@@ -1,16 +1,30 @@
-"""Campaign execution: serial or multiprocessing, always deterministic.
+"""Task execution for campaigns and sharded fleets: serial or pooled.
 
-Each cell is an independent simulation: it builds its own deployment
-from the seed recorded *in the cell*, so a cell's result is a pure
-function of the cell content — never of which worker ran it, in what
-order, or alongside what else.  That is the whole determinism story:
-``--workers 8`` and ``--workers 1`` produce byte-identical artifacts.
+Each campaign cell (and each fleet shard) is an independent simulation:
+it builds its own deployment from the seed recorded *in the task*, so a
+task's result is a pure function of the task content — never of which
+worker ran it, in what order, or alongside what else.  That is the
+whole determinism story: ``--workers 8`` and ``--workers 1`` produce
+byte-identical artifacts.
+
+Campaign cells and fleet shards share one task substrate, all of it in
+this module plus :class:`~repro.campaign.store.TaskStore`:
+
+* :func:`run_task` — the worker side of every task: wall-clock timing,
+  a fresh per-task telemetry hub, traceback capture;
+* :func:`execute_pooled` — the one worker pool (or the in-process
+  serial path, the byte-identity reference);
+* :class:`TaskRun` — the driver side: resume scan, outcome recording
+  (artifact + telemetry sidecar) and the failure report.
 
 Only the driver process writes artifacts; workers ship payloads back
-over the pool pipe.  Failed cells are collected (not written), the rest
-of the campaign completes, and a :class:`CampaignError` summarising the
+over the pool pipe.  Failed tasks are collected (not written), the rest
+of the run completes, and a :class:`CampaignError` (a
+:class:`~repro.fleet.runner.FleetError` for shards) summarising the
 failures is raised at the end — a subsequent resume retries exactly the
-failed/missing cells.
+failed/missing tasks.  That includes a task whose worker process died
+(``os._exit``, the OOM killer, SIGKILL): it is recorded as failed
+instead of hanging the run.
 
 Experiment kinds are registered in :data:`repro.registry.EXPERIMENTS`
 (the built-ins by the ``repro.experiments`` modules themselves, plugins
@@ -23,15 +37,29 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_module
-import time
 import traceback
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from types import SimpleNamespace
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+    Union,
+)
 
 from repro.campaign.progress import NullProgress, ProgressReporter
 from repro.campaign.spec import CampaignCell, CampaignSpec
-from repro.campaign.store import ArtifactStore
+from repro.campaign.store import ArtifactStore, TaskStore
+from repro.obs import resources as _resources
 from repro.obs import telemetry as _telemetry
 from repro.obs.telemetry import wall_clock
 from repro.obs.log import get_logger
@@ -74,35 +102,283 @@ def decode_payload(experiment: str, payload: dict):
     return EXPERIMENTS.get(experiment).decode(payload)
 
 
-def _execute_cell_task(
-    task: Tuple[dict, bool],
-) -> Tuple[str, Optional[dict], Optional[str], float, Optional[dict]]:
-    """Pool task: ``(cell_id, payload|None, error|None, elapsed_s, telemetry)``.
+def _run_cell(record: dict) -> dict:
+    return execute_cell(CampaignCell.from_dict(record))
 
-    ``error`` is the full traceback text: the exception object itself
-    cannot cross the pool pipe reliably, but the caller still needs to
-    see *where* a trial crashed, not just the exception type.
 
-    The telemetry flag rides in the task tuple (not a process global)
-    because spawn-context workers do not inherit the driver's ambient
-    hub; each task activates a fresh per-cell hub so the summary that
-    crosses the pipe covers exactly one cell.
+# ------------------------------------------------------------ worker side
+class Task(NamedTuple):
+    """One unit of pooled work: ``fn(arg)`` returns a JSON-safe payload.
+
+    ``fn`` must be a module-level function (tasks cross the pool pipe).
+    The telemetry flag rides in the task, not a process global, because
+    spawn-context workers do not inherit the driver's ambient hub.
     """
-    record, telemetry_enabled = task
-    cell = CampaignCell.from_dict(record)
+
+    task_id: str
+    fn: Callable[[object], dict]
+    arg: object
+    telemetry: bool
+
+
+def run_task(task: Task) -> tuple:
+    """Run one task; ``(task_id, payload, error, elapsed_s, telemetry, stats)``.
+
+    ``error`` is ``None`` on success, else the full traceback text: the
+    exception object itself cannot cross the pool pipe reliably, but
+    the caller still needs to see *where* a trial crashed.
+    ``telemetry`` is the summary of a fresh hub covering exactly this
+    task (``None`` unless ``task.telemetry``); ``stats`` is the worker
+    process's peak RSS / CPU from :mod:`repro.obs.resources`, advisory
+    and for benchmarking only.
+    """
     started = wall_clock()
-    hub = _telemetry.Telemetry() if telemetry_enabled else _telemetry.DISABLED
+    hub = _telemetry.Telemetry() if task.telemetry else _telemetry.DISABLED
     try:
         with _telemetry.use(hub):
-            payload = execute_cell(cell)
-        summary = hub.summary() if telemetry_enabled else None
-        return record["cell_id"], payload, None, wall_clock() - started, summary
+            payload = task.fn(task.arg)
     except Exception:  # collected, reported, retried on resume
-        message = traceback.format_exc()
-        return record["cell_id"], None, message, wall_clock() - started, None
+        error = traceback.format_exc()
+        return task.task_id, None, error, wall_clock() - started, None, None
+    summary = hub.summary() if task.telemetry else None
+    stats = {"max_rss_kb": _resources.max_rss_kb(), "cpu_s": _resources.cpu_s()}
+    return task.task_id, payload, None, wall_clock() - started, summary, stats
 
 
-# -------------------------------------------------------------------- driver
+# ------------------------------------------------------------- worker pool
+def _default_context() -> multiprocessing.context.BaseContext:
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+#: Worker-side progress sink (a queue back to the driver), installed by
+#: the pool initializer.  Task functions read it via :func:`progress_sink`
+#: — ``None`` means nobody is listening and events should be skipped.
+_PROGRESS_SINK = None
+
+
+def _pool_initializer(sink) -> None:
+    global _PROGRESS_SINK
+    _PROGRESS_SINK = sink
+
+
+def progress_sink():
+    """The worker's progress sink (``.put(event)``), or ``None``."""
+    return _PROGRESS_SINK
+
+
+def execute_pooled(
+    task_fn: Callable,
+    tasks: Sequence[Task],
+    workers: int,
+    record_outcome: Callable,
+    mp_context: Optional[str] = None,
+    progress_handler: Optional[Callable] = None,
+    tick: Optional[Callable[[], None]] = None,
+) -> None:
+    """Run tasks on the worker pool; every task's outcome is recorded once.
+
+    The one pool used by campaigns *and* fleet shards: ``task_fn`` (in
+    practice :func:`run_task`) must be a module-level function returning
+    an outcome tuple, which the driver-side ``record_outcome`` receives
+    splatted — completion order is scheduling-dependent, so outcomes
+    must be order-independent (both callers key them by content hash).
+    ``workers <= 1`` (or a single task) runs serially in-process — the
+    reference path for the byte-identity guarantee.
+
+    Worker death: when a worker process dies mid-task (``os._exit``,
+    the OOM killer, SIGKILL) the executor marks the pool broken and
+    every task that had not finished raises ``BrokenProcessPool``.
+    Each such task is recorded as a failure,
+    ``record_outcome(task.task_id, None, traceback_text, 0.0, None,
+    None)``, exactly like a task that raised — the call returns instead
+    of hanging, and tasks that completed before the death keep their
+    outcomes.
+
+    ``progress_handler`` receives worker-originated progress events on
+    the driver, best-effort and unordered across workers.  Workers post
+    them via :func:`progress_sink`; on the serial path the sink calls
+    the handler directly.  Progress can never influence results — it
+    only exists between a task starting and its outcome being recorded.
+
+    ``tick`` is a driver-side periodic callback (the fleet monitor's
+    stall detector polls from it): invoked every 50 ms while tasks run
+    on the pool path, and between tasks on the serial path.  Like
+    progress, it can observe but never influence results.
+    """
+    global _PROGRESS_SINK
+    if workers <= 1 or len(tasks) == 1:
+        previous = _PROGRESS_SINK
+        # Serial path: the sink delivers straight to the driver handler.
+        _PROGRESS_SINK = (
+            SimpleNamespace(put=progress_handler) if progress_handler else None
+        )
+        try:
+            for task in tasks:
+                record_outcome(*task_fn(task))
+                if tick is not None:
+                    tick()
+        finally:
+            _PROGRESS_SINK = previous
+        return
+
+    ctx = (
+        multiprocessing.get_context(mp_context)
+        if mp_context
+        else _default_context()
+    )
+    sink = ctx.Queue() if progress_handler is not None else None
+
+    def drain() -> None:
+        while sink is not None:
+            try:
+                event = sink.get_nowait()
+            except queue_module.Empty:
+                return
+            progress_handler(event)
+
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(tasks)),
+        mp_context=ctx,
+        initializer=_pool_initializer,
+        initargs=(sink,),
+    ) as pool:
+        futures = {pool.submit(task_fn, task): task for task in tasks}
+        pending = set(futures)
+        while pending:
+            done, pending = wait(
+                pending, timeout=0.05, return_when=FIRST_COMPLETED
+            )
+            drain()
+            if tick is not None:
+                tick()
+            for future in done:
+                try:
+                    outcome = future.result()
+                except Exception:  # worker died: BrokenProcessPool
+                    outcome = (
+                        futures[future].task_id,
+                        None,
+                        traceback.format_exc(),
+                        0.0,
+                        None,
+                        None,
+                    )
+                record_outcome(*outcome)
+    drain()
+
+
+# ------------------------------------------------------------ driver side
+class TaskRun:
+    """Driver-side bookkeeping of one campaign or sharded-fleet run.
+
+    The steps both drivers share: :meth:`resume` (load what is already
+    on disk), :meth:`execute` (run the rest through
+    :func:`execute_pooled`, with :meth:`record` as its
+    ``record_outcome``) and :meth:`raise_failures`.  ``write(task_id,
+    payload)`` persists one payload (default ``store.write``); it and
+    the telemetry sidecars are skipped when ``store`` is ``None``.
+    ``on_done(task_id, ok, elapsed_s)`` runs after each recorded task.
+    """
+
+    def __init__(
+        self,
+        store: Optional[TaskStore],
+        on_done: Callable[[str, bool, float], None],
+        write: Optional[Callable[[str, dict], object]] = None,
+    ) -> None:
+        self.store = store
+        self._on_done = on_done
+        self._write = write
+        self.payloads: Dict[str, dict] = {}
+        self.failures: Dict[str, str] = {}
+        self.telemetry: Dict[str, dict] = {}
+        self.stats: Dict[str, dict] = {}
+        self.executed = 0
+
+    def resume(
+        self,
+        task_ids: Iterable[str],
+        telemetry: bool,
+        load: Optional[Callable[[str], dict]] = None,
+    ) -> Set[str]:
+        """Load the payloads of ``task_ids`` complete on disk; their IDs.
+
+        ``load(task_id)`` reads one payload (default ``store.load``).
+        With ``telemetry``, a skipped task keeps the sidecar its
+        original run left behind (if any) so the merged view still
+        covers it.
+        """
+        if self.store is None:
+            return set()
+        done = self.store.completed() & set(task_ids)
+        for task_id in done:
+            self.payloads[task_id] = (load or self.store.load)(task_id)
+            summary = self.store.load_telemetry(task_id) if telemetry else None
+            if summary is not None:
+                self.telemetry[task_id] = summary
+        return done
+
+    def execute(self, tasks: Sequence[Task], workers: int, **pool_options) -> None:
+        """Run ``tasks`` (if any) through :func:`execute_pooled`."""
+        if tasks:
+            execute_pooled(run_task, tasks, workers, self.record, **pool_options)
+
+    def record(
+        self,
+        task_id: str,
+        payload: Optional[dict],
+        error: Optional[str],
+        elapsed: float,
+        summary: Optional[dict],
+        stats: Optional[dict],
+    ) -> None:
+        """Keep one outcome; persist its payload and telemetry sidecar."""
+        if error is not None:
+            self.failures[task_id] = error
+        else:
+            self.payloads[task_id] = payload
+            if self.store is not None:
+                (self._write or self.store.write)(task_id, payload)
+            if summary is not None:
+                self.telemetry[task_id] = summary
+                if self.store is not None:
+                    self.store.write_telemetry(task_id, summary)
+            if stats is not None:
+                self.stats[task_id] = stats
+        self.executed += 1
+        self._on_done(task_id, error is None, elapsed)
+
+    def raise_failures(
+        self,
+        error_type: Type[CampaignError],
+        what: str,
+        label: Callable[[str], str],
+    ) -> None:
+        """Raise ``error_type`` over every failed task, if any failed.
+
+        Headline: the terminal exception line per task.  Full
+        tracebacks follow in the message and ride along on the
+        exception's ``failures`` attribute.
+        """
+        if not self.failures:
+            return
+        preview = "; ".join(
+            f"{label(task_id)}: {message.strip().splitlines()[-1]}"
+            for task_id, message in list(self.failures.items())[:3]
+        )
+        tracebacks = "\n".join(
+            f"--- {label(task_id)} ---\n{message}"
+            for task_id, message in self.failures.items()
+        )
+        raise error_type(
+            f"{len(self.failures)}/{self.executed} {what} failed "
+            f"({preview})\n{tracebacks}",
+            self.failures,
+        )
+
+
+# ---------------------------------------------------------- campaign driver
 @dataclass
 class CampaignResult:
     """Outcome of one :func:`run_campaign` invocation."""
@@ -140,129 +416,6 @@ class CampaignResult:
         """Like :meth:`results_in_order`, with payloads decoded."""
         for cell, payload in self.results_in_order():
             yield cell, decode_payload(cell.experiment, payload)
-
-
-def _default_context() -> multiprocessing.context.BaseContext:
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-# ------------------------------------------------------------- worker pool
-#: Worker-side progress sink (a queue back to the driver), installed by
-#: the pool initializer.  Task functions read it via :func:`progress_sink`
-#: — ``None`` means nobody is listening and events should be skipped.
-_PROGRESS_SINK = None
-
-
-def _pool_initializer(sink) -> None:
-    global _PROGRESS_SINK
-    _PROGRESS_SINK = sink
-
-
-def progress_sink():
-    """The worker's progress sink (``.put(event)``), or ``None``."""
-    return _PROGRESS_SINK
-
-
-class _CallbackSink:
-    """Serial-path sink: delivers events straight to the driver handler."""
-
-    def __init__(self, handler: Callable) -> None:
-        self._handler = handler
-
-    def put(self, event) -> None:
-        self._handler(event)
-
-
-def execute_pooled(
-    task_fn: Callable,
-    tasks: Sequence,
-    workers: int,
-    record_outcome: Callable,
-    mp_context: Optional[str] = None,
-    progress_handler: Optional[Callable] = None,
-    tick: Optional[Callable[[], None]] = None,
-) -> None:
-    """Run picklable tasks on the campaign worker pool.
-
-    The one pool used by campaigns *and* fleet shards: ``task_fn`` must
-    be a module-level function returning an outcome tuple, which the
-    driver-side ``record_outcome`` receives splatted — completion order
-    is scheduling-dependent, so outcomes must be order-independent
-    (both callers key them by content hash).  ``workers <= 1`` (or a
-    single task) runs serially in-process — the reference path for the
-    byte-identity guarantee.
-
-    ``progress_handler`` receives worker-originated progress events on
-    the driver, best-effort and unordered across workers.  Workers post
-    them via :func:`progress_sink`; on the serial path the sink calls
-    the handler directly.  Progress can never influence results — it
-    only exists between a task starting and its outcome being recorded.
-
-    ``tick`` is a driver-side periodic callback (the fleet monitor's
-    stall detector polls from it): invoked once per drain-loop
-    iteration on the pool path, and between tasks on the serial path.
-    Like progress, it can observe but never influence results.
-    """
-    global _PROGRESS_SINK
-    if workers <= 1 or len(tasks) == 1:
-        previous = _PROGRESS_SINK
-        _PROGRESS_SINK = (
-            _CallbackSink(progress_handler) if progress_handler else None
-        )
-        try:
-            for task in tasks:
-                record_outcome(*task_fn(task))
-                if tick is not None:
-                    tick()
-        finally:
-            _PROGRESS_SINK = previous
-        return
-
-    ctx = (
-        multiprocessing.get_context(mp_context)
-        if mp_context
-        else _default_context()
-    )
-    pool_size = min(workers, len(tasks))
-    if progress_handler is None and tick is None:
-        with ctx.Pool(processes=pool_size) as pool:
-            for outcome in pool.imap_unordered(task_fn, tasks, chunksize=1):
-                record_outcome(*outcome)
-        return
-
-    sink = ctx.Queue() if progress_handler is not None else None
-
-    def drain() -> None:
-        if sink is None:
-            return
-        while True:
-            try:
-                event = sink.get_nowait()
-            except queue_module.Empty:
-                return
-            progress_handler(event)
-
-    initializer = _pool_initializer if sink is not None else None
-    initargs = (sink,) if sink is not None else ()
-    with ctx.Pool(
-        processes=pool_size, initializer=initializer, initargs=initargs
-    ) as pool:
-        pending = [pool.apply_async(task_fn, (task,)) for task in tasks]
-        while pending:
-            drain()
-            if tick is not None:
-                tick()
-            still_running = []
-            for handle in pending:
-                if handle.ready():
-                    record_outcome(*handle.get())
-                else:
-                    still_running.append(handle)
-            pending = still_running
-            if pending:
-                time.sleep(0.05)
-        drain()
 
 
 def run_campaign(
@@ -306,83 +459,46 @@ def run_campaign(
     by_id = {cell.cell_id: cell for cell in cells}
 
     store: Optional[ArtifactStore] = None
-    result = CampaignResult(spec=spec)
     if out_dir is not None:
         store = ArtifactStore(out_dir)
         store.initialize(spec)
-        result.out_dir = store.root
-
-    done_ids = store.completed_ids() & set(by_id) if (store and resume) else set()
-    pending = [cell for cell in cells if cell.cell_id not in done_ids]
-    result.skipped = len(done_ids)
+    run = TaskRun(
+        store,
+        on_done=lambda cell_id, ok, elapsed: reporter.on_cell_done(
+            by_id[cell_id], ok, elapsed
+        ),
+        write=lambda cell_id, payload: store.write_cell(by_id[cell_id], payload),
+    )
+    done_ids = (
+        run.resume(by_id, telemetry, load=lambda cell_id: store.load_cell(cell_id)[1])
+        if resume
+        else set()
+    )
     reporter.on_start(len(cells), len(done_ids))
     started = wall_clock()
     _log.info(
         "campaign %r: %d cells (%d already done), workers=%d, telemetry=%s",
         spec.name, len(cells), len(done_ids), workers, telemetry,
     )
-
-    for cell_id in done_ids:
-        _, payload = store.load_cell(cell_id)
-        result.payloads[cell_id] = payload
-        if telemetry:
-            # A skipped cell keeps the telemetry its original run left
-            # behind (if any) so the merged view still covers it.
-            stored = store.load_cell_telemetry(cell_id)
-            if stored is not None:
-                result.telemetry[cell_id] = stored
-
-    def record_outcome(
-        cell_id: str,
-        payload: Optional[dict],
-        error: Optional[str],
-        elapsed: float,
-        summary: Optional[dict],
-    ) -> None:
-        cell = by_id[cell_id]
-        if error is not None:
-            result.failures[cell_id] = error
-        else:
-            result.payloads[cell_id] = payload
-            if store is not None:
-                store.write_cell(cell, payload)
-            if summary is not None:
-                result.telemetry[cell_id] = summary
-                if store is not None:
-                    store.write_cell_telemetry(cell_id, summary)
-        result.executed += 1
-        reporter.on_cell_done(cell, error is None, elapsed)
-
-    if pending:
-        tasks = [(cell.to_dict(), telemetry) for cell in pending]
-        execute_pooled(
-            _execute_cell_task,
-            tasks,
-            workers,
-            record_outcome,
-            mp_context=mp_context,
-        )
-
-    reporter.on_finish(
-        result.executed, len(result.failures), wall_clock() - started
+    run.execute(
+        [
+            Task(cell.cell_id, _run_cell, cell.to_dict(), telemetry)
+            for cell in cells
+            if cell.cell_id not in done_ids
+        ],
+        workers,
+        mp_context=mp_context,
     )
-    if result.failures:
-        # Headline: the terminal exception line per cell.  Full
-        # tracebacks ride along on the exception's ``failures`` attr.
-        preview = "; ".join(
-            f"{cell_id}: {message.strip().splitlines()[-1]}"
-            for cell_id, message in list(result.failures.items())[:3]
-        )
-        tracebacks = "\n".join(
-            f"--- cell {cell_id} ---\n{message}"
-            for cell_id, message in result.failures.items()
-        )
-        raise CampaignError(
-            f"{len(result.failures)}/{len(pending)} campaign cells failed "
-            f"({preview})\n{tracebacks}",
-            result.failures,
-        )
-    return result
+    reporter.on_finish(run.executed, len(run.failures), wall_clock() - started)
+    run.raise_failures(CampaignError, "campaign cells", lambda cell_id: f"cell {cell_id}")
+    return CampaignResult(
+        spec=spec,
+        payloads=run.payloads,
+        executed=run.executed,
+        skipped=len(done_ids),
+        out_dir=store.root if store is not None else None,
+        telemetry=run.telemetry,
+    )
 
 
 def resume_campaign(

@@ -1,16 +1,23 @@
-"""Persistent campaign artifacts: one JSON file per cell plus a manifest.
+"""Persistent task artifacts: one content-addressed JSON file per task.
 
-Layout under the campaign output directory::
+Campaign cells and sharded-fleet shards are both "content-hashed task
+-> JSON payload", and both persist through one :class:`TaskStore`.
+Layout under an output directory::
 
-    <root>/manifest.json            # spec + expanded cell index
-    <root>/cells/<cell_id>.json     # {"cell": {...}, "payload": {...}}
-    <root>/telemetry/<cell_id>.json # wall-clock telemetry (sidecar, optional)
+    <root>/manifest.json            # spec identity + task index
+    <root>/<tasks>/<task_id>.json   # one task's artifact
+    <root>/telemetry/<task_id>.json # wall-clock telemetry (sidecar, optional)
 
-Telemetry summaries live *outside* ``cells/`` on purpose: cell
+``<tasks>`` is ``cells`` for campaigns (artifact
+``{"cell": {...}, "payload": {...}}``, see :class:`ArtifactStore`) and
+``shards`` for sharded fleets (the shard payload itself, plus the
+merged ``<root>/fleet.json`` the fleet runner writes on completion).
+
+Telemetry summaries live *outside* the task directory on purpose: task
 artifacts are deterministic (byte-identical across runs and worker
 counts) while telemetry is wall-clock and inherently not, and
-:meth:`ArtifactStore.completed_ids` must never mistake a telemetry
-sidecar for a finished cell.
+:meth:`TaskStore.completed` must never mistake a sidecar for a
+finished task.
 
 Design rules:
 
@@ -19,10 +26,14 @@ Design rules:
   matter how many workers produced the results or in what order they
   finished.
 * **Atomic writes** — artifacts land via write-to-temp + ``os.replace``;
-  a run killed mid-write leaves no half-written artifact, which is what
-  makes resume trustworthy.
-* **Single writer** — only the campaign driver process writes; workers
-  return payloads over the pool pipe.  No cross-process file locking is
+  a run killed mid-write leaves at worst a stale ``<id>.json.tmp``,
+  never a half-written artifact under the final name.
+* **Self-verifying resume** — a task counts as done only when its file
+  parses and the ID recorded inside matches the file name.  Anything
+  else (torn file, stray name, another task's bytes) is simply re-run,
+  so a damaged store degrades to extra work, not wrong results.
+* **Single writer** — only the driver process writes; workers return
+  payloads over the pool pipe.  No cross-process file locking is
   needed.
 """
 
@@ -31,15 +42,15 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.campaign.spec import CampaignCell, CampaignSpec, canonical_json
+from repro.obs.report import TELEMETRY_DIR_NAME
 
 PathLike = Union[str, Path]
 
 MANIFEST_NAME = "manifest.json"
 CELL_DIR_NAME = "cells"
-TELEMETRY_DIR_NAME = "telemetry"
 STORE_FORMAT = 1
 
 
@@ -53,13 +64,30 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-class ArtifactStore:
-    """Reads and writes one campaign's on-disk artifacts."""
+def _read_json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
 
-    def __init__(self, root: PathLike) -> None:
+
+class TaskStore:
+    """Reads and writes one run's content-addressed task artifacts.
+
+    ``task_dir`` names the artifact subdirectory, ``id_path`` the key
+    path of the task ID recorded inside each artifact, and ``kind`` the
+    manifest's ``kind`` field (``None``: the manifest has none).
+    """
+
+    def __init__(
+        self,
+        root: PathLike,
+        task_dir: str,
+        id_path: Sequence[str],
+        kind: Optional[str] = None,
+    ) -> None:
         self._root = Path(root)
-        self._cell_dir = self._root / CELL_DIR_NAME
+        self._task_dir = self._root / task_dir
         self._telemetry_dir = self._root / TELEMETRY_DIR_NAME
+        self._id_path = tuple(id_path)
+        self._kind = kind
 
     @property
     def root(self) -> Path:
@@ -69,30 +97,123 @@ class ArtifactStore:
     def manifest_path(self) -> Path:
         return self._root / MANIFEST_NAME
 
-    def cell_path(self, cell_id: str) -> Path:
-        return self._cell_dir / f"{cell_id}.json"
+    def task_path(self, task_id: str) -> Path:
+        return self._task_dir / f"{task_id}.json"
+
+    def telemetry_path(self, task_id: str) -> Path:
+        return self._telemetry_dir / f"{task_id}.json"
 
     # ---------------------------------------------------------------- manifest
-    def initialize(self, spec: CampaignSpec) -> None:
-        """Create the directory layout and manifest for ``spec``.
+    def initialize(self, record: dict, identity: Sequence[str]) -> None:
+        """Create the layout and write manifest ``record``.
 
-        Re-initialising with the *same* spec (by content hash) is the
-        resume path and is a no-op; a different spec over the same
-        directory is refused so artifacts from unrelated campaigns never
-        mix.
+        Re-initialising over an existing manifest whose ``identity``
+        keys all match is the resume path and is a no-op; anything else
+        is refused so artifacts from unrelated runs never mix.
         """
         self._root.mkdir(parents=True, exist_ok=True)
-        self._cell_dir.mkdir(exist_ok=True)
+        self._task_dir.mkdir(exist_ok=True)
         existing = self.load_manifest_record()
-        if existing is not None:
-            if existing.get("spec_hash") != spec.spec_hash:
-                raise StoreError(
-                    f"{self._root} already holds campaign "
-                    f"{existing.get('name')!r} with a different spec "
-                    f"(hash {existing.get('spec_hash')} != {spec.spec_hash}); "
-                    "use a fresh output directory"
-                )
+        if existing is None:
+            _atomic_write_text(self.manifest_path, canonical_json(record) + "\n")
             return
+        mismatched = [key for key in identity if existing.get(key) != record[key]]
+        if mismatched:
+            detail = ", ".join(
+                f"{key} {existing.get(key)!r} != {record[key]!r}"
+                for key in mismatched
+            )
+            raise StoreError(
+                f"{self._root} already holds {existing.get('name')!r} with a "
+                f"different spec ({detail}); use a fresh output directory"
+            )
+
+    def load_manifest_record(self) -> Optional[dict]:
+        """The raw manifest dict, or ``None`` when absent."""
+        if not self.manifest_path.exists():
+            return None
+        try:
+            record = _read_json(self.manifest_path)
+        except json.JSONDecodeError as error:
+            raise StoreError(
+                f"{self.manifest_path}: malformed manifest: {error}"
+            ) from error
+        if record.get("format") != STORE_FORMAT or record.get("kind") != self._kind:
+            raise StoreError(
+                f"{self.manifest_path}: unsupported manifest (format "
+                f"{record.get('format')!r}, kind {record.get('kind')!r}; "
+                f"expected format {STORE_FORMAT}, kind {self._kind!r})"
+            )
+        return record
+
+    # ------------------------------------------------------------------- tasks
+    def write(self, task_id: str, record: dict) -> Path:
+        """Persist one task's artifact (atomic, canonical bytes)."""
+        self._task_dir.mkdir(parents=True, exist_ok=True)
+        path = self.task_path(task_id)
+        _atomic_write_text(path, canonical_json(record) + "\n")
+        return path
+
+    def completed(self) -> Set[str]:
+        """Task IDs with a readable, self-consistent artifact on disk."""
+        done: Set[str] = set()
+        if not self._task_dir.is_dir():
+            return done
+        for path in self._task_dir.glob("*.json"):
+            try:
+                recorded = _read_json(path)
+            except (ValueError, OSError):  # torn, not UTF-8, unreadable
+                continue
+            for key in self._id_path:
+                recorded = recorded.get(key) if isinstance(recorded, dict) else None
+            if recorded == path.stem:
+                done.add(path.stem)
+        return done
+
+    def load(self, task_id: str) -> dict:
+        """One task's artifact record from disk."""
+        path = self.task_path(task_id)
+        try:
+            return _read_json(path)
+        except FileNotFoundError:
+            raise StoreError(f"no artifact for task {task_id}") from None
+        except json.JSONDecodeError as error:
+            raise StoreError(f"{path}: malformed artifact: {error}") from error
+
+    # --------------------------------------------------------------- telemetry
+    def write_telemetry(self, task_id: str, summary: dict) -> Path:
+        """Persist one task's wall-clock telemetry summary (sidecar).
+
+        Sidecars are advisory: they never participate in resume
+        decisions or the byte-identity contract, so a missing or stale
+        one is harmless.
+        """
+        self._telemetry_dir.mkdir(parents=True, exist_ok=True)
+        path = self.telemetry_path(task_id)
+        _atomic_write_text(path, canonical_json(summary) + "\n")
+        return path
+
+    def load_telemetry(self, task_id: str) -> Optional[dict]:
+        """One task's telemetry summary, or ``None`` when absent/corrupt."""
+        try:
+            record = _read_json(self.telemetry_path(task_id))
+        except (ValueError, OSError):
+            return None
+        return record if isinstance(record, dict) else None
+
+
+class ArtifactStore(TaskStore):
+    """The campaign face of :class:`TaskStore`: one artifact per cell."""
+
+    def __init__(self, root: PathLike) -> None:
+        super().__init__(root, CELL_DIR_NAME, ("cell", "cell_id"))
+
+    def cell_path(self, cell_id: str) -> Path:
+        return self.task_path(cell_id)
+
+    def initialize(self, spec: CampaignSpec) -> None:
+        """Create the layout and manifest for ``spec`` (same spec hash:
+        the resume no-op; a different spec: :class:`StoreError`)."""
         record = {
             "format": STORE_FORMAT,
             "name": spec.name,
@@ -109,24 +230,7 @@ class ArtifactStore:
                 for cell in spec.iter_cells()
             ],
         }
-        _atomic_write_text(self.manifest_path, canonical_json(record) + "\n")
-
-    def load_manifest_record(self) -> Optional[dict]:
-        """The raw manifest dict, or ``None`` when absent."""
-        if not self.manifest_path.exists():
-            return None
-        try:
-            record = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise StoreError(
-                f"{self.manifest_path}: malformed manifest: {error}"
-            ) from error
-        if record.get("format") != STORE_FORMAT:
-            raise StoreError(
-                f"{self.manifest_path}: unsupported format "
-                f"{record.get('format')!r} (expected {STORE_FORMAT})"
-            )
-        return record
+        super().initialize(record, ("spec_hash",))
 
     def load_spec(self) -> CampaignSpec:
         """The campaign spec recorded in the manifest."""
@@ -135,74 +239,21 @@ class ArtifactStore:
             raise StoreError(f"{self._root}: no campaign manifest found")
         return CampaignSpec.from_dict(record["spec"])
 
-    # ------------------------------------------------------------------- cells
     def write_cell(self, cell: CampaignCell, payload: dict) -> Path:
         """Persist one cell's result artifact (atomic, canonical bytes)."""
-        self._cell_dir.mkdir(parents=True, exist_ok=True)
-        path = self.cell_path(cell.cell_id)
-        record = {"cell": cell.to_dict(), "payload": payload}
-        _atomic_write_text(path, canonical_json(record) + "\n")
-        return path
+        return self.write(cell.cell_id, {"cell": cell.to_dict(), "payload": payload})
 
     def has_cell(self, cell_id: str) -> bool:
         return self.cell_path(cell_id).exists()
 
     def completed_ids(self) -> Set[str]:
-        """Cell IDs with a readable, self-consistent artifact on disk.
-
-        A file that fails to parse or whose recorded ID mismatches its
-        name is treated as missing (it will simply be re-run), so a
-        partially corrupted store degrades to extra work, not wrong
-        results.
-        """
-        done: Set[str] = set()
-        if not self._cell_dir.is_dir():
-            return done
-        for path in self._cell_dir.glob("*.json"):
-            cell_id = path.stem
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, OSError):
-                continue
-            if record.get("cell", {}).get("cell_id") == cell_id:
-                done.add(cell_id)
-        return done
+        """Cell IDs with a readable, self-consistent artifact on disk."""
+        return self.completed()
 
     def load_cell(self, cell_id: str) -> Tuple[CampaignCell, dict]:
         """One cell's ``(cell, payload)`` from disk."""
-        path = self.cell_path(cell_id)
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise StoreError(f"no artifact for cell {cell_id}") from None
-        except json.JSONDecodeError as error:
-            raise StoreError(f"{path}: malformed artifact: {error}") from error
+        record = self.load(cell_id)
         return CampaignCell.from_dict(record["cell"]), record["payload"]
-
-    # --------------------------------------------------------------- telemetry
-    def telemetry_path(self, cell_id: str) -> Path:
-        return self._telemetry_dir / f"{cell_id}.json"
-
-    def write_cell_telemetry(self, cell_id: str, summary: dict) -> Path:
-        """Persist one cell's wall-clock telemetry summary (sidecar).
-
-        Sidecars are advisory: they never participate in resume
-        decisions or the byte-identity contract, so a missing or stale
-        one is harmless.
-        """
-        self._telemetry_dir.mkdir(parents=True, exist_ok=True)
-        path = self.telemetry_path(cell_id)
-        _atomic_write_text(path, canonical_json(summary) + "\n")
-        return path
-
-    def load_cell_telemetry(self, cell_id: str) -> Optional[dict]:
-        """One cell's telemetry summary, or ``None`` when absent/corrupt."""
-        path = self.telemetry_path(cell_id)
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
-            return None
-        return record if isinstance(record, dict) else None
 
     def iter_results(self) -> Iterator[Tuple[CampaignCell, dict]]:
         """All completed ``(cell, payload)`` pairs, in manifest order."""

@@ -1270,7 +1270,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="suppress build/run progress lines")
     fleet_run.add_argument("--telemetry", action="store_true",
                            help="collect wall-clock telemetry "
-                                "(<out stem>.telemetry.json sidecar; the "
+                                "(<out stem>.telemetry.json sidecar, or "
+                                "<out>/telemetry/ with --shards; the "
                                 "artifact stays byte-identical)")
     fleet_run.add_argument("--monitor", action="store_true",
                            help="live monitoring for --shards runs: "

@@ -52,7 +52,6 @@ from repro.fleet.spec import (
     partition_fleet,
     synthesize_users,
 )
-from repro.fleet.store import FleetShardStore
 
 __all__ = [
     "ConsoleFleetProgress",
@@ -61,7 +60,6 @@ __all__ = [
     "FleetProgress",
     "FleetRun",
     "FleetShard",
-    "FleetShardStore",
     "FleetSpec",
     "FleetTrialResult",
     "FleetUserResult",

@@ -17,17 +17,16 @@ on either branch, which is why sharded runs merge byte-identically.
 from __future__ import annotations
 
 import json
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.analysis.stats import QuantileReservoir
-from repro.campaign.runner import CampaignError, execute_pooled, progress_sink
+from repro.campaign.runner import CampaignError, Task, TaskRun, progress_sink
 from repro.campaign.spec import SpecError, build_config, canonical_json
-from repro.campaign.store import StoreError
+from repro.campaign.store import STORE_FORMAT, StoreError, TaskStore
 from repro.fleet.metrics import (
     FleetAccumulator,
     FleetUserResult,
@@ -46,11 +45,9 @@ from repro.fleet.spec import (
     partition_fleet,
     synthesize_users,
 )
-from repro.fleet.store import FleetShardStore
 from repro.mobility.base import TimeShifted
 from repro.net.deployment import Deployment
 from repro.net.mobile import Mobile
-from repro.obs import resources as _resources
 from repro.obs import telemetry as _telemetry
 from repro.obs.monitor import MonitorConfig, StallDetector
 from repro.obs.telemetry import wall_clock
@@ -345,6 +342,12 @@ SHARD_FORMAT = 1
 #: equivalence suite pins correctness.
 STREAM_THRESHOLD = 10_000
 
+#: Sharded output layout (see :mod:`repro.campaign.store`): shard
+#: artifacts under ``shards/``, the merged result as ``fleet.json``.
+SHARD_DIR_NAME = "shards"
+MERGED_NAME = "fleet.json"
+MANIFEST_KIND = "fleet-shards"
+
 
 def run_shard(
     shard: FleetShard,
@@ -404,57 +407,24 @@ def run_shard(
     }
 
 
-def _execute_shard_task(
-    task: dict,
-) -> Tuple[
-    str,
-    Optional[dict],
-    Optional[str],
-    float,
-    Optional[dict],
-    Optional[dict],
-]:
-    """Pool task mirroring the campaign worker contract.
+def _run_shard_task(task: dict) -> dict:
+    """Worker body of one shard task: progress over the pool sink, then
+    :func:`run_shard` (looked up at call time, so tests can patch it)."""
+    shard = FleetShard.from_dict(task["shard"])
+    sink = progress_sink()
+    progress = (
+        QueueShardProgress(sink, shard.shard_index, heartbeat_s=task["heartbeat_s"])
+        if sink is not None
+        else None
+    )
+    return run_shard(
+        shard, stream=task["stream"], capacity=task["capacity"], progress=progress
+    )
 
-    Returns ``(shard_hash, payload|None, error|None, elapsed_s,
-    telemetry|None, stats|None)`` — the trailing ``stats`` dict carries
-    worker-process peak RSS/CPU (from :mod:`repro.obs.resources`) so
-    the bench suite can report sharded memory behaviour without
-    instrumenting the driver.
-    """
-    shard_hash = task["shard_hash"]
-    started = wall_clock()
-    hub = _telemetry.Telemetry() if task["telemetry"] else _telemetry.DISABLED
-    try:
-        shard = FleetShard.from_dict(task["shard"])
-        sink = progress_sink()
-        progress = (
-            QueueShardProgress(
-                sink,
-                shard.shard_index,
-                heartbeat_s=(
-                    task.get("heartbeat_s") if task.get("monitor") else None
-                ),
-            )
-            if sink is not None
-            else None
-        )
-        with _telemetry.use(hub):
-            payload = run_shard(
-                shard,
-                stream=task["stream"],
-                capacity=task["capacity"],
-                progress=progress,
-            )
-        summary = hub.summary() if task["telemetry"] else None
-        stats = {
-            "max_rss_kb": _resources.max_rss_kb(),
-            "cpu_s": _resources.cpu_s(),
-        }
-        return shard_hash, payload, None, wall_clock() - started, summary, stats
-    except Exception:  # collected, reported, retried on resume
-        message = traceback.format_exc()
-        return shard_hash, None, message, wall_clock() - started, None, None
+
+def _shard_store(root: PathLike) -> TaskStore:
+    """The task store of a sharded run: ``<root>/shards/<shard_hash>.json``."""
+    return TaskStore(root, SHARD_DIR_NAME, ("shard_hash",), kind=MANIFEST_KIND)
 
 
 @dataclass
@@ -582,28 +552,26 @@ def run_fleet_sharded(
         capacity = None
     by_hash = {shard.shard_hash: shard for shard in shards}
 
-    store: Optional[FleetShardStore] = None
-    result = ShardedFleetResult(
-        spec=spec, n_shards=n_shards, stream=stream, merged=None
-    )
+    store: Optional[TaskStore] = None
     if out_dir is not None:
-        store = FleetShardStore(out_dir)
+        store = _shard_store(out_dir)
         store.initialize(
-            spec,
-            n_shards,
-            {shard.shard_index: shard.shard_hash for shard in shards},
-            stream=stream,
-            capacity=capacity,
+            {
+                "format": STORE_FORMAT,
+                "kind": MANIFEST_KIND,
+                "name": spec.name,
+                "fleet": spec.to_dict(),
+                "fleet_hash": spec.fleet_hash,
+                "n_shards": n_shards,
+                "stream": stream,
+                "capacity": capacity,
+                "shards": [
+                    {"shard_index": s.shard_index, "shard_hash": s.shard_hash}
+                    for s in shards
+                ],
+            },
+            ("fleet_hash", "n_shards", "stream", "capacity"),
         )
-        result.out_dir = store.root
-
-    done_hashes = (
-        store.completed_hashes() & set(by_hash)
-        if (store and resume)
-        else set()
-    )
-    pending = [s for s in shards if s.shard_hash not in done_hashes]
-    result.skipped = len(done_hashes)
 
     reporter = progress if progress is not None else FleetProgress()
     config = MonitorConfig.from_switches() if monitor else None
@@ -611,104 +579,71 @@ def run_fleet_sharded(
     aggregator = ShardProgressAggregator(
         reporter, spec.n_users, spec.duration_s, stall=stall
     )
+
+    def on_done(shard_hash: str, ok: bool, elapsed: float) -> None:
+        if ok:
+            aggregator.shard_finished(by_hash[shard_hash].shard_index)
+            reporter.on_shard_done(len(run.payloads), n_shards, elapsed)
+
+    run = TaskRun(store, on_done)
     reporter.on_start(spec.n_users, spec.duration_s)
     started_wall = wall_clock()
+    done_hashes = run.resume(by_hash, telemetry) if resume else set()
     _log.info(
         "fleet %r: %d users in %d shards (%d already done), workers=%d, "
         "stream=%s",
         spec.name, spec.n_users, n_shards, len(done_hashes), workers, stream,
     )
+    if done_hashes:
+        reporter.on_shard_done(len(done_hashes), n_shards, 0.0)
 
-    payloads: Dict[str, dict] = {}
-    failures: Dict[str, str] = {}
-    for shard_hash in done_hashes:
-        payloads[shard_hash] = store.load_shard(shard_hash)
-        if telemetry:
-            stored = store.load_shard_telemetry(shard_hash)
-            if stored is not None:
-                result.telemetry[shard_hash] = stored
-    done_count = len(done_hashes)
-    if done_count:
-        reporter.on_shard_done(done_count, n_shards, 0.0)
-
-    def record_outcome(
-        shard_hash: str,
-        payload: Optional[dict],
-        error: Optional[str],
-        elapsed: float,
-        summary: Optional[dict],
-        stats: Optional[dict],
-    ) -> None:
-        nonlocal done_count
-        if error is not None:
-            failures[shard_hash] = error
-        else:
-            payloads[shard_hash] = payload
-            if store is not None:
-                store.write_shard(shard_hash, payload)
-            if summary is not None:
-                result.telemetry[shard_hash] = summary
-                if store is not None:
-                    store.write_shard_telemetry(shard_hash, summary)
-            if stats is not None:
-                result.shard_stats[shard_hash] = stats
-            done_count += 1
-            aggregator.shard_finished(by_hash[shard_hash].shard_index)
-            reporter.on_shard_done(done_count, n_shards, elapsed)
-        result.executed += 1
-
-    if pending:
-        if stall is not None:
-            for shard in pending:
-                stall.watch(shard.shard_index)
-        tasks = [
-            {
-                "shard": shard.to_dict(),
-                "shard_hash": shard.shard_hash,
-                "telemetry": telemetry,
-                "stream": stream,
-                "capacity": capacity,
-                "monitor": monitor,
-                "heartbeat_s": config.heartbeat_s if monitor else None,
-            }
+    pending = [s for s in shards if s.shard_hash not in done_hashes]
+    if stall is not None:
+        for shard in pending:
+            stall.watch(shard.shard_index)
+    run.execute(
+        [
+            Task(
+                shard.shard_hash,
+                _run_shard_task,
+                {
+                    "shard": shard.to_dict(),
+                    "stream": stream,
+                    "capacity": capacity,
+                    "heartbeat_s": config.heartbeat_s if monitor else None,
+                },
+                telemetry,
+            )
             for shard in pending
-        ]
-        execute_pooled(
-            _execute_shard_task,
-            tasks,
-            workers,
-            record_outcome,
-            mp_context=mp_context,
-            progress_handler=(
-                aggregator.handle
-                if (progress is not None or monitor)
-                else None
-            ),
-            tick=aggregator.tick if monitor else None,
-        )
+        ],
+        workers,
+        mp_context=mp_context,
+        progress_handler=(
+            aggregator.handle if (progress is not None or monitor) else None
+        ),
+        tick=aggregator.tick if monitor else None,
+    )
+    run.raise_failures(
+        FleetError,
+        "fleet shards",
+        lambda shard_hash: f"shard {by_hash[shard_hash].shard_index} ({shard_hash})",
+    )
 
-    if failures:
-        preview = "; ".join(
-            f"shard {by_hash[shard_hash].shard_index}: "
-            f"{message.strip().splitlines()[-1]}"
-            for shard_hash, message in list(failures.items())[:3]
-        )
-        tracebacks = "\n".join(
-            f"--- shard {by_hash[shard_hash].shard_index} "
-            f"({shard_hash}) ---\n{message}"
-            for shard_hash, message in failures.items()
-        )
-        raise FleetError(
-            f"{len(failures)}/{len(pending)} fleet shards failed "
-            f"({preview})\n{tracebacks}",
-            failures,
-        )
-
-    result.merged = _merge_shard_payloads(spec, shards, payloads)
+    merged = _merge_shard_payloads(spec, shards, run.payloads)
     if store is not None:
-        write_fleet_artifact(result.merged, store.merged_path)
+        write_fleet_artifact(merged, store.root / MERGED_NAME)
     reporter.on_finish(spec.n_users, wall_clock() - started_wall)
-    return result
+    return ShardedFleetResult(
+        spec=spec,
+        n_shards=n_shards,
+        stream=stream,
+        merged=merged,
+        executed=run.executed,
+        skipped=len(done_hashes),
+        out_dir=store.root if store is not None else None,
+        telemetry=run.telemetry,
+        shard_stats=run.stats,
+    )
 
 
 def load_sharded_fleet(out_dir: PathLike) -> FleetTrialResult:
@@ -719,15 +654,16 @@ def load_sharded_fleet(out_dir: PathLike) -> FleetTrialResult:
     :class:`~repro.campaign.store.StoreError` when shards are missing —
     an incomplete run should be resumed, not summarised.
     """
-    store = FleetShardStore(out_dir)
+    store = _shard_store(out_dir)
     record = store.load_manifest_record()
     if record is None:
         raise StoreError(f"{out_dir}: no sharded-fleet manifest found")
-    if store.merged_path.exists():
-        return load_fleet_artifact(store.merged_path)
+    merged_path = store.root / MERGED_NAME
+    if merged_path.exists():
+        return load_fleet_artifact(merged_path)
     spec = FleetSpec.from_dict(record["fleet"])
     shards = partition_fleet(spec, int(record["n_shards"]))
-    done = store.completed_hashes()
+    done = store.completed()
     missing = [s for s in shards if s.shard_hash not in done]
     if missing:
         raise StoreError(
@@ -736,5 +672,5 @@ def load_sharded_fleet(out_dir: PathLike) -> FleetTrialResult:
             f"`repro fleet run --shards {len(shards)}` against this "
             "directory to finish it"
         )
-    payloads = {s.shard_hash: store.load_shard(s.shard_hash) for s in shards}
+    payloads = {s.shard_hash: store.load(s.shard_hash) for s in shards}
     return _merge_shard_payloads(spec, shards, payloads)

@@ -1,10 +1,11 @@
 """Telemetry summaries on disk: load, merge, rank and diff.
 
 The artifact side of :mod:`repro.obs.telemetry`: fleet runs write one
-``*.telemetry.json`` sidecar, campaigns write one summary per cell under
-``<out>/telemetry/``, and the ``repro obs top`` / ``repro obs diff``
-commands consume either — a single summary file or a campaign directory
-whose per-cell summaries are merged on the fly.
+``*.telemetry.json`` sidecar, campaigns and sharded fleets write one
+summary per cell or shard under ``<out>/telemetry/``, and the
+``repro obs top`` / ``repro obs diff`` commands consume either — a
+single summary file or an output directory whose per-task summaries
+are merged on the fly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ _log = get_logger("obs")
 
 PathLike = Union[str, Path]
 
-#: Campaign subdirectory holding one telemetry summary per cell.
+#: Output subdirectory holding one telemetry summary per campaign cell
+#: or fleet shard (see :mod:`repro.campaign.store`).
 TELEMETRY_DIR_NAME = "telemetry"
 
 
@@ -53,11 +55,11 @@ def _load_summary_file(path: Path) -> dict:
 def load_telemetry(path: PathLike) -> dict:
     """One telemetry summary from a file or a campaign directory.
 
-    A directory may be a campaign output root (summaries under
-    ``<dir>/telemetry/`` are merged), a sharded fleet output root
-    (``*.telemetry.json`` sidecars next to the artifacts — including
-    per-shard sidecars under ``<dir>/shards/`` — are merged), or the
-    telemetry directory itself (its ``*.json`` files are merged).  A
+    A directory may be a campaign or sharded-fleet output root
+    (per-task summaries under ``<dir>/telemetry/`` are merged), a
+    directory of fleet runs (``*.telemetry.json`` sidecars next to the
+    artifacts are merged), or the telemetry directory itself (its
+    ``*.json`` files are merged).  A
     file must be a summary written by :func:`write_telemetry` (or a
     campaign cell / fleet shard sidecar).
     """
@@ -66,12 +68,9 @@ def load_telemetry(path: PathLike) -> dict:
         telemetry_dir = target / TELEMETRY_DIR_NAME
         files = sorted(telemetry_dir.glob("*.json"))
         if not files:
-            # Fleet sidecar convention: summaries ride next to the
-            # artifacts they describe, one `<name>.telemetry.json` per
-            # run or per shard.
-            files = sorted(target.glob("*.telemetry.json")) + sorted(
-                (target / "shards").glob("*.telemetry.json")
-            )
+            # Fleet sidecar convention: a run's summary rides next to
+            # its artifact as `<name>.telemetry.json`.
+            files = sorted(target.glob("*.telemetry.json"))
         if not files:
             # Fallback: the telemetry dir itself (manifests and merged
             # fleet artifacts are not summaries, keep the friendly

@@ -174,7 +174,9 @@ def quantile(sorted_values: List[float], q: float) -> float:
     pos = q * (len(sorted_values) - 1)
     lo = int(math.floor(pos))
     hi = int(math.ceil(pos))
-    if lo == hi:
+    # Equal neighbours return the sample itself: the lerp
+    # x*(1-f) + x*f can land 1 ulp above every sample.
+    if lo == hi or sorted_values[lo] == sorted_values[hi]:
         return sorted_values[lo]
     frac = pos - lo
     return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac

@@ -432,29 +432,34 @@ class TestFleetAccumulator:
 class TestShardStore:
     def test_initialize_refuses_different_sharding(self, tmp_path):
         from repro.campaign.store import StoreError
-        from repro.fleet import FleetShardStore, partition_fleet
+        from repro.fleet import run_fleet_sharded
 
         spec = small_spec()
-        shards = partition_fleet(spec, 2)
-        hashes = {s.shard_index: s.shard_hash for s in shards}
-        store = FleetShardStore(tmp_path)
-        store.initialize(spec, 2, hashes, stream=False, capacity=None)
+        run_fleet_sharded(spec, 2, out_dir=tmp_path)
         # Same arithmetic is the resume path.
-        store.initialize(spec, 2, hashes, stream=False, capacity=None)
+        assert run_fleet_sharded(spec, 2, out_dir=tmp_path).executed == 0
         with pytest.raises(StoreError):
-            store.initialize(spec, 2, hashes, stream=True, capacity=64)
+            run_fleet_sharded(spec, 2, out_dir=tmp_path, stream=True, capacity=64)
+        with pytest.raises(StoreError):
+            run_fleet_sharded(spec, 3, out_dir=tmp_path)
 
     def test_completed_hashes_ignores_corrupt_and_sidecars(self, tmp_path):
-        from repro.fleet import FleetShardStore
+        from repro.fleet.runner import _shard_store
 
-        store = FleetShardStore(tmp_path)
-        store.write_shard("abc123", {"shard_hash": "abc123"})
-        store.write_shard_telemetry("abc123", {"spans": {}})
+        store = _shard_store(tmp_path)
+        store.write("abc123", {"shard_hash": "abc123"})
+        store.write_telemetry("abc123", {"spans": {}})
+        assert store.telemetry_path("abc123") == tmp_path / "telemetry" / "abc123.json"
         (tmp_path / "shards" / "broken.json").write_text("{nope")
         (tmp_path / "shards" / "wronghash.json").write_text(
             json.dumps({"shard_hash": "other"})
         )
-        assert store.completed_hashes() == {"abc123"}
+        # A sidecar left next to the shards by an older layout is no
+        # shard: its recorded hash does not match its name.
+        (tmp_path / "shards" / "abc123.telemetry.json").write_text(
+            json.dumps({"spans": {}}, sort_keys=True)
+        )
+        assert store.completed() == {"abc123"}
 
 
 class TestShardedRunner:
@@ -566,7 +571,7 @@ class TestShardedCli:
         assert "hottest telemetry spans" in run_output
         assert (out / "manifest.json").exists()
         assert (out / "fleet.json").exists()
-        assert len(list((out / "shards").glob("*.telemetry.json"))) == 2
+        assert len(list((out / "telemetry").glob("*.json"))) == 2
         assert main(["fleet", "summarize", "--artifact", str(out)]) == 0
         summary = capsys.readouterr().out
         assert "6 users" in summary

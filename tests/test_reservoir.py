@@ -107,6 +107,20 @@ def test_merge_commutes_exactly(a, b):
         assert math.isclose(ma.mean, mba.mean, rel_tol=1e-9, abs_tol=1e-6)
 
 
+def test_equal_neighbours_quantile_is_the_sample():
+    """Hypothesis falsifying example for the associativity test below:
+    with both interpolation neighbours equal, the quantile is that
+    sample exactly, not the 1-ulp-high lerp ``x*(1-f) + x*f``."""
+    from repro.util.numerics import quantile
+
+    assert summarize([0.01, 0.01])["p10"] == 0.01
+    assert quantile([0.01, 0.01], 0.1) == 0.01
+    reservoir = QuantileReservoir(capacity=32)
+    reservoir.extend([0.01, 0.01])
+    assert reservoir.quantile(0.1) == 0.01
+    assert _rank_error(reservoir, [0.01, 0.01], 0.1) == 0.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(_values, _values, _values)
 def test_merge_associativity_within_rank_tolerance(a, b, c):
