@@ -2,13 +2,12 @@
 
 The CDF/summary helpers are numpy-vectorized: population-scale fleet
 runs push 10^5+ samples through them per query, which the former pure
-Python loops handled in O(n) interpreted steps.  Quantiles keep the
-exact linear-interpolation arithmetic of
-:func:`repro.util.numerics.quantile` (element loads from the sorted
-array, the same scalar lerp) and are bit-identical to the
-pre-vectorization outputs; mean/stddev use numpy's pairwise summation,
-which can differ from the former sequential Python sum in the last ulp
-(and is at least as accurate).
+Python loops handled in O(n) interpreted steps.  The sort runs in
+numpy and quantiles go through :func:`repro.util.numerics.quantile`
+on the sorted array (element loads, one scalar lerp), so they are
+bit-identical to the pre-vectorization outputs; mean/stddev use
+numpy's pairwise summation, which can differ from the former
+sequential Python sum in the last ulp (and is at least as accurate).
 """
 
 from __future__ import annotations
@@ -18,6 +17,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.util.numerics import quantile
+
 
 def _as_array(values: Sequence[float]) -> np.ndarray:
     """Sample input (list, tuple or ndarray) as a 1-D float64 array."""
@@ -25,27 +26,6 @@ def _as_array(values: Sequence[float]) -> np.ndarray:
     if array.ndim != 1:
         raise ValueError(f"need a 1-D sample, got shape {array.shape}")
     return array
-
-
-def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
-    """Linear-interpolation quantile of an already-sorted array.
-
-    Same arithmetic as :func:`repro.util.numerics.quantile` (scalar
-    loads + one lerp), so results are bit-identical to the list-based
-    helper while the sort stays in numpy.
-    """
-    n = ordered.shape[0]
-    if n == 1:
-        return float(ordered[0])
-    pos = q * (n - 1)
-    lo = int(math.floor(pos))
-    hi = int(math.ceil(pos))
-    # Equal neighbours return the sample itself: the lerp
-    # x*(1-f) + x*f can land 1 ulp above every sample.
-    if lo == hi or ordered[lo] == ordered[hi]:
-        return float(ordered[lo])
-    frac = pos - lo
-    return float(ordered[lo]) * (1.0 - frac) + float(ordered[hi]) * frac
 
 
 def empirical_cdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:
@@ -91,9 +71,9 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
         "mean": mean,
         "stddev": math.sqrt(variance),
         "min": float(ordered[0]),
-        "p10": _sorted_quantile(ordered, 0.10),
-        "p50": _sorted_quantile(ordered, 0.50),
-        "p90": _sorted_quantile(ordered, 0.90),
+        "p10": quantile(ordered, 0.10),
+        "p50": quantile(ordered, 0.50),
+        "p90": quantile(ordered, 0.90),
         "max": float(ordered[-1]),
     }
 
@@ -292,9 +272,7 @@ class QuantileReservoir:
         if self.count == 0:
             raise ValueError("quantile of empty reservoir")
         if self.exact:
-            return _sorted_quantile(
-                np.asarray(self.values(), dtype=float), q
-            )
+            return quantile(self.values(), q)
         values, weights = self._weighted()
         cumulative = np.cumsum(weights)
         position = min(max(q, 0.0), 1.0) * cumulative[-1]

@@ -17,8 +17,9 @@ point and — in full mode — a 10^6-user point.  Workers use the
 ``spawn`` start method so their recorded peak RSS (``derived.peak_rss``)
 is the shard's own footprint, not a fork-inherited high-water mark;
 ``derived.worker_scaling`` carries the 10^4-user medians per worker
-count next to ``cpu_count`` so a single-core CI runner's flat curve
-reads as what it is.
+count next to ``cpu_count`` (the cores this process may run on, from
+its affinity mask where the platform has one) so a single-core CI
+runner's flat curve reads as what it is.
 
 Quick mode (CI smoke) trims the big populations and the 64-user point
 but keeps case ``meta`` identical to the committed full-mode artifact,
@@ -246,6 +247,13 @@ def _bench_sharded(
         )
 
 
+def _usable_cores() -> Optional[int]:
+    """Cores this process may run on; the host count without affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()  # pragma: no cover - no affinity API (macOS)
+
+
 def run_fleet_bench(
     quick: bool = False,
     out_path: Optional[str] = None,
@@ -294,7 +302,7 @@ def run_fleet_bench(
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "cpu_count": os.cpu_count(),
+        "cpu_count": _usable_cores(),
         "results": results_payload(results),
         "derived": {
             "scaling_median_s": scaling,

@@ -617,7 +617,10 @@ def _bench_execute(args: argparse.Namespace, out, baseline) -> int:
         detail = ", ".join(
             f"w{workers} {seconds:.2f}s" for workers, seconds in scaling.items()
         )
-        print(f"sharded worker scaling @10^4 users ({cpus} cpus): {detail}")
+        print(
+            f"sharded worker scaling @10^4 users ({cpus} usable cores): "
+            f"{detail}"
+        )
     rss = (derived.get("peak_rss") or {}).get("by_users") or {}
     for users, kb in rss.items():
         print(f"peak worker RSS @{users} users: {kb / 1024.0:.0f} MB")

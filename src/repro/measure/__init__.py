@@ -1,4 +1,4 @@
-"""Measurement layer: RSS reports, protocol-facing filters, beam tables.
+"""Measurement layer: RSS reports and protocol-facing filters.
 
 Everything Silent Tracker knows about the world arrives through this
 package: timestamped RSS measurements per (cell, tx-beam, rx-beam)
@@ -7,10 +7,8 @@ dwell, smoothed and compared against the protocol's dB thresholds.
 
 from repro.measure.filters import DropDetector, HysteresisTrigger
 from repro.measure.report import RssMeasurement
-from repro.measure.beam_table import BeamQualityTable
 
 __all__ = [
-    "BeamQualityTable",
     "DropDetector",
     "HysteresisTrigger",
     "RssMeasurement",

@@ -20,6 +20,9 @@ Design constraints, in order:
   so a torn tail from a killed process costs one entry, not the ledger.
 * **Stay bounded.**  At ``max_entries`` lines the file rotates to
   ``runs.jsonl.1`` (one generation kept) and a fresh file starts.
+  Count, rotate and append run under an exclusive ``flock`` on
+  ``runs.jsonl.lock``, so two appenders that both see a full file
+  cannot both rotate and drop a generation.
 
 The ledger records *wall-clock facts about runs* — it lives in
 ``repro.obs`` precisely because it is allowed to read clocks, and it is
@@ -35,6 +38,11 @@ import json
 import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+
+try:  # Unix only; appends run unlocked elsewhere
+    import fcntl as _fcntl
+except ImportError:  # pragma: no cover - non-Unix platforms
+    _fcntl = None
 
 from repro.obs import resources
 from repro.obs.log import get_logger
@@ -100,16 +108,28 @@ class RunLedger:
         record["run_id"] = run_id
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._rotate_if_needed()
-        with open(self._path, "a+b") as fh:
-            # A killed writer can leave a torn final line with no
-            # newline; heal it so the new entry stays line-granular.
-            if fh.tell() > 0:
-                fh.seek(-1, 2)
-                if fh.read(1) != b"\n":
-                    fh.write(b"\n")
-            fh.write(line.encode("utf-8") + b"\n")
+        with self._locked():
+            self._rotate_if_needed()
+            with open(self._path, "a+b") as fh:
+                # A killed writer can leave a torn final line with no
+                # newline; heal it so the new entry stays line-granular.
+                if fh.tell() > 0:
+                    fh.seek(-1, 2)
+                    if fh.read(1) != b"\n":
+                        fh.write(b"\n")
+                fh.write(line.encode("utf-8") + b"\n")
         return str(run_id)
+
+    @contextlib.contextmanager
+    def _locked(self) -> Iterator[None]:
+        """Hold an exclusive lock on ``<ledger>.lock`` (released on close)."""
+        if _fcntl is None:  # pragma: no cover - non-Unix platforms
+            yield
+            return
+        lock_path = self._path.with_name(self._path.name + ".lock")
+        with open(lock_path, "a") as lock:
+            _fcntl.flock(lock.fileno(), _fcntl.LOCK_EX)
+            yield
 
     def _rotate_if_needed(self) -> None:
         try:

@@ -1,4 +1,4 @@
-"""Link budget: RSS to SNR, detection probability, packet success, rate.
+"""Link budget: RSS to SNR, detection probability, packet success.
 
 The protocol's observable is RSS; whether a dwell actually *detects* the
 synchronization signal (and whether an uplink preamble/control message
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.util.units import db_to_linear, thermal_noise_dbm
+from repro.util.units import thermal_noise_dbm
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,6 @@ class LinkBudget:
         if x < -36.0:
             return 0.0
         return 1.0 / (1.0 + math.exp(-x))
-
-    def shannon_rate_bps(self, rss_dbm: float) -> float:
-        """Shannon capacity of the link at the given RSS.
-
-        Used by the throughput/interruption accounting in the handover
-        comparison benches, not by the protocol itself.
-        """
-        snr_linear = db_to_linear(self.snr_db(rss_dbm))
-        return self.bandwidth_hz * math.log2(1.0 + snr_linear)
 
 
 #: A reasonable default shared by base stations and mobiles.

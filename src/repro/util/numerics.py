@@ -159,24 +159,26 @@ class RunningStats:
         }
 
 
-def quantile(sorted_values: List[float], q: float) -> float:
-    """Linear-interpolation quantile of an already-sorted list.
+def quantile(sorted_values: Sequence[float], q: float) -> float:
+    """Linear-interpolation quantile of an already-sorted sequence.
 
-    Matches numpy's default ("linear") method; implemented here so the
-    hot analysis path has no array-conversion overhead for tiny lists.
+    Matches numpy's default ("linear") method with scalar element loads
+    and one lerp, so a list and a sorted ndarray of the same values give
+    the same Python ``float``.
     """
-    if not sorted_values:
+    if len(sorted_values) == 0:
         raise ValueError("quantile of empty list")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q!r}")
     if len(sorted_values) == 1:
-        return sorted_values[0]
+        return float(sorted_values[0])
     pos = q * (len(sorted_values) - 1)
     lo = int(math.floor(pos))
     hi = int(math.ceil(pos))
     # Equal neighbours return the sample itself: the lerp
     # x*(1-f) + x*f can land 1 ulp above every sample.
     if lo == hi or sorted_values[lo] == sorted_values[hi]:
-        return sorted_values[lo]
+        return float(sorted_values[lo])
     frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
+    low, high = float(sorted_values[lo]), float(sorted_values[hi])
+    return low * (1.0 - frac) + high * frac

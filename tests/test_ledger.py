@@ -1,6 +1,7 @@
 """Tests for the run ledger (``repro.obs.ledger``) and its CLI verbs."""
 
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,13 @@ def _entry(name="run", duration=1.0, **extra):
              "status": "ok"}
     entry.update(extra)
     return entry
+
+
+def _append_many(path, tag, count, start):
+    start.wait()
+    ledger = RunLedger(path, max_entries=8)
+    for index in range(count):
+        ledger.append(_entry(f"{tag}-{index}"))
 
 
 class TestAppendScan:
@@ -62,6 +70,31 @@ class TestAppendScan:
         assert names == [f"run-{i}" for i in range(5 - len(names), 5)]
         assert 2 <= len(names) <= 4
         assert names[-1] == "run-4"
+
+    def test_concurrent_appends_across_rotation(self, tmp_path):
+        # Two writers that both see a full ledger must not both rotate:
+        # the second rotation would move the first one's fresh file
+        # over runs.jsonl.1 and drop a whole generation.
+        path = tmp_path / "runs.jsonl"
+        context = multiprocessing.get_context("fork")
+        start = context.Event()
+        writers = [
+            context.Process(target=_append_many, args=(path, tag, 100, start))
+            for tag in ("a", "b")
+        ]
+        for writer in writers:
+            writer.start()
+        start.set()
+        for writer in writers:
+            writer.join(timeout=60)
+            assert writer.exitcode == 0
+        ledger = RunLedger(path, max_entries=8)
+        assert len(ledger.rotated_path.read_text().splitlines()) == 8
+        assert len(path.read_text().splitlines()) <= 8
+        entries, corrupt = ledger.scan()
+        assert corrupt == 0
+        ids = [entry["run_id"] for entry in entries]
+        assert len(ids) == len(set(ids))
 
     def test_corrupt_tail_is_skipped_and_counted(self, tmp_path):
         path = tmp_path / "runs.jsonl"

@@ -64,19 +64,6 @@ class TestPacketSuccess:
         ) > soft.packet_success_probability(rss)
 
 
-class TestShannonRate:
-    def test_zero_snr_gives_1bps_per_hz(self):
-        budget = LinkBudget(bandwidth_hz=1e9)
-        rate = budget.shannon_rate_bps(budget.rss_for_snr(0.0))
-        assert rate == pytest.approx(1e9, rel=1e-6)
-
-    def test_monotone(self):
-        budget = LinkBudget()
-        low = budget.shannon_rate_bps(budget.rss_for_snr(0.0))
-        high = budget.shannon_rate_bps(budget.rss_for_snr(20.0))
-        assert high > low
-
-
 class TestValidation:
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):

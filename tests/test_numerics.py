@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.util.numerics import (
@@ -141,6 +142,15 @@ class TestQuantile:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             quantile([], 0.5)
+        with pytest.raises(ValueError):
+            quantile(np.array([]), 0.5)
+
+    def test_sorted_array_matches_list(self):
+        values = [0.1, 0.7, 0.7, 2.5, 9.0]
+        for q in (0.0, 0.1, 0.3, 0.5, 0.9, 1.0):
+            result = quantile(np.array(values), q)
+            assert type(result) is float
+            assert result == quantile(values, q)
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
