@@ -5,7 +5,7 @@ Demonstrates the plugin registries (:mod:`repro.registry`): a
 mobility scenario, both registered with the same decorators the
 built-ins use.  Once registered they work everywhere a built-in arm
 does — the typed Session API, a campaign grid (with construction-time
-validation), and ``repro list``:
+validation), a multi-user fleet, and ``repro list``:
 
     PYTHONPATH=src python examples/custom_plugin.py
 
@@ -19,6 +19,7 @@ from pathlib import Path
 from repro import register_protocol, register_scenario
 from repro.api import Session, TrialSpec
 from repro.campaign import CampaignSpec, run_campaign, summarize_campaign
+from repro.fleet import FleetSpec, UserProfile, run_fleet_trial
 from repro.geometry.vectors import Vec3
 from repro.mobility.walk import HumanWalk
 from repro.net.handover import HandoverLog
@@ -30,7 +31,9 @@ class StickyCamper:
 
     The minimum a protocol arm needs: ``start()``/``stop()``, a
     ``handover_log``, and the BurstListener pair
-    (``choose_rx_beam`` / ``on_measurement``).
+    (``choose_rx_beam`` / ``on_measurement``).  The optional
+    ``candidate_cells`` lets a multi-user tick skip asking this mobile
+    about cells it would decline anyway.
     """
 
     def __init__(self, deployment, mobile, serving_cell):
@@ -61,6 +64,10 @@ class StickyCamper:
         if cell_id != self.serving_cell:
             return None  # sticky: neighbors don't exist
         return self.mobile.connection.rx_beam
+
+    def candidate_cells(self, now_s):
+        # Superset of the cells choose_rx_beam can accept right now.
+        return (self.serving_cell,)
 
     def on_measurement(self, measurement):
         self.measurements += 1
@@ -126,6 +133,32 @@ def main() -> None:
     ]
     assert sticky_trials and all(
         t.handovers_completed == 0 for t in sticky_trials
+    ), "sticky camper must never hand over"
+
+    # 4. Several users on a corridor whose SSB ticks carry several
+    #    cells each: every tick reads each listener's candidate_cells()
+    #    once and asks it only about those cells.
+    fleet = run_fleet_trial(
+        FleetSpec(
+            name="plugin-fleet",
+            n_users=6,
+            seed=5,
+            duration_s=1.0,
+            topology="corridor",
+            n_cells=16,
+            profiles=(
+                UserProfile("sticky", scenario="jog", protocol="sticky"),
+                UserProfile("tracker", scenario="jog", protocol="silent-tracker"),
+            ),
+        )
+    )
+    sticky_users = [u for u in fleet.users if u.protocol == "sticky"]
+    print(
+        f"fleet: {len(fleet.users)} users, {len(sticky_users)} sticky, "
+        f"{sum(u.bursts_measured for u in fleet.users)} bursts measured"
+    )
+    assert sticky_users and all(
+        u.handovers_completed == 0 for u in sticky_users
     ), "sticky camper must never hand over"
     print("plugin smoke OK")
 

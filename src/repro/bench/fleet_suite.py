@@ -29,7 +29,6 @@ cases.
 
 from __future__ import annotations
 
-import os
 import platform
 import sys
 from typing import Dict, List, Optional
@@ -40,6 +39,7 @@ from repro.bench.harness import (
     TimingResult,
     results_payload,
     time_fn,
+    usable_cores,
     write_bench_json,
 )
 
@@ -247,13 +247,6 @@ def _bench_sharded(
         )
 
 
-def _usable_cores() -> Optional[int]:
-    """Cores this process may run on; the host count without affinity."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()  # pragma: no cover - no affinity API (macOS)
-
-
 def run_fleet_bench(
     quick: bool = False,
     out_path: Optional[str] = None,
@@ -302,7 +295,7 @@ def run_fleet_bench(
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "cpu_count": _usable_cores(),
+        "cpu_count": usable_cores(),
         "results": results_payload(results),
         "derived": {
             "scaling_median_s": scaling,

@@ -80,6 +80,13 @@ def time_fn(
     )
 
 
+def usable_cores() -> Optional[int]:
+    """Cores this process may run on; the host count without affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()  # pragma: no cover - no affinity API (macOS)
+
+
 @contextlib.contextmanager
 def env_override(name: str, value: str):
     """Temporarily set environment variable ``name`` to ``value``.

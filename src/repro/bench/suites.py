@@ -40,6 +40,7 @@ from repro.bench.harness import (
     results_payload,
     speedup,
     time_fn,
+    usable_cores,
     write_bench_json,
 )
 
@@ -401,7 +402,9 @@ def run_bench(
     """Run the PHY suite; write ``BENCH_phy.json`` when ``out_path`` is set.
 
     ``quick`` trims repeats and workload sizes for CI smoke runs; the
-    artifact schema is identical either way.
+    artifact schema is identical either way.  ``cpu_count`` records the
+    cores this process may run on (its affinity mask where the platform
+    has one), not the host's count.
     """
     n_repeats = repeats if repeats is not None else (2 if quick else 5)
     n_warmup = warmup if warmup is not None else (1 if quick else 2)
@@ -434,6 +437,7 @@ def run_bench(
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
+        "cpu_count": usable_cores(),
         "results": results_payload(results),
         "derived": {
             "speedups": derived,

@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.beamsurfer import BeamSurfer
 from repro.core.config import SilentTrackerConfig
@@ -108,6 +108,14 @@ class ReactiveHandover:
         if self._searcher is not None:
             return self._searcher.beam_for_burst(cell_id)
         return None  # reactive: neighbors are ignored while connected
+
+    def candidate_cells(self, now_s: float) -> Optional[Tuple[str, ...]]:
+        """The serving cell plus the blind searcher's cells."""
+        cells = () if self._searcher is None else self._searcher.candidate_cells()
+        serving = self.mobile.connection.serving_cell
+        if cells is None or serving is None:
+            return cells
+        return (serving,) + cells
 
     def on_measurement(self, measurement: RssMeasurement) -> None:
         now = self.sim.now
@@ -319,6 +327,10 @@ class OracleTracker:
     # ----------------------------------------------------- BurstListener API
     def choose_rx_beam(self, cell_id: str, now_s: float) -> Optional[int]:
         return self.mobile.best_rx_beam_towards(self._stations[cell_id], now_s)
+
+    def candidate_cells(self, now_s: float) -> None:
+        """Every cell: the genie takes every burst."""
+        return None
 
     def on_measurement(self, measurement: RssMeasurement) -> None:
         now = self.sim.now

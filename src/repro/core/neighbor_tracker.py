@@ -17,7 +17,7 @@ only in-band RSS at the mobile.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.events import Fig2bEdge, NeighborState
 from repro.measure.filters import DropDetector
@@ -199,6 +199,21 @@ class NeighborTracker:
                 return self._probe_current
             return self._beam
         return None
+
+    def candidate_cells(self) -> Optional[Tuple[str, ...]]:
+        """Cells :meth:`beam_for_burst` may return a beam for; ``None``
+        means any.
+
+        A search with a sweep set answers ``None``: that set is every
+        cell, or every cell but the serving one, so listing it would
+        cost more than the calls it saves.  A search whose sweep set is
+        empty takes nothing.
+        """
+        if self._state is NeighborState.SEARCHING:
+            return None if self._sweep_order else ()
+        if self._state is NeighborState.TRACKING:
+            return (self._focused_cell,)
+        return ()
 
     # ---------------------------------------------------------- measurements
     def on_measurement(self, measurement: RssMeasurement, now_s: float) -> None:

@@ -26,7 +26,7 @@ dwell outcome, which is the protocol's only window on the world.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.beamsurfer import BeamSurfer, ServingState
 from repro.core.config import SilentTrackerConfig
@@ -212,6 +212,14 @@ class SilentTracker:
         if cell_id == serving:
             return self.beamsurfer.beam_for_burst()
         return self.tracker.beam_for_burst(cell_id)
+
+    def candidate_cells(self, now_s: float) -> Optional[Tuple[str, ...]]:
+        """The serving cell plus the neighbour tracker's cells."""
+        cells = self.tracker.candidate_cells()
+        serving = self.mobile.connection.serving_cell
+        if cells is None or serving is None:
+            return cells
+        return (serving,) + cells
 
     def on_measurement(self, measurement: RssMeasurement) -> None:
         """Dispatch a dwell outcome to the owning sub-machine."""

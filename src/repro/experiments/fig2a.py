@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.api import Session, TrialSpec
 from repro.campaign.aggregate import aggregate_search
@@ -69,6 +69,9 @@ class NeighborSearchProbe:
         if self._tracker.state is NeighborState.TRACKING:
             return None  # done; stop burning dwells
         return self._tracker.beam_for_burst(cell_id)
+
+    def candidate_cells(self, now_s: float) -> Tuple[str]:
+        return (self._target,)
 
     def on_measurement(self, measurement: RssMeasurement) -> None:
         already_found = self._tracker.state is NeighborState.TRACKING

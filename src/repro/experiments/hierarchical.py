@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.stats import summarize, success_rate
 from repro.api import Session, TrialSpec
@@ -87,6 +87,9 @@ class HierarchicalSearchProbe:
         self.active_tier = "fine"
         return self._fine_candidates[self._cursor % len(self._fine_candidates)]
 
+    def candidate_cells(self, now_s: float) -> Tuple[str]:
+        return (self._target,)
+
     def on_measurement(self, measurement: RssMeasurement) -> None:
         if self.done:
             return
@@ -133,6 +136,9 @@ class TierSwitchingMobileShim:
             self._coarse if self._probe.active_tier == "coarse" else self._fine
         )
         return beam
+
+    def candidate_cells(self, now_s: float) -> Tuple[str]:
+        return self._probe.candidate_cells(now_s)
 
     def on_measurement(self, measurement: RssMeasurement) -> None:
         self._probe.on_measurement(measurement)

@@ -14,12 +14,20 @@ delivered (and measured) together by :meth:`Deployment._deliver_tick`.
 Burst **delivery** branches on the population size only:
 
 * with **several mobiles**, arbitration runs station-by-station in tick
-  order and mobile-by-mobile in registration order, every admitted
-  (station, mobile) link of the tick is evaluated in one
+  order and mobile-by-mobile in registration order, but each station
+  asks only the mobiles whose listener named its cell in
+  ``candidate_cells`` at the start of the tick (a listener without the
+  method, or answering ``None``, is asked about every cell).  A mobile
+  can dwell only on its serving cell and the neighbour cells it sweeps
+  or tracks, so on a dense corridor almost every (station, mobile) pair
+  is settled without a call.  Decline and busy counts follow from where
+  each mobile's tick stopped.  Every admitted (station, mobile) link of
+  the tick is evaluated in one
   :meth:`~repro.net.link_engine.LinkEngine.measure_burst_multi` call,
   and the measurements reach the listeners in that same order;
-* with **one mobile**, each station's burst is arbitrated, measured by
-  the single-link :meth:`~repro.net.link_engine.LinkEngine.measure_burst`
+* with **one mobile**, each station's burst is arbitrated by
+  :meth:`~repro.net.mobile.Mobile.begin_burst`, measured by the
+  single-link :meth:`~repro.net.link_engine.LinkEngine.measure_burst`
   and delivered in turn — the cheaper plan when there is no population
   to batch over.
 
@@ -46,7 +54,7 @@ artifacts are byte-identical with the index on or off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.measure.report import RssMeasurement
 from repro.mobility.base import sample_poses
@@ -315,17 +323,27 @@ class Deployment:
         single ``measure_burst_multi`` call, then listeners are
         notified in station-then-user order.
 
-        The single-RF-chain check is hoisted out of the station loop:
-        every station on the tick shares the same ``now``, and a
-        mobile's busy window only ever *grows* (when it admits a
-        burst), so a mobile busy at tick start skips the whole group —
-        one counter bump instead of ``len(stations)`` arbitration
-        calls — and a mobile that admits a station is busy for the
-        group's remainder.  Listener ``choose_rx_beam`` calls happen
-        for exactly the (station, mobile) pairs, in exactly the order,
-        that calling :meth:`Mobile.begin_burst` per station would
-        produce, and the skip counters commute, so the accounting is
-        identical to per-station arbitration.
+        Arbitration asks each mobile only about the cells it can take
+        (:meth:`_interest_queues`): its listener's ``candidate_cells``
+        answer, read once at the start of the tick, promises ``None``
+        from every other ``choose_rx_beam`` call.  A mobile busy at
+        tick start skips the whole group, since every station on the
+        tick shares the same ``now`` and a busy window only ever grows.
+        A mobile that admits a burst of non-zero length is busy for the
+        group's remainder.  So a mobile's counts follow from where its
+        tick stopped:
+
+        * ``declined += offered_while_active - admissions``;
+        * ``skipped_busy += n_stations - offered_while_active``.
+
+        They are settled incrementally: a free mobile starts the tick
+        with every station counted as declined, each admission takes
+        one back, and the admission that ends its tick moves the
+        stations after it from declined to skipped-busy.
+
+        The non-``None`` ``choose_rx_beam`` calls, their order, the
+        counters and the measurements delivered are exactly those of
+        calling :meth:`Mobile.begin_burst` per station and mobile.
         """
         with self.telemetry.span("net.burst_batch"):
             now = self.sim.now
@@ -337,37 +355,39 @@ class Deployment:
                 if mobile.radio_busy(now):
                     mobile.bursts_skipped_busy += n_stations
                 else:
+                    mobile.bursts_declined += n_stations
                     active.append(mobile)
+            queues = self._interest_queues(stations, active, now)
+            stopped: Set[Mobile] = set()  # busy for the rest of the tick
             plan = []  # (station, admitted, group index or None)
             groups = []  # only stations with measured rows
             for index, station in enumerate(stations):
                 self.metrics.incr(f"bursts.{station.cell_id}")
+                queue = active if queues is None else queues[index]
                 admitted = []
                 measured = []
-                if active:
+                if queue:
                     cell_id = station.cell_id
                     burst_s = station.schedule.burst_duration_s()
-                    remaining = n_stations - index - 1
-                    still_active: List[Mobile] = []
-                    for mobile in active:
+                    for mobile in queue:
+                        if mobile in stopped:
+                            continue
                         rx_beam = mobile._listener.choose_rx_beam(cell_id, now)
                         if rx_beam is None:
-                            mobile.bursts_declined += 1
-                            still_active.append(mobile)
                             continue
                         mobile.occupy_radio(now, burst_s)
+                        mobile.bursts_declined -= 1
+                        # A zero-length burst never occupies the chain.
                         if burst_s > 0.0:
-                            # Busy for the rest of the group: account the
-                            # skips per-station arbitration would count.
+                            remaining = n_stations - index - 1
+                            mobile.bursts_declined -= remaining
                             mobile.bursts_skipped_busy += remaining
-                        else:  # zero-length burst never occupies the chain
-                            still_active.append(mobile)
+                            stopped.add(mobile)
                         if self._excluded(station, mobile, now):
                             admitted.append((mobile, rx_beam, None))
                         else:
                             admitted.append((mobile, rx_beam, len(measured)))
                             measured.append((mobile, rx_beam))
-                    active = still_active
                 self.telemetry.observe("net.burst_batch_size", len(admitted))
                 if not admitted:
                     continue
@@ -384,6 +404,49 @@ class Deployment:
             for station, admitted, group in plan:
                 measurements = results[group] if group is not None else ()
                 self._deliver_measurements(station, admitted, measurements, now)
+
+    @staticmethod
+    def _interest_queues(
+        stations: List[BaseStation], active: List[Mobile], now: float
+    ) -> Optional[List[List[Mobile]]]:
+        """Per tick position, the active mobiles that can take its burst.
+
+        Each queue keeps registration order and names a mobile at most
+        once, however often its listener lists the cell.  A mobile whose
+        listener answers ``None`` (or has no ``candidate_cells``) is in
+        every queue.  Returns ``None`` when no mobile narrows its
+        interest, and for a one-station tick, where reading an interest
+        costs about what the one call it could save does: then every
+        station asks every active mobile.
+        """
+        if len(stations) < 2:
+            return None
+        interests = []
+        narrowed = False
+        for mobile in active:
+            candidate_cells = mobile._candidate_cells
+            cells = None if candidate_cells is None else candidate_cells(now)
+            narrowed = narrowed or cells is not None
+            interests.append(cells)
+        if not narrowed:
+            return None
+        position = {
+            station.cell_id: index for index, station in enumerate(stations)
+        }
+        queues: List[List[Mobile]] = [[] for _ in stations]
+        for mobile, cells in zip(active, interests):
+            if cells is None:
+                for queue in queues:
+                    queue.append(mobile)
+                continue
+            for cell in cells:
+                index = position.get(cell)
+                if index is None:
+                    continue
+                queue = queues[index]
+                if not queue or queue[-1] is not mobile:
+                    queue.append(mobile)
+        return queues
 
     @staticmethod
     def _measure_requests(measured, now: float):

@@ -16,7 +16,7 @@ hardware imposes:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import Callable, Collection, Optional, Protocol
 
 from repro.geometry.pose import Pose
 from repro.measure.report import RssMeasurement
@@ -27,7 +27,11 @@ from repro.phy.codebook import Codebook
 
 
 class BurstListener(Protocol):
-    """What a beam-management protocol must implement to drive a mobile."""
+    """What a beam-management protocol must implement to drive a mobile.
+
+    ``candidate_cells`` is optional: a listener without it is asked
+    about every cell, exactly as if it returned ``None``.
+    """
 
     def choose_rx_beam(self, cell_id: str, now_s: float) -> Optional[int]:
         """Receive beam to hold for this cell's burst, or None to skip."""
@@ -35,6 +39,24 @@ class BurstListener(Protocol):
 
     def on_measurement(self, measurement: RssMeasurement) -> None:
         """Deliver the outcome of a burst dwell previously requested."""
+        ...
+
+    def candidate_cells(self, now_s: float) -> Optional[Collection[str]]:
+        """Cells whose burst this listener could take at ``now_s``.
+
+        A **superset** rule: for every cell outside the answer,
+        ``choose_rx_beam`` returns ``None`` and leaves the listener's
+        state unchanged.  ``None`` means every cell.  Duplicates and
+        cells that are not on the tick are harmless.
+
+        When several mobiles share a tick of several stations, the
+        deployment calls this **once per SSB tick**, at the tick's start
+        and only while the RF chain is free, and trusts the answer for
+        all ``choose_rx_beam`` calls of that tick.  No
+        ``on_measurement`` runs in between: a tick's measurements are
+        delivered after its arbitration.  Since the answer is rebuilt
+        every tick, return ``None`` rather than list nearly every cell.
+        """
         ...
 
 
@@ -54,6 +76,11 @@ class Mobile:
         self.codebook = codebook
         self.connection = ConnectionContext()
         self._listener: Optional[BurstListener] = None
+        #: The listener's bound ``candidate_cells``, resolved once at
+        #: attach time; ``None`` when the listener does not define it.
+        self._candidate_cells: Optional[
+            Callable[[float], Optional[Collection[str]]]
+        ] = None
         self._busy_until_s = -1.0
         #: Bursts skipped because the single RF chain was occupied.
         self.bursts_skipped_busy = 0
@@ -66,6 +93,7 @@ class Mobile:
     def attach_listener(self, listener: BurstListener) -> None:
         """Install the beam-management protocol driving this mobile."""
         self._listener = listener
+        self._candidate_cells = getattr(listener, "candidate_cells", None)
 
     @property
     def listener(self) -> Optional[BurstListener]:
@@ -128,10 +156,14 @@ class Mobile:
         Pair with :meth:`complete_burst` once the burst is measured.
         The check sequence here (no listener -> silent skip, busy ->
         count, decline -> count, else occupy) is the arbitration
-        contract; ``Deployment._deliver_tick_batch`` inlines it across
-        a coalesced station group (hoisting the busy check, which is
-        constant over the group's shared timestamp) and must stay
-        byte-equivalent to calling this method once per station.
+        contract.  ``Deployment._deliver_tick_batch`` applies it to a
+        whole coalesced station group at once: it hoists the busy check
+        (constant over the group's shared timestamp), asks the listener
+        only about the cells in its ``candidate_cells`` answer, and
+        settles the decline and busy counts from the position where
+        the mobile's tick stopped.  The counters, the non-``None``
+        ``choose_rx_beam`` calls and the occupied radio must stay
+        exactly what calling this method once per station would give.
         """
         if self._listener is None:
             return None

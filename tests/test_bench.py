@@ -9,6 +9,7 @@ from repro.bench.harness import (
     results_payload,
     speedup,
     time_fn,
+    usable_cores,
     write_bench_json,
 )
 
@@ -120,6 +121,26 @@ class TestCompare:
         comparisons = compare_payloads(current, baseline)
         assert [c.name for c in comparisons] == ["case.b"]
         assert incomparable_cases(current, baseline) == ["case.a"]
+
+    def test_baseline_without_cpu_count_still_compares(self):
+        # BENCH_phy.json predates the PHY suite's cpu_count field.
+        from pathlib import Path
+
+        from repro.bench.harness import (
+            compare_payloads,
+            load_bench_json,
+            regressions,
+            usable_cores,
+        )
+
+        baseline = load_bench_json(
+            Path(__file__).resolve().parents[1] / "BENCH_phy.json"
+        )
+        assert "cpu_count" not in baseline
+        current = dict(baseline, cpu_count=usable_cores())
+        comparisons = compare_payloads(current, baseline)
+        assert len(comparisons) == len(baseline["results"])
+        assert regressions(comparisons, tolerance=0.0) == []
 
     def test_cli_compare_errors_when_nothing_comparable(self, tmp_path, capsys):
         from repro.bench import run_fleet_bench
@@ -285,6 +306,7 @@ class TestFleetSuite:
         derived = payload["derived"]
         assert set(derived["scaling_median_s"]) == {"4", "16"}
         assert derived["sharded_identical"] is True
+        assert payload["cpu_count"] == usable_cores()
         assert "speedups" not in derived
         assert "artifacts_identical" not in derived
 
@@ -316,4 +338,5 @@ class TestSuite:
         }
         assert derived["events_per_s"] > 0
         assert "artifacts_identical" not in derived
+        assert payload["cpu_count"] == usable_cores() >= 1
         assert json.loads(out.read_text(encoding="utf-8")) == payload

@@ -218,3 +218,34 @@ class TestReentry:
         assert tracker.phase is TrackerPhase.REENTRY or (
             mobile.connection.serving_cell is not None
         )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the watchdog retargets a SEARCHING tracker, "
+        "which clears its sweep order, and a new search only begins from "
+        "IDLE; fixing it changes fleet artifact bytes",
+    )
+    def test_reentry_search_keeps_sweeping(self):
+        """A re-entry search must keep a sweep set to search.
+
+        Today the same run as above ends in REENTRY + SEARCHING with an
+        empty sweep order: the mobile declines every burst (277 declined,
+        24 measured) and never finds a cell again.
+        """
+        config = SilentTrackerConfig(rlf_timeout_s=0.05,
+                                     context_loss_timeout_s=0.15)
+        deployment, mobile, tracker = make_run(
+            scenario="walk", seed=9, config=config, codebook="omni"
+        )
+        tracker.start()
+        deployment.run(2.0)
+        neighbors = tracker.tracker
+        stuck = (
+            tracker.phase is TrackerPhase.REENTRY
+            and neighbors.state is NeighborState.SEARCHING
+            and neighbors.candidate_cells() == ()
+        )
+        assert not stuck, (
+            f"{mobile.bursts_declined} declined, "
+            f"{mobile.bursts_measured} measured"
+        )
