@@ -152,17 +152,18 @@ class ReactiveHandover:
         if station is None or not station.is_attached(self.mobile.mobile_id):
             return
         station_beam = station.serving_tx_beam(self.mobile.mobile_id)
+        pose = self.mobile.pose_at(now_s)
         delivered = self.links.uplink_success(
             station,
             self.mobile.mobile_id,
-            self.mobile.pose_at(now_s),
-            self.mobile.rx_gain_fn(now_s),
+            pose,
+            self.mobile.rx_gain_fn(now_s, pose),
             self.beamsurfer.beam,
             station_beam,
             now_s,
         )
         if delivered:
-            bearing = station.pose.bearing_to(self.mobile.pose_at(now_s).position)
+            bearing = station.pose.bearing_to(pose.position)
             station.refine_tx_beam(self.mobile.mobile_id, bearing)
 
     # ------------------------------------------------------------- re-entry
@@ -346,7 +347,7 @@ class OracleTracker:
         bearing_to_mobile = station.pose.bearing_to(pose.position)
         tx_beam = station.best_tx_beam_towards(bearing_to_mobile)
         rx_beam = self.mobile.best_rx_beam_towards(station, now_s)
-        rx_gain = self.mobile.rx_gain_fn(now_s)(
+        rx_gain = self.mobile.rx_gain_fn(now_s, pose)(
             rx_beam, pose.bearing_to(station.pose.position)
         )
         return self.links.channel.mean_rss_dbm(

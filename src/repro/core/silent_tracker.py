@@ -259,11 +259,12 @@ class SilentTracker:
         if station is None or not station.is_attached(self.mobile.mobile_id):
             return
         station_beam = station.serving_tx_beam(self.mobile.mobile_id)
+        pose = self.mobile.pose_at(now_s)
         delivered = self.links.uplink_success(
             station,
             self.mobile.mobile_id,
-            self.mobile.pose_at(now_s),
-            self.mobile.rx_gain_fn(now_s),
+            pose,
+            self.mobile.rx_gain_fn(now_s, pose),
             self.beamsurfer.beam,
             station_beam,
             now_s,
@@ -273,7 +274,7 @@ class SilentTracker:
         )
         self._emit("cabm.request", delivered=delivered)
         if delivered:
-            bearing = station.pose.bearing_to(self.mobile.pose_at(now_s).position)
+            bearing = station.pose.bearing_to(pose.position)
             new_beam = station.refine_tx_beam(self.mobile.mobile_id, bearing)
             self._emit("cabm.refined", tx_beam=new_beam)
 

@@ -34,11 +34,15 @@ def wrap_to_pi_array(angles) -> np.ndarray:
     the scalar path, so this mirrors the scalar's exact operation
     sequence (``fmod``, conditional period add, subtract) rather than
     using ``np.mod``, whose result differs at the ``±pi`` seam.
-    Preserves the input shape.
+    Preserves the input shape.  Works in place on one private copy: at
+    burst sizes the temporaries cost more than the arithmetic.
     """
-    wrapped = np.fmod(np.asarray(angles, dtype=float) + math.pi, TWO_PI)
-    wrapped = np.where(wrapped <= 0.0, wrapped + TWO_PI, wrapped)
-    return wrapped - math.pi
+    wrapped = np.array(angles, dtype=float)
+    wrapped += math.pi
+    np.fmod(wrapped, TWO_PI, out=wrapped)
+    wrapped[wrapped <= 0.0] += TWO_PI
+    wrapped -= math.pi
+    return wrapped
 
 
 def wrap_to_two_pi(angle: float) -> float:

@@ -15,7 +15,7 @@ A base station:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.geometry.angles import angular_distance
 from repro.geometry.pose import Pose
@@ -63,6 +63,16 @@ class BaseStation:
         self.tx_power_dbm = tx_power_dbm
         self.frame = frame or FrameConfig()
         self.schedule = SsbSchedule(self.frame, len(codebook), ssb_phase_s)
+        #: Transmit-beam sweep order of every burst.
+        self.burst_beams: Tuple[int, ...] = tuple(self.schedule.beams_in_burst())
+        #: The ``beam_indices`` the burst paths pass to the batch gain
+        #: calls: ``None`` when the sweep is the whole codebook in index
+        #: order, as a schedule built here always is.
+        self.burst_gain_indices: Optional[Tuple[int, ...]] = (
+            None
+            if self.burst_beams == tuple(range(len(codebook)))
+            else self.burst_beams
+        )
         self.link_budget = link_budget or LinkBudget()
         #: Serving transmit beam per connected mobile id.
         self._serving_tx_beam: Dict[str, int] = {}
@@ -83,7 +93,9 @@ class BaseStation:
         conversion happens once and the codebook evaluates all beams in
         one array op.  Element ``k`` is bit-identical to
         ``tx_gain_dbi(k, ...)`` — the vectorized burst path relies on
-        this.
+        this.  The burst path passes :attr:`burst_gain_indices`, which
+        is ``None`` whenever the burst sweeps the whole codebook in
+        index order, so the call skips index validation and gathering.
         """
         body_azimuth = self.pose.world_to_body(target_world_azimuth)
         return self.codebook.gains_dbi(body_azimuth, beam_indices)
@@ -96,7 +108,8 @@ class BaseStation:
         conversion stays scalar per target (bit-identical to the
         single-link path) while the codebook evaluates the whole
         users x beams grid in one array op per pattern.  Row ``u`` is
-        bit-identical to ``tx_gains_dbi(target_world_azimuths[u], ...)``.
+        bit-identical to ``tx_gains_dbi(target_world_azimuths[u], ...)``;
+        ``beam_indices`` follows the same ``None`` rule.
         """
         body_azimuths = [
             self.pose.world_to_body(azimuth) for azimuth in target_world_azimuths

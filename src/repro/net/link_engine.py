@@ -16,11 +16,21 @@ meet.  Three operations cover everything the protocols need:
 
 Bursts are evaluated in one vectorized pass per link
 (:meth:`~repro.phy.channel.Channel.burst_rss_dbm` + batched codebook
-gains + argmax-over-threshold selection).  A coalesced tick with several
+gains + the detection rule below).  A coalesced tick with several
 mobiles goes through :meth:`LinkEngine.measure_burst_multi`, which
 evaluates every (station, mobile) link of the tick as one grid and is
 bit-identical, row for row, to calling :meth:`LinkEngine.measure_burst`
 per link in the same order.
+
+Detection rule, shared by both paths: a burst's best dwell is the
+first ``argmax`` of its RSS, and the burst is detected iff that dwell's
+SNR (``rss - noise_floor``) clears the threshold.  This equals masking
+the dwells that clear the threshold and taking the first ``argmax``
+among them.  Subtracting the noise floor is monotone, so if any dwell
+clears, the maximum does, and so does every dwell tied with it.  The
+argument needs rows without NaN, which holds: gains are finite or
+``-inf`` pads, fades are clamped to at least 1e-12 before ``log10``,
+and a zero xy offset between station and mobile raises.
 """
 
 from __future__ import annotations
@@ -122,8 +132,11 @@ class LinkEngine:
         detection_snr_db:
             Override of the station link budget's detection threshold.
 
-        Returns the best-detected SSB as a measurement; tx_beam/rss are
-        ``None`` when no dwell cleared the detection threshold.
+        Returns the burst's best SSB as a measurement: the first
+        ``argmax`` dwell, reported iff its SNR clears the threshold
+        (the module's detection rule).  tx_beam/rss are ``None`` when
+        it does not.  Raises :class:`ValueError` when the mobile has a
+        zero xy offset from the station.
         """
         telemetry = self._telemetry
         if not telemetry.enabled:
@@ -155,39 +168,36 @@ class LinkEngine:
         threshold = (
             budget.detection_snr_db if detection_snr_db is None else detection_snr_db
         )
-        bearing_to_mobile = station.pose.bearing_to(mobile_pose.position)
-        bearing_to_station = mobile_pose.bearing_to(station.pose.position)
-        rx_gain = rx_gain_fn(rx_beam, bearing_to_station)
-        link = self.link_id(station.cell_id, mobile_id)
-        beams = station.schedule.beams_in_burst()
-        # One batch gain evaluation for the burst's sweep order; passing
-        # the beam list keeps the mapping correct even for a schedule
-        # that sweeps a subset or reorders the codebook.
-        tx_gains = station.tx_gains_dbi(bearing_to_mobile, beams)
+        # Both bearings are atan2 of the link's offsets, exactly as in
+        # _measure_burst_multi_impl.
+        tx_pose = station.pose
+        sx = tx_pose.position.x
+        sy = tx_pose.position.y
+        position = mobile_pose.position
+        dx = position.x - sx
+        dy = position.y - sy
+        if dx == 0.0 and dy == 0.0:
+            raise ValueError("azimuth undefined for vector with zero xy projection")
+        rx_gain = rx_gain_fn(rx_beam, atan2(sy - position.y, sx - position.x))
+        beams = station.burst_beams
+        tx_gains = station.tx_gains_dbi(atan2(dy, dx), station.burst_gain_indices)
         rss = self.channel.burst_rss_dbm(
-            link,
+            self.link_id(station.cell_id, mobile_id),
             time_s,
-            station.pose,
+            tx_pose,
             mobile_pose,
             tx_gains,
             rx_gain,
             station.tx_power_dbm,
         )
-        detected = np.flatnonzero(rss - budget.noise_floor_dbm >= threshold)
-        if detected.size == 0:
-            return RssMeasurement(time_s, station.cell_id, rx_beam)
-        # Argmax over the detected dwells; ties resolve to the earliest
-        # dwell, like a strict-improvement scan in sweep order.
-        best = int(detected[np.argmax(rss[detected])])
+        best = int(rss.argmax())
         best_rss = float(rss[best])
-        return RssMeasurement(
-            time_s,
-            station.cell_id,
-            rx_beam,
-            tx_beam=beams[best],
-            rss_dbm=best_rss,
-            snr_db=budget.snr_db(best_rss),
-        )
+        snr_db = budget.snr_db(best_rss)
+        if snr_db >= threshold:
+            return RssMeasurement(
+                time_s, station.cell_id, rx_beam, beams[best], best_rss, snr_db
+            )
+        return RssMeasurement(time_s, station.cell_id, rx_beam)
 
     def measure_burst_multi(
         self,
@@ -209,6 +219,10 @@ class LinkEngine:
         so the measurements — and the stream states left behind — are
         bit-identical to calling :meth:`measure_burst` once per request,
         group by group, in order.
+
+        Each row is detected by the module's detection rule: its
+        first ``argmax`` dwell, reported iff its SNR clears the
+        threshold; ``-inf`` pads never win over a real dwell.
 
         Returns one list of :class:`RssMeasurement` per group, each in
         its requests' order.
@@ -251,7 +265,7 @@ class LinkEngine:
                 group_gains.append(None)
                 metas.append((station, requests, None, None, None))
                 continue
-            beams = station.schedule.beams_in_burst()
+            beams = station.burst_beams
             budget = station.link_budget
             threshold = (
                 budget.detection_snr_db
@@ -286,7 +300,11 @@ class LinkEngine:
             row_tx_poses.extend([tx_pose] * n_users)
             row_tx_powers.extend([station.tx_power_dbm] * n_users)
             row_dwells.extend([len(beams)] * n_users)
-            group_gains.append(station.tx_gains_grid_dbi(bearings_to_mobile, beams))
+            group_gains.append(
+                station.tx_gains_grid_dbi(
+                    bearings_to_mobile, station.burst_gain_indices
+                )
+            )
             metas.append((station, requests, beams, budget, threshold))
             max_dwells = max(max_dwells, len(beams))
         n_rows = len(row_link_ids)
@@ -318,22 +336,22 @@ class LinkEngine:
                 continue
             sub = rss[row:row + len(requests), :len(beams)]
             row += len(requests)
-            detected = sub - budget.noise_floor_dbm >= threshold
-            best = np.argmax(np.where(detected, sub, -np.inf), axis=1)
+            best = sub.argmax(axis=1)
             best_rss = sub[np.arange(len(requests)), best]
+            snr_db = budget.snr_db(best_rss)
             cell_id = station.cell_id
             measurements = []
-            for (_, _, _, rx_beam), hit, b, rss_dbm, snr_db in zip(
+            for (_, _, _, rx_beam), hit, b, rss_dbm, snr in zip(
                 requests,
-                detected.any(axis=1).tolist(),
+                (snr_db >= threshold).tolist(),
                 best.tolist(),
                 best_rss.tolist(),
-                budget.snr_db(best_rss).tolist(),
+                snr_db.tolist(),
             ):
                 if hit:
                     measurements.append(
                         RssMeasurement(
-                            time_s, cell_id, rx_beam, beams[b], rss_dbm, snr_db
+                            time_s, cell_id, rx_beam, beams[b], rss_dbm, snr
                         )
                     )
                 else:

@@ -151,9 +151,14 @@ class GaussianBeamPattern(AntennaPattern):
         return max(mainlobe, self._sidelobe_floor)
 
     def gain_dbi_array(self, offsets_rad: np.ndarray) -> np.ndarray:
-        offsets = np.abs(wrap_to_pi_array(offsets_rad))
-        mainlobe = self._peak - self._shape * offsets * offsets
-        return np.maximum(mainlobe, self._sidelobe_floor)
+        # gain_dbi's operation sequence, in place on two buffers.
+        offsets = wrap_to_pi_array(offsets_rad)
+        np.abs(offsets, out=offsets)
+        gains = offsets * self._shape
+        gains *= offsets
+        np.subtract(self._peak, gains, out=gains)
+        np.maximum(gains, self._sidelobe_floor, out=gains)
+        return gains
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

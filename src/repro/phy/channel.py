@@ -253,16 +253,15 @@ class Channel:
             state.fading.sample_db_array(n_dwells) if include_fading else 0.0
         )
         # Same left-to-right operation order as the scalar rss_dbm sum,
-        # so each element is bit-identical to its scalar counterpart.
-        return (
-            tx_power_dbm
-            + tx_gains
-            + rx_gain_dbi
-            - loss_db
-            - shadowing_db
-            - blockage_db
-            + fading_db
-        )
+        # so each element is bit-identical to its scalar counterpart;
+        # accumulated in place in one fresh buffer.
+        rss = tx_gains + tx_power_dbm
+        rss += rx_gain_dbi
+        rss -= loss_db
+        rss -= shadowing_db
+        rss -= blockage_db
+        rss += fading_db
+        return rss
 
     def burst_rss_rows_dbm(
         self,

@@ -191,6 +191,11 @@ class Codebook:
         distinct pattern object instead of one Python call per beam.
         Each element is bit-identical to the scalar ``gain_dbi`` of the
         same beam — the burst evaluation path depends on this.
+
+        Pass ``indices=None`` whenever the wanted beams are the whole
+        codebook in index order (a base station's full SSB sweep): it
+        skips the bounds check and the gather that explicit indices
+        cost on every call.
         """
         if indices is None:
             offsets = body_azimuth_rad - self._boresights

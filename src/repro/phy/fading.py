@@ -96,15 +96,20 @@ def rician_fades_db(
     to :meth:`RicianFading.sample_db` fed the same pair.  Works on a
     single burst or a whole ``(rows, 2 * dwells)`` tick buffer.
     """
-    in_phase = los_amplitude + diffuse_sigma * draws[..., 0::2]
-    quadrature = diffuse_sigma * draws[..., 1::2]
-    power = in_phase * in_phase + quadrature * quadrature
+    # sample_db's operation sequence, in place on two buffers.
+    power = draws[..., 0::2] * diffuse_sigma
+    power += los_amplitude
+    power *= power
+    quadrature = draws[..., 1::2] * diffuse_sigma
+    quadrature *= quadrature
+    power += quadrature
     np.maximum(power, 1e-12, out=power)
     # math.log10 per element (inlined linear_to_db): np.log10 differs
     # from the scalar path by 1 ULP on some inputs, which would break
     # the byte-identical trace contract.
-    log10 = np.fromiter(map(math.log10, power.ravel().tolist()), float, power.size)
-    return 10.0 * log10.reshape(power.shape)
+    fades = np.fromiter(map(math.log10, power.ravel().tolist()), float, power.size)
+    fades *= 10.0
+    return fades.reshape(power.shape)
 
 
 class NoFading:

@@ -463,31 +463,38 @@ class BurstMember:
 class _BurstGrid:
     """One ``(first_fire, period)`` tick grid shared by N members."""
 
-    __slots__ = ("origin", "period", "members", "tick", "pending")
+    __slots__ = ("origin", "period", "members", "live", "tick", "pending")
 
     def __init__(self, origin: float, period: float) -> None:
         self.origin = origin
         self.period = period
         self.members: List[BurstMember] = []
+        #: The members not yet stopped, in registration order.  Rebound
+        #: (never mutated) when a member joins or stops, so every tick
+        #: reads it without a scan and a delivery in flight keeps the
+        #: list it started with.
+        self.live: List[BurstMember] = []
         self.tick = 0
         self.pending: Optional[Event] = None
 
-    def live_members(self) -> List[BurstMember]:
-        return [member for member in self.members if not member._stopped]
+    def join(self, member: BurstMember) -> None:
+        self.members.append(member)
+        self.live = self.live + [member]
 
     def label(self) -> str:
         """Event label: the member's own label while the grid is
         single-member (observability continuity with the per-station
         ``PeriodicTask`` it replaces), an aggregate label once coalesced.
         """
-        live = self.live_members()
+        live = self.live
         if len(live) == 1:
             return live[0].label
         prefix = live[0].label.partition(".")[0] if live else "burst"
         return f"{prefix}.x{len(live)}"
 
     def on_member_stopped(self) -> None:
-        if self.pending is not None and not self.live_members():
+        self.live = [member for member in self.members if not member._stopped]
+        if self.pending is not None and not self.live:
             self.pending.cancel()
             self.pending = None
 
@@ -560,7 +567,7 @@ class BurstScheduler:
             grid = _BurstGrid(origin, period_s)
             self._grids[key] = grid
         member = BurstMember(payload, label, grid)
-        grid.members.append(member)
+        grid.join(member)
         if grid.pending is None and grid.tick == 0:
             # Arm on first registration; later same-key members ride the
             # already-armed event.  (A grid whose members all stopped
@@ -576,11 +583,9 @@ class BurstScheduler:
         # like PeriodicTask._fire: a stop() issued inside the delivery
         # callback must leave next_fire_s pointing past it.
         grid.tick += 1
-        members = grid.live_members()
-        if members:
-            self._deliver([member.payload for member in members])
-        members = grid.live_members()
-        if not members:
+        if grid.live:
+            self._deliver([member.payload for member in grid.live])
+        if not grid.live:
             return
         next_time = grid.origin + grid.tick * grid.period
         # Same clamped-reschedule guard as PeriodicTask.
@@ -594,6 +599,7 @@ class BurstScheduler:
         for grid in self._grids.values():
             for member in grid.members:
                 member._stopped = True
+            grid.live = []
             if grid.pending is not None:
                 grid.pending.cancel()
                 grid.pending = None
