@@ -463,23 +463,16 @@ class BurstMember:
 class _BurstGrid:
     """One ``(first_fire, period)`` tick grid shared by N members."""
 
-    __slots__ = ("origin", "period", "members", "live", "tick", "pending")
+    __slots__ = ("origin", "period", "live", "tick", "pending")
 
     def __init__(self, origin: float, period: float) -> None:
         self.origin = origin
         self.period = period
-        self.members: List[BurstMember] = []
-        #: The members not yet stopped, in registration order.  Rebound
-        #: (never mutated) when a member joins or stops, so every tick
-        #: reads it without a scan and a delivery in flight keeps the
-        #: list it started with.
+        #: The members not yet stopped, in registration order, kept
+        #: current on join and stop so a tick reads it without a scan.
         self.live: List[BurstMember] = []
         self.tick = 0
         self.pending: Optional[Event] = None
-
-    def join(self, member: BurstMember) -> None:
-        self.members.append(member)
-        self.live = self.live + [member]
 
     def label(self) -> str:
         """Event label: the member's own label while the grid is
@@ -493,7 +486,7 @@ class _BurstGrid:
         return f"{prefix}.x{len(live)}"
 
     def on_member_stopped(self) -> None:
-        self.live = [member for member in self.members if not member._stopped]
+        self.live = [member for member in self.live if not member._stopped]
         if self.pending is not None and not self.live:
             self.pending.cancel()
             self.pending = None
@@ -567,7 +560,7 @@ class BurstScheduler:
             grid = _BurstGrid(origin, period_s)
             self._grids[key] = grid
         member = BurstMember(payload, label, grid)
-        grid.join(member)
+        grid.live.append(member)
         if grid.pending is None and grid.tick == 0:
             # Arm on first registration; later same-key members ride the
             # already-armed event.  (A grid whose members all stopped
@@ -597,7 +590,7 @@ class BurstScheduler:
     def stop(self) -> None:
         """Stop every member and cancel all armed events."""
         for grid in self._grids.values():
-            for member in grid.members:
+            for member in grid.live:
                 member._stopped = True
             grid.live = []
             if grid.pending is not None:
