@@ -10,16 +10,16 @@ seeds and prints the service-interruption gap.
 Run:  python examples/vehicular_handover.py
 """
 
-from repro.core.baselines import make_baseline
 from repro.experiments.scenarios import build_cell_edge_deployment
 from repro.net.handover import HandoverOutcome
+from repro.registry import make_protocol
 
 
 def run_protocol(name: str, seed: int) -> dict:
     deployment, mobile = build_cell_edge_deployment(
         seed, mobile_codebook="narrow", scenario="vehicular"
     )
-    protocol = make_baseline(name, deployment, mobile, "cellA")
+    protocol = make_protocol(name, deployment, mobile, "cellA")
     protocol.start()
     deployment.run(6.0)
     protocol.stop()

@@ -5,8 +5,12 @@
 * :class:`~repro.core.beamsurfer.BeamSurfer` — the serving-cell beam
   maintenance protocol Silent Tracker runs concurrently (ref. [2] of the
   paper).
-* :mod:`repro.core.baselines` — reactive hard handover, omni receiver,
-  and a genie-aided oracle tracker for comparison benches.
+* :mod:`repro.core.baselines` — reactive hard handover and a
+  genie-aided oracle tracker for comparison benches.
+* :class:`~repro.core.arm.ProtocolArm` — the mechanism all three arms
+  share: serving attachment and upkeep (with the CABM uplink request),
+  the RLF / context-loss watchdog, random access and the context
+  switch.  Each arm subclasses it and keeps only its policy.
 """
 
 from repro.core.beamsurfer import BeamSurfer, BeamSurferConfig, ServingState

@@ -20,14 +20,18 @@ at the mobile:
 
 The class implements :class:`~repro.net.mobile.BurstListener`: the
 mobile asks it for a receive beam at every SSB burst and returns the
-dwell outcome, which is the protocol's only window on the world.
+dwell outcome, which is the protocol's only window on the world.  The
+mechanism it shares with the baselines -- serving upkeep, the watchdog,
+random access and the context switch -- lives in
+:class:`~repro.core.arm.ProtocolArm`; this class adds the policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
+from repro.core.arm import ProtocolArm
 from repro.core.beamsurfer import BeamSurfer, ServingState
 from repro.core.config import SilentTrackerConfig
 from repro.core.events import Fig2bEdge, NeighborState, TrackerPhase
@@ -35,10 +39,8 @@ from repro.core.neighbor_tracker import NeighborTracker
 from repro.measure.filters import HysteresisTrigger
 from repro.measure.report import RssMeasurement
 from repro.net.deployment import Deployment
-from repro.net.handover import HandoverLog, HandoverOutcome
+from repro.net.handover import HandoverOutcome, HandoverRecord
 from repro.net.mobile import Mobile
-from repro.net.random_access import RachResult, RandomAccessProcedure
-from repro.sim.engine import PeriodicTask
 
 
 @dataclass
@@ -76,8 +78,10 @@ class HandoverTimeline:
         return self.complete_s - self.found_s
 
 
-class SilentTracker:
+class SilentTracker(ProtocolArm):
     """The full protocol bound to one mobile in a deployment."""
+
+    watchdog_label = "tracker.watchdog"
 
     def __init__(
         self,
@@ -86,42 +90,20 @@ class SilentTracker:
         serving_cell: str,
         config: Optional[SilentTrackerConfig] = None,
     ) -> None:
-        self.deployment = deployment
-        self.mobile = mobile
-        self.config = config or SilentTrackerConfig()
-        self.sim = deployment.sim
-        self.links = deployment.links
-        self.trace = deployment.trace
-        self.metrics = deployment.metrics
-        self._stations: Dict[str, object] = {
-            s.cell_id: s for s in deployment.stations
-        }
-        if serving_cell not in self._stations:
-            raise ValueError(f"unknown serving cell {serving_cell!r}")
-        if len(self._stations) < 2:
+        if len(deployment.stations) < 2:
             raise ValueError("Silent Tracker needs at least one neighbor cell")
-
+        super().__init__(deployment, mobile, serving_cell, config)
         self.phase = TrackerPhase.OPERATING
-        self.handover_log = HandoverLog()
         self.timelines: List[HandoverTimeline] = []
         self._active_timeline: Optional[HandoverTimeline] = None
 
         # ---- serving side -------------------------------------------------
-        station = self._stations[serving_cell]
-        now = self.sim.now
-        initial_tx = station.best_tx_beam_towards(
-            station.pose.bearing_to(mobile.pose_at(now).position)
-        )
-        initial_rx = mobile.best_rx_beam_towards(station, now)
-        station.attach(mobile.mobile_id, initial_tx)
-        mobile.connection.establish(serving_cell, initial_rx, now)
         self.beamsurfer = BeamSurfer(
             mobile.codebook,
-            initial_rx,
+            mobile.connection.rx_beam,
             self.config.beamsurfer,
             on_transition=self._on_serving_transition,
         )
-        self._last_good_service_s = now
 
         # ---- neighbor side ------------------------------------------------
         self.tracker = NeighborTracker(
@@ -141,49 +123,15 @@ class SilentTracker:
         self._margin_asserted_since: Optional[float] = None
 
         # ---- handover machinery -------------------------------------------
-        self._rach: Optional[RandomAccessProcedure] = None
-        self._rach_target: Optional[str] = None
         self._ho_last_mobile_beam: Optional[int] = None
         self._ho_last_station_beam: Optional[int] = None
-        self._pending_record = None
-        self._watchdog: Optional[PeriodicTask] = None
-        self._started = False
-
-        mobile.attach_listener(self)
-
-    # ----------------------------------------------------------------- wiring
-    def _neighbor_cells(self) -> List[str]:
-        serving = self.mobile.connection.serving_cell
-        return [cid for cid in self._stations if cid != serving]
-
-    def _serving_station(self):
-        cell = self.mobile.connection.serving_cell
-        return self._stations[cell] if cell is not None else None
 
     def start(self) -> None:
         """Arm the watchdog and evaluate the initial search policy."""
-        if self._started:
-            raise RuntimeError("tracker already started")
-        self._started = True
-        self._watchdog = PeriodicTask(
-            self.sim,
-            self.config.monitor_period_s,
-            self._watchdog_tick,
-            start_delay=self.config.monitor_period_s,
-            label="tracker.watchdog",
-        )
+        super().start()
         self._maybe_begin_search()
 
-    def stop(self) -> None:
-        """Stop background activity (end of a trial)."""
-        if self._watchdog is not None:
-            self._watchdog.stop()
-            self._watchdog = None
-
     # ------------------------------------------------------------ trace hooks
-    def _emit(self, category: str, **data) -> None:
-        self.trace.emit(self.sim.now, category, self.mobile.mobile_id, **data)
-
     def _on_serving_transition(self, old, new, edge: str, now_s: float) -> None:
         self.metrics.incr(f"fsm.serving.{edge}")
         self._emit(
@@ -231,52 +179,6 @@ class SilentTracker:
             self.tracker.on_measurement(measurement, now)
         self._evaluate_handover_trigger(now)
         self._maybe_begin_search()
-
-    # ------------------------------------------------------------ serving path
-    def _on_serving_measurement(self, measurement: RssMeasurement, now_s: float) -> None:
-        station = self._serving_station()
-        if station is None:
-            return
-        budget = station.link_budget
-        if (
-            measurement.detected
-            and measurement.snr_db is not None
-            and measurement.snr_db >= budget.decode_snr_db
-        ):
-            self.mobile.connection.touch(now_s)
-            self._last_good_service_s = now_s
-        self.beamsurfer.on_serving_measurement(measurement, now_s)
-        if self.beamsurfer.cabm_request_pending:
-            self._attempt_cabm_request(now_s)
-
-    def _attempt_cabm_request(self, now_s: float) -> None:
-        """Send the BeamSurfer transmit-beam switch request on the uplink.
-
-        At the cell edge this is the message that starts failing — the
-        'assistance delayed or lost' condition of edge G.
-        """
-        station = self._serving_station()
-        if station is None or not station.is_attached(self.mobile.mobile_id):
-            return
-        station_beam = station.serving_tx_beam(self.mobile.mobile_id)
-        pose = self.mobile.pose_at(now_s)
-        delivered = self.links.uplink_success(
-            station,
-            self.mobile.mobile_id,
-            pose,
-            self.mobile.rx_gain_fn(now_s, pose),
-            self.beamsurfer.beam,
-            station_beam,
-            now_s,
-        )
-        self.metrics.incr(
-            "cabm.delivered" if delivered else "cabm.lost"
-        )
-        self._emit("cabm.request", delivered=delivered)
-        if delivered:
-            bearing = station.pose.bearing_to(pose.position)
-            new_beam = station.refine_tx_beam(self.mobile.mobile_id, bearing)
-            self._emit("cabm.refined", tx_beam=new_beam)
 
     # ----------------------------------------------------------- search policy
     def _search_wanted(self) -> bool:
@@ -349,26 +251,17 @@ class SilentTracker:
         if timeline is not None:
             timeline.trigger_s = now_s
             timeline.target_cell = target
-        self._pending_record = self.handover_log.open_record(
-            self.mobile.mobile_id, source, target, now_s
-        )
         if self.phase is TrackerPhase.OPERATING:
             self.phase = TrackerPhase.HANDOVER
-        self._rach_target = target
         self._ho_last_mobile_beam = None
         self._ho_last_station_beam = None
-        self._rach = RandomAccessProcedure(
-            self.sim,
-            self.links,
-            self._stations[target],
-            self.mobile,
-            self.deployment.config.rach,
+        self._start_access(
+            source,
+            target,
+            now_s,
             self._provide_mobile_beam,
             self._provide_station_beam,
-            self._on_rach_complete,
-            trace=self.trace,
         )
-        self._rach.start()
 
     def _provide_mobile_beam(self) -> Optional[int]:
         beam = self.tracker.current_beam
@@ -382,45 +275,27 @@ class SilentTracker:
             self._ho_last_station_beam = beam
         return beam
 
-    def _on_rach_complete(self, result: RachResult) -> None:
-        now = self.sim.now
-        record = self._pending_record
-        target = self._rach_target
-        self._rach = None
-        self._rach_target = None
-        if record is not None:
-            record.rach_attempts = result.attempts
-        if not result.succeeded:
-            self._emit("handover.failed", target=target, attempts=result.attempts)
-            if record is not None:
-                record.outcome = HandoverOutcome.FAILED
-            self._pending_record = None
-            self._ho_trigger.reset()
-            self._margin_asserted_since = None
-            if self.phase is TrackerPhase.HANDOVER:
-                self.phase = TrackerPhase.OPERATING
-            # The tracked beam (if still held) remains; a later trigger
-            # may retry.  If the context is gone we stay in re-entry and
-            # the next acquisition retries immediately.
-            return
-        self._complete_handover(target, record, now)
+    def _on_access_failed(self, now_s: float) -> None:
+        # The tracked beam (if still held) remains; a later trigger may
+        # retry.  If the context is gone we stay in re-entry and the next
+        # acquisition retries immediately.
+        self._ho_trigger.reset()
+        self._margin_asserted_since = None
+        if self.phase is TrackerPhase.HANDOVER:
+            self.phase = TrackerPhase.OPERATING
 
-    def _complete_handover(self, target: str, record, now_s: float) -> None:
-        """Context switch onto the target cell after msg4."""
-        connection = self.mobile.connection
-        context_alive = connection.serving_cell is not None
+    def _complete_handover(self, record: HandoverRecord, now_s: float) -> None:
+        """Context switch onto the tracked cell after msg4.
+
+        Soft if the old context survived to msg4; after a context loss
+        the mobile pays the idle re-entry (hard handover).
+        """
+        context_alive = self.mobile.connection.serving_cell is not None
         outcome = (
             HandoverOutcome.SOFT
             if context_alive and self.phase is not TrackerPhase.REENTRY
             else HandoverOutcome.HARD
         )
-        interruption = max(0.0, now_s - self._last_good_service_s)
-        if outcome is HandoverOutcome.HARD:
-            # Idle re-entry also pays the context-rebuild penalty.
-            interruption += self.config.hard_reentry_penalty_s
-        old_station = self._serving_station()
-        if old_station is not None:
-            old_station.detach(self.mobile.mobile_id)
         rx_beam = (
             self.tracker.current_beam
             if self.tracker.current_beam is not None
@@ -431,29 +306,13 @@ class SilentTracker:
             if self.tracker.last_tx_beam is not None
             else self._ho_last_station_beam
         )
-        station = self._stations[target]
-        station.attach(self.mobile.mobile_id, tx_beam)
-        connection.establish(target, rx_beam, now_s)
         self.beamsurfer.rebind(rx_beam, self.tracker.smoothed_rss_dbm)
-        self._last_good_service_s = now_s
-        if record is not None:
-            record.complete_s = now_s
-            record.outcome = outcome
-            record.interruption_s = interruption
+        self._switch_context(record, now_s, outcome, rx_beam, tx_beam)
         timeline = self._active_timeline
         if timeline is not None:
             timeline.complete_s = now_s
             timeline.outcome = outcome
         self._active_timeline = None
-        self._pending_record = None
-        self.metrics.incr(f"handover.{outcome.value}")
-        self.metrics.record("handover.interruption_s", now_s, interruption)
-        self._emit(
-            "handover.complete",
-            target=target,
-            outcome=outcome.value,
-            interruption_s=interruption,
-        )
         self.phase = TrackerPhase.OPERATING
         self._ho_trigger.reset()
         self._margin_asserted_since = None
@@ -462,33 +321,18 @@ class SilentTracker:
         self._maybe_begin_search()
 
     # --------------------------------------------------------------- watchdog
-    def _watchdog_tick(self) -> None:
-        connection = self.mobile.connection
-        now = self.sim.now
-        if connection.serving_cell is None:
-            return
-        silence = connection.silence_s(now)
-        if silence > self.config.context_loss_timeout_s:
-            self._emit("connection.lost", silence_s=silence)
-            self.metrics.incr("connection.context_lost")
-            station = self._serving_station()
-            if station is not None:
-                station.detach(self.mobile.mobile_id)
-            connection.drop()
-            self.phase = TrackerPhase.REENTRY
-            # Every cell is now a candidate, including the one just lost.
-            self.tracker.retarget(list(self._stations))
-            if self.tracker.state is NeighborState.IDLE:
-                self._maybe_begin_search()
-            elif self.tracker.state is NeighborState.TRACKING:
-                # Already tracking someone: go straight for it.
-                self._evaluate_handover_trigger(now)
-        elif silence > self.config.rlf_timeout_s:
-            if connection.connected:
-                self._emit("connection.rlf", silence_s=silence)
-                self.metrics.incr("connection.rlf")
-                connection.declare_rlf()
-            self._evaluate_handover_trigger(now)
+    def _on_context_lost(self, now_s: float) -> None:
+        self.phase = TrackerPhase.REENTRY
+        # Every cell is now a candidate, including the one just lost.
+        self.tracker.retarget(list(self._stations))
+        if self.tracker.state is NeighborState.IDLE:
+            self._maybe_begin_search()
+        elif self.tracker.state is NeighborState.TRACKING:
+            # Already tracking someone: go straight for it.
+            self._evaluate_handover_trigger(now_s)
+
+    def _on_serving_silent(self, now_s: float) -> None:
+        self._evaluate_handover_trigger(now_s)
 
     # ------------------------------------------------------------- inspection
     def fig2b_state(self) -> str:

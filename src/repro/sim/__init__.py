@@ -8,8 +8,8 @@ The whole reproduction runs on this small, deterministic event engine:
   seed regardless of module evaluation order.
 * :class:`~repro.sim.trace.TraceRecorder` — structured event trace used
   both for debugging and for the experiment analysis.
-* :class:`~repro.sim.metrics.MetricsRecorder` — counters, gauges and
-  sample series collected during a run.
+* :class:`~repro.sim.metrics.MetricsRecorder` — named event counters
+  collected during a run.
 """
 
 from repro.sim.engine import Event, EventQueue, SimulationError, Simulator

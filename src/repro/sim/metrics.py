@@ -1,36 +1,21 @@
-"""Run-level metrics: counters, gauges and timestamped sample series."""
+"""Run-level metrics: named event counters."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-from repro.util.numerics import RunningStats
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One timestamped metric sample."""
-
-    time: float
-    value: float
+from typing import Dict
 
 
 class MetricsRecorder:
-    """Collects counters, gauges and sample series during a run.
+    """Counts protocol events during a run.
 
     Separate from :class:`~repro.sim.trace.TraceRecorder`: traces capture
     *what happened* (qualitative protocol events), metrics capture *how
-    much / how long* (quantitative aggregates the benchmarks report).
+    often* (the counts benchmarks and examples report).
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
-        self._series: Dict[str, List[Sample]] = {}
-        self._stats: Dict[str, RunningStats] = {}
 
-    # ---------------------------------------------------------------- counters
     def incr(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` (created at zero on first use)."""
         self._counters[name] = self._counters.get(name, 0) + amount
@@ -40,83 +25,5 @@ class MetricsRecorder:
         return self._counters.get(name, 0)
 
     def counters(self) -> Dict[str, int]:
-        """All counters (copy) — the public view :meth:`merge_from` uses."""
+        """All counters (copy)."""
         return dict(self._counters)
-
-    # ------------------------------------------------------------------ gauges
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last-write-wins)."""
-        self._gauges[name] = value
-
-    def gauge(self, name: str) -> Optional[float]:
-        """Current gauge value, or ``None`` when never set."""
-        return self._gauges.get(name)
-
-    def gauges(self) -> Dict[str, float]:
-        """All gauges (copy)."""
-        return dict(self._gauges)
-
-    # ------------------------------------------------------------------ series
-    def record(self, name: str, time: float, value: float) -> None:
-        """Append a timestamped sample to series ``name``.
-
-        Also feeds an online :class:`RunningStats` so summaries do not
-        require a second pass.
-        """
-        self._series.setdefault(name, []).append(Sample(time, value))
-        self._stats.setdefault(name, RunningStats()).push(value)
-
-    def series(self, name: str) -> List[Sample]:
-        """All samples of a series, in insertion order."""
-        return list(self._series.get(name, []))
-
-    def series_values(self, name: str) -> List[float]:
-        """Just the values of a series."""
-        return [sample.value for sample in self._series.get(name, [])]
-
-    def series_arrays(self, name: str) -> Tuple[List[float], List[float]]:
-        """``(times, values)`` parallel lists for plotting/analysis."""
-        samples = self._series.get(name, [])
-        return [s.time for s in samples], [s.value for s in samples]
-
-    def stats(self, name: str) -> RunningStats:
-        """Online summary statistics for a series (empty stats if unknown)."""
-        return self._stats.get(name, RunningStats())
-
-    def series_names(self) -> List[str]:
-        """Names of all recorded series, in first-recorded order."""
-        return list(self._series)
-
-    # ----------------------------------------------------------------- summary
-    def summary(self) -> Dict[str, dict]:
-        """Nested dict of everything recorded, for reports and debugging."""
-        return {
-            "counters": dict(self._counters),
-            "gauges": dict(self._gauges),
-            "series": {name: self._stats[name].summary() for name in self._series},
-        }
-
-    def merge_counters_from(self, other: "MetricsRecorder") -> None:
-        """Accumulate another recorder's counters into this one.
-
-        Used by experiment runners to aggregate per-trial recorders.
-        Goes through the public :meth:`counters` view, so it works for
-        any recorder-shaped object, not just this exact class.
-        """
-        for name, value in other.counters().items():
-            self.incr(name, value)
-
-    def merge_from(self, other: "MetricsRecorder") -> None:
-        """Accumulate everything ``other`` recorded into this recorder.
-
-        Counters add; gauges are last-write-wins (``other``'s value
-        lands last, matching :meth:`set_gauge` semantics); series
-        samples are replayed through :meth:`record`, so the online
-        :class:`RunningStats` merge exactly rather than approximately.
-        """
-        self.merge_counters_from(other)
-        for name, value in other.gauges().items():
-            self.set_gauge(name, value)
-        for name in other.series_names():
-            for sample in other.series(name):
-                self.record(name, sample.time, sample.value)

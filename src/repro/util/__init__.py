@@ -8,7 +8,6 @@ conversions between logarithmic and linear power domains
 
 from repro.util.numerics import (
     Ewma,
-    RunningStats,
     clamp,
     is_close,
     lin_interp,
@@ -32,7 +31,6 @@ __all__ = [
     "GHZ",
     "MHZ",
     "Ewma",
-    "RunningStats",
     "clamp",
     "db_to_linear",
     "dbm_to_watts",

@@ -1,9 +1,9 @@
-"""Generic numeric helpers: smoothing filters, running statistics, interpolation."""
+"""Generic numeric helpers: smoothing filters, quantiles, interpolation."""
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 
 def clamp(value: float, low: float, high: float) -> float:
@@ -80,83 +80,6 @@ class Ewma:
     def reset(self) -> None:
         """Forget all history; the next sample seeds the filter."""
         self._value = None
-
-
-class RunningStats:
-    """Online mean/variance via Welford's algorithm.
-
-    Numerically stable for long runs; used by the metrics recorder and
-    analysis helpers to avoid storing full sample lists when only summary
-    statistics are needed.
-    """
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        if self._count == 0:
-            raise ValueError("no samples recorded")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (Bessel-corrected).  Zero with fewer than 2 samples."""
-        if self._count == 0:
-            raise ValueError("no samples recorded")
-        if self._count < 2:
-            return 0.0
-        return self._m2 / (self._count - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def min(self) -> float:
-        if self._count == 0:
-            raise ValueError("no samples recorded")
-        return self._min
-
-    @property
-    def max(self) -> float:
-        if self._count == 0:
-            raise ValueError("no samples recorded")
-        return self._max
-
-    def push(self, sample: float) -> None:
-        """Add one sample."""
-        self._count += 1
-        delta = sample - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (sample - self._mean)
-        self._min = min(self._min, sample)
-        self._max = max(self._max, sample)
-
-    def extend(self, samples: Iterable[float]) -> None:
-        """Add many samples."""
-        for sample in samples:
-            self.push(sample)
-
-    def summary(self) -> dict:
-        """Dictionary summary for reports; empty stats yield count=0 only."""
-        if self._count == 0:
-            return {"count": 0}
-        return {
-            "count": self._count,
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "min": self.min,
-            "max": self.max,
-        }
 
 
 def quantile(sorted_values: Sequence[float], q: float) -> float:

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core.baselines import OracleTracker, ReactiveHandover, make_baseline
+from repro.core.baselines import OracleTracker, ReactiveHandover
 from repro.core.config import SilentTrackerConfig
 from repro.experiments.scenarios import build_cell_edge_deployment
 from repro.net.deployment import DeploymentConfig
 from repro.net.handover import HandoverOutcome
 from repro.phy.channel import ChannelConfig
+from repro.registry import make_protocol
 
 
 def make_run(protocol, scenario="vehicular", seed=1, deterministic=True,
@@ -19,7 +20,7 @@ def make_run(protocol, scenario="vehicular", seed=1, deterministic=True,
     deployment, mobile = build_cell_edge_deployment(
         seed, scenario=scenario, config=deployment_config
     )
-    instance = make_baseline(protocol, deployment, mobile, "cellA", config)
+    instance = make_protocol(protocol, deployment, mobile, "cellA", config)
     return deployment, mobile, instance
 
 
@@ -34,7 +35,15 @@ class TestFactory:
     def test_unknown_rejected(self):
         deployment, mobile = build_cell_edge_deployment(1)
         with pytest.raises(ValueError):
-            make_baseline("nope", deployment, mobile, "cellA")
+            make_protocol("nope", deployment, mobile, "cellA")
+
+    @pytest.mark.parametrize("protocol", ["silent-tracker", "reactive", "oracle"])
+    def test_unknown_serving_cell_rejected(self, protocol):
+        deployment, mobile = build_cell_edge_deployment(1)
+        with pytest.raises(ValueError, match="unknown serving cell"):
+            make_protocol(protocol, deployment, mobile, "nope")
+        assert mobile.listener is None
+        assert mobile.connection.serving_cell is None
 
 
 class TestReactive:

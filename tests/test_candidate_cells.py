@@ -10,8 +10,8 @@ visited the listener states that matter.
 
 from enum import Enum
 
+from repro import registry
 from repro.api import Session, TrialSpec
-from repro.core.baselines import make_baseline
 from repro.core.config import SilentTrackerConfig
 from repro.core.events import NeighborState, TrackerPhase
 from repro.core.neighbor_tracker import NeighborTracker
@@ -86,7 +86,7 @@ def make_protocol(name, scenario, seed, config=None, codebook="narrow"):
             master_seed=seed, channel=ChannelConfig.deterministic()
         ),
     )
-    protocol = make_baseline(name, deployment, mobile, "cellA", config)
+    protocol = registry.make_protocol(name, deployment, mobile, "cellA", config)
     return deployment, mobile, protocol
 
 

@@ -1,9 +1,5 @@
 """Unit tests for the metrics recorder."""
 
-import json
-
-import pytest
-
 from repro.sim.metrics import MetricsRecorder
 
 
@@ -17,16 +13,6 @@ class TestCounters:
         metrics.incr("x", 4)
         assert metrics.counter("x") == 5
 
-    def test_merge(self):
-        a = MetricsRecorder()
-        b = MetricsRecorder()
-        a.incr("x", 2)
-        b.incr("x", 3)
-        b.incr("y")
-        a.merge_counters_from(b)
-        assert a.counter("x") == 5
-        assert a.counter("y") == 1
-
     def test_counters_view_is_a_copy(self):
         metrics = MetricsRecorder()
         metrics.incr("x", 2)
@@ -35,119 +21,3 @@ class TestCounters:
         view["new"] = 1
         assert metrics.counter("x") == 2
         assert metrics.counter("new") == 0
-
-    def test_merge_leaves_source_untouched(self):
-        a = MetricsRecorder()
-        b = MetricsRecorder()
-        b.incr("x", 3)
-        a.merge_counters_from(b)
-        a.incr("x")
-        assert b.counter("x") == 3
-
-
-class TestGauges:
-    def test_unset_is_none(self):
-        assert MetricsRecorder().gauge("g") is None
-
-    def test_last_write_wins(self):
-        metrics = MetricsRecorder()
-        metrics.set_gauge("g", 1.0)
-        metrics.set_gauge("g", 2.0)
-        assert metrics.gauge("g") == 2.0
-
-
-class TestSeries:
-    def test_record_and_read(self):
-        metrics = MetricsRecorder()
-        metrics.record("rss", 0.1, -60.0)
-        metrics.record("rss", 0.2, -62.0)
-        assert metrics.series_values("rss") == [-60.0, -62.0]
-
-    def test_series_arrays(self):
-        metrics = MetricsRecorder()
-        metrics.record("rss", 0.1, -60.0)
-        metrics.record("rss", 0.2, -62.0)
-        times, values = metrics.series_arrays("rss")
-        assert times == [0.1, 0.2]
-        assert values == [-60.0, -62.0]
-
-    def test_stats_follow_series(self):
-        metrics = MetricsRecorder()
-        for value in (1.0, 2.0, 3.0):
-            metrics.record("s", 0.0, value)
-        assert metrics.stats("s").mean == pytest.approx(2.0)
-
-    def test_unknown_series_empty(self):
-        metrics = MetricsRecorder()
-        assert metrics.series("nope") == []
-        assert metrics.stats("nope").count == 0
-
-
-class TestMergeFrom:
-    def make_pair(self):
-        a = MetricsRecorder()
-        b = MetricsRecorder()
-        a.incr("x", 2)
-        a.set_gauge("g", 1.0)
-        a.record("s", 0.0, 1.0)
-        b.incr("x", 3)
-        b.set_gauge("g", 5.0)
-        b.record("s", 0.1, 3.0)
-        b.record("t", 0.2, 7.0)
-        return a, b
-
-    def test_counters_add(self):
-        a, b = self.make_pair()
-        a.merge_from(b)
-        assert a.counter("x") == 5
-
-    def test_gauges_last_write_wins(self):
-        a, b = self.make_pair()
-        a.merge_from(b)
-        assert a.gauge("g") == 5.0
-
-    def test_series_samples_concatenate(self):
-        a, b = self.make_pair()
-        a.merge_from(b)
-        assert a.series_values("s") == [1.0, 3.0]
-        assert a.series_values("t") == [7.0]
-
-    def test_series_stats_merge_exactly(self):
-        # The merged online stats must equal stats over the combined
-        # sample stream, not an approximation.
-        a, b = self.make_pair()
-        a.merge_from(b)
-        reference = MetricsRecorder()
-        for time, value in ((0.0, 1.0), (0.1, 3.0)):
-            reference.record("s", time, value)
-        assert a.stats("s").mean == pytest.approx(reference.stats("s").mean)
-        assert a.stats("s").variance == pytest.approx(
-            reference.stats("s").variance
-        )
-        assert a.stats("s").count == reference.stats("s").count
-
-    def test_names_views(self):
-        a, b = self.make_pair()
-        assert b.series_names() == ["s", "t"]
-        assert b.gauges() == {"g": 5.0}
-
-
-class TestSummary:
-    def test_structure(self):
-        metrics = MetricsRecorder()
-        metrics.incr("c")
-        metrics.set_gauge("g", 7.0)
-        metrics.record("s", 0.0, 1.0)
-        summary = metrics.summary()
-        assert summary["counters"] == {"c": 1}
-        assert summary["gauges"] == {"g": 7.0}
-        assert summary["series"]["s"]["count"] == 1
-
-    def test_json_round_trip(self):
-        metrics = MetricsRecorder()
-        metrics.incr("c", 3)
-        metrics.set_gauge("g", 7.5)
-        for value in (1.0, 2.0, 4.0):
-            metrics.record("s", 0.0, value)
-        summary = metrics.summary()
-        assert json.loads(json.dumps(summary)) == summary

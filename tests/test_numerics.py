@@ -1,13 +1,10 @@
 """Unit tests for repro.util.numerics."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.util.numerics import (
     Ewma,
-    RunningStats,
     clamp,
     is_close,
     lin_interp,
@@ -88,40 +85,6 @@ class TestEwma:
             Ewma(0.0)
         with pytest.raises(ValueError):
             Ewma(1.5)
-
-
-class TestRunningStats:
-    def test_empty_raises(self):
-        stats = RunningStats()
-        with pytest.raises(ValueError):
-            _ = stats.mean
-
-    def test_single_sample(self):
-        stats = RunningStats()
-        stats.push(4.0)
-        assert stats.mean == 4.0
-        assert stats.variance == 0.0
-        assert stats.min == 4.0
-        assert stats.max == 4.0
-
-    def test_matches_direct_computation(self):
-        values = [1.0, 2.0, 4.0, 8.0, 16.0]
-        stats = RunningStats()
-        stats.extend(values)
-        mean = sum(values) / len(values)
-        variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-        assert stats.mean == pytest.approx(mean)
-        assert stats.variance == pytest.approx(variance)
-        assert stats.stddev == pytest.approx(math.sqrt(variance))
-
-    def test_summary_empty(self):
-        assert RunningStats().summary() == {"count": 0}
-
-    def test_summary_keys(self):
-        stats = RunningStats()
-        stats.extend([1.0, 2.0])
-        summary = stats.summary()
-        assert set(summary) == {"count", "mean", "stddev", "min", "max"}
 
 
 class TestQuantile:

@@ -18,7 +18,7 @@ from repro.measure.filters import DropDetector, HysteresisTrigger
 from repro.phy.antenna import GaussianBeamPattern
 from repro.phy.codebook import Codebook
 from repro.phy.pathloss import CloseInPathLoss
-from repro.util.numerics import Ewma, RunningStats, clamp, quantile
+from repro.util.numerics import Ewma, clamp, quantile
 from repro.util.units import db_to_linear, linear_to_db
 
 angles = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
@@ -103,13 +103,6 @@ class TestNumericsProperties:
         # of slack relative to the value magnitude.
         slack = 1e-12 * max(1.0, abs(ordered[0]), abs(ordered[-1]))
         assert ordered[0] - slack <= result <= ordered[-1] + slack
-
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=50))
-    def test_running_stats_bounds(self, values):
-        stats = RunningStats()
-        stats.extend(values)
-        assert stats.min <= stats.mean <= stats.max
-        assert stats.variance >= 0.0
 
     @given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=40),
            st.floats(0.01, 1.0))
