@@ -41,6 +41,7 @@ byte-for-byte unchanged.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -117,9 +118,12 @@ class TrialSpec:
         CODEBOOKS.get(self.codebook)
         if self.protocol is not None:
             PROTOCOLS.get(self.protocol)
-        if self.duration_s is not None and self.duration_s < 0.0:
+        if self.duration_s is not None and not (
+            math.isfinite(self.duration_s) and self.duration_s >= 0.0
+        ):
             raise ValueError(
-                f"duration_s must be non-negative, got {self.duration_s!r}"
+                f"duration_s must be finite and non-negative, "
+                f"got {self.duration_s!r}"
             )
 
     @property

@@ -18,8 +18,10 @@ point and — in full mode — a 10^6-user point.  Workers use the
 is the shard's own footprint, not a fork-inherited high-water mark;
 ``derived.worker_scaling`` carries the 10^4-user medians per worker
 count next to ``cpu_count`` (the cores this process may run on, from
-its affinity mask where the platform has one) so a single-core CI
-runner's flat curve reads as what it is.
+its affinity mask where the platform has one), and
+``derived.oversubscribed_workers`` lists the worker counts above
+``cpu_count``, so a single-core CI runner's flat curve reads as what it
+is.
 
 Quick mode (CI smoke) trims the big populations and the 64-user point
 but keeps case ``meta`` identical to the committed full-mode artifact,
@@ -71,6 +73,14 @@ SHARDED_CASES_QUICK = ((64, 4, 2, 1.0, None),)
 
 #: Worker counts of the 10^4-user scaling sweep (derived section).
 WORKER_SWEEP_USERS = 10_000
+
+
+def oversubscribed_workers(worker_counts, cpu_count: int) -> List[int]:
+    """The worker counts that exceed ``cpu_count`` usable cores, ascending.
+
+    Their scaling points time processes sharing cores, not parallelism.
+    """
+    return sorted(int(w) for w in worker_counts if int(w) > cpu_count)
 
 
 def _bench_spec(n_users: int, duration_s: float):
@@ -257,7 +267,8 @@ def run_fleet_bench(
 
     The ``derived`` section carries the wall-seconds scaling curve per
     population size (``scaling_median_s``), the sharded worker-scaling
-    sweep (``worker_scaling``), the per-worker peak RSS of the streaming
+    sweep (``worker_scaling``) with the counts above ``cpu_count``
+    (``oversubscribed_workers``), the per-worker peak RSS of the streaming
     sharded runs (``peak_rss``) and the sharded byte-identity check
     (``sharded_identical``).
 
@@ -288,6 +299,7 @@ def run_fleet_bench(
             continue
         case = by_name[f"fleet.sharded.u{n_users}.s{shards}.w{workers}"]
         worker_scaling[str(workers)] = case.median_s
+    cpu_count = usable_cores()
     payload: Dict[str, object] = {
         "format": BENCH_FORMAT,
         "suite": "fleet",
@@ -295,11 +307,14 @@ def run_fleet_bench(
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "cpu_count": usable_cores(),
+        "cpu_count": cpu_count,
         "results": results_payload(results),
         "derived": {
             "scaling_median_s": scaling,
             "worker_scaling": worker_scaling,
+            "oversubscribed_workers": oversubscribed_workers(
+                worker_scaling, cpu_count
+            ),
             "peak_rss": {"unit": "kb", "by_users": rss_kb},
             "sharded_identical": _check_sharded_identity(
                 n_users=8, duration_s=0.5 if quick else 1.0

@@ -87,12 +87,16 @@ _REGISTRY_SECTIONS = (
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.api import Session, TrialSpec
 
-    spec = TrialSpec(
-        scenario=args.scenario,
-        protocol="silent-tracker",
-        seed=args.seed,
-        duration_s=args.duration,
-    )
+    try:
+        spec = TrialSpec(
+            scenario=args.scenario,
+            protocol="silent-tracker",
+            seed=args.seed,
+            duration_s=args.duration,
+        )
+    except ValueError as error:
+        # A bad --scenario or --duration is a user error: exit 2.
+        raise SpecError(str(error)) from error
     with Session(spec) as session:
         protocol = session.attach_protocol()
         session.run()
@@ -614,8 +618,11 @@ def _bench_execute(args: argparse.Namespace, out, baseline) -> int:
     scaling = derived.get("worker_scaling") or {}
     if scaling:
         cpus = payload.get("cpu_count", "?")
+        oversubscribed = set(derived.get("oversubscribed_workers", ()))
         detail = ", ".join(
-            f"w{workers} {seconds:.2f}s" for workers, seconds in scaling.items()
+            f"w{workers} {seconds:.2f}s"
+            + (" (oversubscribed)" if int(workers) in oversubscribed else "")
+            for workers, seconds in scaling.items()
         )
         print(
             f"sharded worker scaling @10^4 users ({cpus} usable cores): "

@@ -9,6 +9,11 @@ per scenario; all three concentrate between roughly 0.4 and 1.8 s, with
 the fast-dynamics scenarios (rotation, vehicular) carrying heavier
 tails from beam re-acquisitions.
 
+A trial reports only its first completed episode, so it ends at the
+first SSB-period boundary after that episode is final instead of
+simulating the scenario's whole horizon (see :func:`run_tracking_trial`
+for why the payload bytes are the same either way).
+
 The module registers the ``tracking`` experiment kind: its campaign
 ``protocols`` axis is the mobile receive-codebook kind.
 """
@@ -17,15 +22,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.api import Session, TrialSpec
 from repro.campaign.aggregate import aggregate_tracking
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, build_config, config_to_overrides
 from repro.core.config import SilentTrackerConfig
+from repro.core.silent_tracker import HandoverTimeline, SilentTracker
 from repro.experiments.scenarios import SCENARIO_NAMES
-from repro.net.handover import HandoverOutcome
+from repro.net.handover import HandoverOutcome, HandoverRecord
 from repro.registry import CODEBOOKS, register_experiment
 
 SERVING_CELL = "cellA"
@@ -49,6 +55,20 @@ class TrackingTrialResult:
     rach_attempts: int
 
 
+def _first_episode(
+    protocol: SilentTracker,
+) -> Tuple[Optional[HandoverTimeline], Optional[HandoverRecord]]:
+    """The reported episode: the first completed timeline and record."""
+    timeline = next(
+        (t for t in protocol.timelines if t.complete_s is not None), None
+    )
+    record = next(
+        (r for r in protocol.handover_log.records if r.complete_s is not None),
+        None,
+    )
+    return timeline, record
+
+
 def run_tracking_trial(
     scenario: str,
     seed: int = 1,
@@ -56,7 +76,27 @@ def run_tracking_trial(
     codebook: str = "narrow",
     duration_s: Optional[float] = None,
 ) -> TrackingTrialResult:
-    """One end-to-end Silent Tracker run; reports the first handover episode."""
+    """One end-to-end Silent Tracker run; reports the first handover episode.
+
+    The session advances one SSB period at a time and stops at the first
+    period boundary after :func:`_first_episode` is final, or at the
+    trial horizon if no episode completes.  The result is byte-identical
+    to simulating the whole horizon:
+
+    1. Only the tracker's active timeline is ever mutated, and a new one
+       is opened only once the previous one is closed, so a completed
+       timeline never changes afterwards and no earlier timeline can
+       complete later.
+    2. Every record field read here is set by the time its
+       ``complete_s`` is (RACH completion, then the context switch), and
+       the handover log only appends.
+    3. Nothing is scheduled between slices, and ``run_until`` fires every
+       event at or before a slice's end, so the slices replay the
+       single-run event sequence.  The last slice is ``end_s - now`` with
+       ``now`` zero or at least ``end_s / 2``, a subtraction that is
+       exact, so a trial that never completes still ends exactly on the
+       horizon.
+    """
     spec = TrialSpec(
         scenario=scenario,
         codebook=codebook,
@@ -68,13 +108,16 @@ def run_tracking_trial(
     )
     with Session(spec) as session:
         protocol = session.attach_protocol()
-        session.run()
+        sim = session.deployment.sim
+        period_s = session.deployment.stations[0].frame.ssb_period_s
+        end_s = spec.resolved_duration_s
+        while True:
+            session.run(min(period_s, end_s - sim.now))
+            timeline, record = _first_episode(protocol)
+            final = timeline is not None and record is not None
+            if final or sim.now >= end_s:
+                break
 
-    timeline = next(
-        (t for t in protocol.timelines if t.complete_s is not None), None
-    )
-    records = protocol.handover_log.records
-    completed_record = next((r for r in records if r.complete_s is not None), None)
     return TrackingTrialResult(
         scenario=scenario,
         seed=seed,
@@ -86,10 +129,8 @@ def run_tracking_trial(
             timeline.beam_switches_while_tracking if timeline else 0
         ),
         reacquisitions=timeline.reacquisitions if timeline else 0,
-        interruption_s=(
-            completed_record.interruption_s if completed_record else None
-        ),
-        rach_attempts=completed_record.rach_attempts if completed_record else 0,
+        interruption_s=record.interruption_s if record else None,
+        rach_attempts=record.rach_attempts if record else 0,
     )
 
 

@@ -30,6 +30,7 @@ Determinism story, mirroring the campaign machinery:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
@@ -207,9 +208,10 @@ class FleetSpec:
             raise SpecError(f"duplicate profile names in {names!r}")
         if self.seed < 0:
             raise SpecError(f"seed must be non-negative, got {self.seed!r}")
-        if self.duration_s <= 0.0:
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
             raise SpecError(
-                f"duration_s must be positive, got {self.duration_s!r}"
+                f"duration_s must be finite and positive, "
+                f"got {self.duration_s!r}"
             )
 
     # ----------------------------------------------------------- identity

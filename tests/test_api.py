@@ -33,6 +33,12 @@ class TestTrialSpec:
         with pytest.raises(ValueError):
             TrialSpec(duration_s=-1.0)
 
+    @pytest.mark.parametrize("duration_s", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration_s):
+        # run_until(nan) never reaches its end, so a nan trial would hang.
+        with pytest.raises(ValueError, match="finite"):
+            TrialSpec(duration_s=duration_s)
+
 
 class TestSessionLifecycle:
     def test_builds_deployment_from_spec(self):

@@ -305,10 +305,53 @@ class TestFleetSuite:
         )
         derived = payload["derived"]
         assert set(derived["scaling_median_s"]) == {"4", "16"}
+        assert derived["oversubscribed_workers"] == []
         assert derived["sharded_identical"] is True
         assert payload["cpu_count"] == usable_cores()
         assert "speedups" not in derived
         assert "artifacts_identical" not in derived
+
+
+    def test_oversubscribed_workers(self):
+        from repro.bench.fleet_suite import oversubscribed_workers
+
+        scaling = {"1": 27.5, "2": 30.2, "4": 36.0}
+        assert oversubscribed_workers(scaling, cpu_count=1) == [2, 4]
+        assert oversubscribed_workers(scaling, cpu_count=2) == [4]
+        assert oversubscribed_workers(scaling, cpu_count=4) == []
+
+    def test_cli_marks_oversubscribed_points_against_old_baseline(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The committed BENCH_fleet.json predates oversubscribed_workers;
+        # a payload carrying it must still --compare against it, and the
+        # printed scaling line marks the points above cpu_count.
+        from pathlib import Path
+
+        import repro.bench
+        from repro.bench.harness import load_bench_json
+        from repro.cli import main
+
+        baseline_path = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
+        baseline = load_bench_json(baseline_path)
+        assert "oversubscribed_workers" not in baseline["derived"]
+        payload = dict(
+            baseline,
+            cpu_count=2,
+            derived=dict(baseline["derived"], oversubscribed_workers=[4]),
+        )
+        monkeypatch.setattr(
+            repro.bench, "run_fleet_bench", lambda **kwargs: payload
+        )
+        monkeypatch.chdir(tmp_path)
+        status = main(
+            ["bench", "--suite", "fleet", "--compare", str(baseline_path)]
+        )
+        assert status == 0
+        out = capsys.readouterr().out
+        assert "w4 36.05s (oversubscribed)" in out
+        assert "w2 30.15s," in out
+        assert "no regressions" in out
 
 
 class TestSuite:

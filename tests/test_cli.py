@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -48,6 +53,22 @@ class TestCommands:
         assert main(["demo", "--seed", "3", "--duration", "3.0"]) == 0
         output = capsys.readouterr().out
         assert "final serving cell" in output
+
+    def test_demo_rejects_nan_duration_promptly(self):
+        # A nan duration used to spin in run_until forever; it must now
+        # fail at spec construction.  A subprocess with a timeout keeps a
+        # regression from hanging the suite.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "demo", "--duration", "nan"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "error: duration_s must be finite" in result.stderr
 
     def test_fig2a_small(self, capsys):
         assert main(["fig2a", "--trials", "3"]) == 0

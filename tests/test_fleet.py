@@ -65,6 +65,11 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             FleetSpec("f", n_users=1, profiles=())
 
+    @pytest.mark.parametrize("duration_s", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration_s):
+        with pytest.raises(SpecError, match="finite"):
+            small_spec(duration_s=duration_s)
+
     def test_duplicate_profile_names_rejected(self):
         with pytest.raises(SpecError):
             FleetSpec(
