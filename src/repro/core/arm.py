@@ -12,7 +12,12 @@ the *mechanism* once:
   BeamSurfer adapts the serving beam, and its cell-assisted (CABM)
   transmit-beam request goes out on the uplink;
 * the watchdog: radio-link failure after ``rlf_timeout_s`` of silence,
-  context loss after ``context_loss_timeout_s``;
+  context loss after ``context_loss_timeout_s``.  Every arm's watchdog
+  rides the deployment's watchdog grid (:attr:`Deployment.watchdogs
+  <repro.net.deployment.Deployment.watchdogs>`), so the arms of a fleet
+  started together share one heap event per ``monitor_period_s``; a
+  lone arm's single-member grid fires exactly as a ``PeriodicTask``
+  would;
 * random access to a target cell, with a :class:`HandoverRecord`
   opened at the trigger and closed at msg4;
 * the context switch onto the target cell.
@@ -20,7 +25,9 @@ the *mechanism* once:
 Subclasses keep their policy in a handful of hooks:
 :meth:`_complete_handover` (which beams and outcome to switch with),
 :meth:`_on_access_failed`, :meth:`_on_context_lost` and
-:meth:`_on_serving_silent`.
+:meth:`_on_serving_silent`.  Every counted protocol event goes through
+:meth:`ProtocolArm._record`, so the counter and its trace record cannot
+drift apart.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from repro.net.deployment import Deployment
 from repro.net.handover import HandoverLog, HandoverOutcome, HandoverRecord
 from repro.net.mobile import Mobile
 from repro.net.random_access import RachResult, RandomAccessProcedure
-from repro.sim.engine import PeriodicTask
+from repro.sim.engine import BurstMember
 
 BeamProvider = Callable[[], Optional[int]]
 
@@ -82,7 +89,7 @@ class ProtocolArm:
 
         self._rach: Optional[RandomAccessProcedure] = None
         self._pending_record: Optional[HandoverRecord] = None
-        self._watchdog: Optional[PeriodicTask] = None
+        self._watchdog: Optional[BurstMember] = None
         self._started = False
         mobile.attach_listener(self)
 
@@ -104,6 +111,12 @@ class ProtocolArm:
     def _emit(self, category: str, **data) -> None:
         self.trace.emit(self.sim.now, category, self.mobile.mobile_id, **data)
 
+    def _record(self, counter: str, category: str, **data) -> None:
+        """Count ``counter`` and, when the trace is on, emit ``category``."""
+        self.metrics.incr(counter)
+        if self.trace.enabled:
+            self._emit(category, **data)
+
     def start(self) -> None:
         """Arm the watchdog (arms without one have nothing to start)."""
         if self.watchdog_label is None:
@@ -111,8 +124,7 @@ class ProtocolArm:
         if self._started:
             raise RuntimeError(f"{type(self).__name__} already started")
         self._started = True
-        self._watchdog = PeriodicTask(
-            self.sim,
+        self._watchdog = self.deployment.watchdogs.add(
             self.config.monitor_period_s,
             self._watchdog_tick,
             start_delay=self.config.monitor_period_s,
@@ -164,8 +176,11 @@ class ProtocolArm:
             station_beam,
             now_s,
         )
-        self.metrics.incr("cabm.delivered" if delivered else "cabm.lost")
-        self._emit("cabm.request", delivered=delivered)
+        self._record(
+            "cabm.delivered" if delivered else "cabm.lost",
+            "cabm.request",
+            delivered=delivered,
+        )
         if delivered:
             bearing = station.pose.bearing_to(pose.position)
             new_beam = station.refine_tx_beam(self.mobile.mobile_id, bearing)
@@ -183,15 +198,17 @@ class ProtocolArm:
             self._on_context_lost(now)
         elif silence > self.config.rlf_timeout_s:
             if connection.connected:
-                self._emit("connection.rlf", silence_s=silence)
-                self.metrics.incr("connection.rlf")
+                self._record(
+                    "connection.rlf", "connection.rlf", silence_s=silence
+                )
                 connection.declare_rlf()
             self._on_serving_silent(now)
 
     def _drop_context(self, silence_s: float) -> None:
         """The serving cell gave up on the mobile: release its context."""
-        self._emit("connection.lost", silence_s=silence_s)
-        self.metrics.incr("connection.context_lost")
+        self._record(
+            "connection.context_lost", "connection.lost", silence_s=silence_s
+        )
         station = self._serving_station()
         if station is not None:
             station.detach(self.mobile.mobile_id)
@@ -281,8 +298,8 @@ class ProtocolArm:
         record.complete_s = now_s
         record.outcome = outcome
         record.interruption_s = interruption
-        self.metrics.incr(f"handover.{outcome.value}")
-        self._emit(
+        self._record(
+            f"handover.{outcome.value}",
             "handover.complete",
             target=target,
             outcome=outcome.value,

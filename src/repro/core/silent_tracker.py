@@ -133,16 +133,24 @@ class SilentTracker(ProtocolArm):
 
     # ------------------------------------------------------------ trace hooks
     def _on_serving_transition(self, old, new, edge: str, now_s: float) -> None:
-        self.metrics.incr(f"fsm.serving.{edge}")
-        self._emit(
-            "fsm.serving", old=old.value, new=new.value, edge=edge
+        self._record(
+            f"fsm.serving.{edge}",
+            "fsm.serving",
+            old=old.value,
+            new=new.value,
+            edge=edge,
         )
 
     def _on_neighbor_transition(
         self, old, new, edge: Fig2bEdge, now_s: float
     ) -> None:
-        self.metrics.incr(f"fsm.neighbor.{edge.value}")
-        self._emit("fsm.neighbor", old=old.value, new=new.value, edge=edge.value)
+        self._record(
+            f"fsm.neighbor.{edge.value}",
+            "fsm.neighbor",
+            old=old.value,
+            new=new.value,
+            edge=edge.value,
+        )
         timeline = self._active_timeline
         if timeline is None:
             return
@@ -245,8 +253,9 @@ class SilentTracker(ProtocolArm):
         if target is None or self.tracker.last_tx_beam is None:
             return
         source = self.mobile.connection.serving_cell or "(lost)"
-        self.metrics.incr("fsm.neighbor.E")
-        self._emit("handover.trigger", source=source, target=target)
+        self._record(
+            "fsm.neighbor.E", "handover.trigger", source=source, target=target
+        )
         timeline = self._active_timeline
         if timeline is not None:
             timeline.trigger_s = now_s

@@ -10,6 +10,9 @@ same absolute tick ride one :class:`~repro.sim.engine.BurstScheduler`
 event, so a dense K-cell corridor with G phase slots pays G heap events
 per period instead of K, and the whole same-tick station group is
 delivered (and measured) together by :meth:`Deployment._deliver_tick`.
+Protocol watchdogs coalesce the same way on a second scheduler,
+:attr:`Deployment.watchdogs`: N arms started together cost one heap
+event per monitor period, not N.
 
 Burst **delivery** branches on the population size only:
 
@@ -119,6 +122,11 @@ class Deployment:
         #: Live burst-schedule handles keyed by cell id.
         self._burst_tasks: Dict[str, BurstMember] = {}
         self._burst_scheduler: Optional[BurstScheduler] = None
+        #: Protocol watchdogs (:meth:`ProtocolArm.start
+        #: <repro.core.arm.ProtocolArm.start>`): arms started at the same
+        #: instant share one heap event per monitor period.  Arms own
+        #: their members, so :meth:`stop` leaves this scheduler alone.
+        self.watchdogs = BurstScheduler(self.sim)
         self._resume_at: Dict[str, float] = {}
         self._started = False
         #: Spatial pruning switch; the index is also self-disabling

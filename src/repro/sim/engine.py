@@ -11,6 +11,18 @@ Design goals, in priority order:
 3. **Cancelability** — timers (RACH response windows, handover guards)
    need to be cancelable without O(n) heap surgery; cancellation is a
    lazy tombstone flag.
+
+Periodic work comes in two forms.  :class:`PeriodicTask` is one
+self-rescheduling callback.  :class:`BurstScheduler` coalesces every
+member that shares a ``(first fire, period)`` grid onto one heap event
+per tick; a deployment runs two of them, one for SSB delivery (the
+whole same-tick station group in one call) and one for the protocol
+watchdogs (each arm's check, in registration order).  A single-member
+grid is event-for-event a ``PeriodicTask``.  A shared grid re-arms once
+per tick, after all its members, so an event scheduled exactly one
+period ahead by a member — a watchdog-started msg1 — fires before that
+later tick's whole group instead of between its members; see the
+:class:`BurstScheduler` determinism contract.
 """
 
 from __future__ import annotations
@@ -463,68 +475,96 @@ class BurstMember:
 class _BurstGrid:
     """One ``(first_fire, period)`` tick grid shared by N members."""
 
-    __slots__ = ("origin", "period", "live", "tick", "pending")
+    __slots__ = ("origin", "period", "members", "n_live", "tick", "pending")
 
     def __init__(self, origin: float, period: float) -> None:
         self.origin = origin
         self.period = period
-        #: The members not yet stopped, in registration order, kept
-        #: current on join and stop so a tick reads it without a scan.
-        self.live: List[BurstMember] = []
+        #: Members in registration order.  A stop only decrements
+        #: :attr:`n_live`; stopped members leave the list at the next
+        #: :meth:`live` call, so stopping all N members costs O(N).
+        self.members: List[BurstMember] = []
+        self.n_live = 0
         self.tick = 0
         self.pending: Optional[Event] = None
 
+    def live(self) -> List[BurstMember]:
+        """The members not yet stopped, in registration order."""
+        members = self.members
+        if len(members) != self.n_live:
+            members = self.members = [m for m in members if not m._stopped]
+        return members
+
     def label(self) -> str:
         """Event label: the member's own label while the grid is
-        single-member (observability continuity with the per-station
+        single-member (observability continuity with the
         ``PeriodicTask`` it replaces), an aggregate label once coalesced.
         """
-        live = self.live
+        live = self.live()
         if len(live) == 1:
             return live[0].label
         prefix = live[0].label.partition(".")[0] if live else "burst"
         return f"{prefix}.x{len(live)}"
 
     def on_member_stopped(self) -> None:
-        self.live = [member for member in self.live if not member._stopped]
-        if self.pending is not None and not self.live:
-            self.pending.cancel()
-            self.pending = None
+        self.n_live -= 1
+        if self.n_live == 0:
+            self.members = []
+            if self.pending is not None:
+                self.pending.cancel()
+                self.pending = None
 
 
 class BurstScheduler:
     """Coalesces periodic deliveries that share a tick grid.
 
     Members registered with the same ``(first_fire, period)`` key share
-    one :class:`_BurstGrid`: a K-station deployment whose SSB phases
-    fall into G distinct phase slots schedules G heap events per period
-    instead of K, and each event hands the *whole* member group to the
-    ``deliver`` callback, in registration order — the entry point for
-    multi-station batched burst evaluation.
+    one :class:`_BurstGrid`, so G distinct grids cost G heap events per
+    period however many members ride them.  A deployment has two users:
+
+    * **SSB delivery** (``deliver`` given): a K-station deployment whose
+      SSB phases fall into G phase slots schedules G events per period
+      instead of K, and each event hands the *whole* station group to
+      ``deliver``, in registration order — the entry point for
+      multi-station batched burst evaluation;
+    * **protocol watchdogs** (``deliver=None``): each payload is a
+      zero-argument callable, fired in registration order, so N arms
+      started at the same instant share one event per monitor period
+      instead of N.  A member stopped earlier in a tick does not fire
+      later in that tick, as its cancelled ``PeriodicTask`` would not.
 
     Determinism contract (load-bearing; pinned by the scheduler
-    equivalence tests):
+    equivalence tests and ``tests/test_watchdog_grid.py``):
 
     * A **single-member grid** is externally indistinguishable from the
       ``PeriodicTask`` it replaces: its event fires at the same times
       with the same label, and the tick-advance / deliver / re-arm
       sequence allocates event sequence numbers at the same execution
       positions, so runs are byte-identical to one ``PeriodicTask`` per
-      station for *any* workload.
+      member for *any* workload.
     * A **multi-member grid** re-arms once per tick (after the whole
-      group delivers) where per-station tasks would re-arm once per member
+      group delivers) where per-member tasks would re-arm once per member
       (interleaved with deliveries).  The two orderings diverge only if
-      some *other* event lands exactly on a shared grid tick.  Dense
-      topologies built by this repo therefore place coalesced phases on
-      non-integer-millisecond offsets, where the protocol layer — whose
-      RACH/handover delays all live on an integer-millisecond lattice —
-      provably cannot collide.
+      some *other* event lands exactly on a shared grid tick:
+
+      - SSB grids: dense topologies built by this repo place coalesced
+        phases on non-integer-millisecond offsets, where the protocol
+        layer — whose RACH/handover delays all live on an
+        integer-millisecond lattice — provably cannot collide.
+      - Watchdog grids: a watchdog callback that starts random access
+        whose msg1 lands exactly one monitor period later now sees msg1
+        fire *before* every watchdog of that later tick, where per-arm
+        tasks fired it after the watchdogs of the arms registered
+        before its own.  Only trace order changes: a watchdog draws no
+        RNG and reads only its own mobile's state, so artifacts, each
+        mobile's own trace subsequence and the multiset of trace
+        records are unchanged.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        deliver: Callable[[List[Any]], None],
+        deliver: Optional[Callable[[List[Any]], None]] = None,
     ) -> None:
         self._sim = sim
         self._deliver = deliver
@@ -560,7 +600,8 @@ class BurstScheduler:
             grid = _BurstGrid(origin, period_s)
             self._grids[key] = grid
         member = BurstMember(payload, label, grid)
-        grid.live.append(member)
+        grid.members.append(member)
+        grid.n_live += 1
         if grid.pending is None and grid.tick == 0:
             # Arm on first registration; later same-key members ride the
             # already-armed event.  (A grid whose members all stopped
@@ -576,9 +617,16 @@ class BurstScheduler:
         # like PeriodicTask._fire: a stop() issued inside the delivery
         # callback must leave next_fire_s pointing past it.
         grid.tick += 1
-        if grid.live:
-            self._deliver([member.payload for member in grid.live])
-        if not grid.live:
+        live = grid.live()
+        if self._deliver is not None:
+            if live:
+                self._deliver([member.payload for member in live])
+        else:
+            # A copy: a member joining mid-tick waits for the next tick.
+            for member in list(live):
+                if not member._stopped:
+                    member.payload()
+        if not grid.n_live:
             return
         next_time = grid.origin + grid.tick * grid.period
         # Same clamped-reschedule guard as PeriodicTask.
@@ -590,9 +638,10 @@ class BurstScheduler:
     def stop(self) -> None:
         """Stop every member and cancel all armed events."""
         for grid in self._grids.values():
-            for member in grid.live:
+            for member in grid.members:
                 member._stopped = True
-            grid.live = []
+            grid.members = []
+            grid.n_live = 0
             if grid.pending is not None:
                 grid.pending.cancel()
                 grid.pending = None

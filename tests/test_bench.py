@@ -142,6 +142,28 @@ class TestCompare:
         assert len(comparisons) == len(baseline["results"])
         assert regressions(comparisons, tolerance=0.0) == []
 
+    def test_cli_compare_accepts_phy_baseline_without_cpu_count(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The PHY suite records cpu_count; `repro bench --compare` must
+        # still gate it against the committed BENCH_phy.json, which has
+        # no such field.
+        from pathlib import Path
+
+        import repro.bench
+        from repro.bench.harness import load_bench_json
+        from repro.cli import main
+
+        baseline_path = Path(__file__).resolve().parents[1] / "BENCH_phy.json"
+        baseline = load_bench_json(baseline_path)
+        assert "cpu_count" not in baseline
+        payload = dict(baseline, cpu_count=usable_cores())
+        monkeypatch.setattr(repro.bench, "run_bench", lambda **kwargs: payload)
+        monkeypatch.chdir(tmp_path)
+        status = main(["bench", "--compare", str(baseline_path)])
+        assert status == 0
+        assert "no regressions" in capsys.readouterr().out
+
     def test_cli_compare_errors_when_nothing_comparable(self, tmp_path, capsys):
         from repro.bench import run_fleet_bench
         from repro.bench.harness import write_bench_json

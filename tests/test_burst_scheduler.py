@@ -7,7 +7,11 @@ The load-bearing claims of the ``BurstScheduler`` determinism contract:
 * same ``(origin, period)`` registrations share one grid (one heap
   event per tick, the whole group delivered together in registration
   order);
-* member stop / scheduler stop retire grids without ghost events;
+* member stop / scheduler stop retire grids without ghost events, and
+  a member stop is O(1) (stopped members leave the list lazily);
+* a callback grid (``deliver=None``, the watchdog grid) fires each
+  payload in registration order and skips a member stopped earlier in
+  the same tick, as a cancelled ``PeriodicTask`` would;
 * the engine re-resolves the ambient telemetry hub at run entry, so a
   hub installed after construction still sees event spans.
 """
@@ -142,6 +146,110 @@ class TestCoalescing:
         assert grid.label() == "ssb.cellA"
         scheduler.add(0.02, "b", label="ssb.cellB")
         assert grid.label() == "ssb.x2"
+
+
+class TestMemberStop:
+    def test_out_of_order_stops(self):
+        sim = Simulator()
+        delivered = []
+        members = {}
+
+        def deliver(payloads):
+            delivered.append(payloads)
+            if sim.now == 0.02:
+                members["b"].stop()  # mid-delivery
+
+        scheduler = BurstScheduler(sim, deliver)
+        for name in "abcde":
+            members[name] = scheduler.add(0.02, name)
+        sim.run_until(0.01)
+        members["d"].stop()
+        members["a"].stop()
+        sim.run_until(0.03)
+        members["e"].stop()
+        sim.run_until(0.05)
+        assert delivered == [
+            ["a", "b", "c", "d", "e"],
+            ["b", "c", "e"],
+            ["c"],
+        ]
+        members["c"].stop()
+        assert sim.pending_events == 0
+        assert members["c"].next_fire_s == pytest.approx(0.06)
+
+    def test_stop_does_not_rebuild_member_list(self):
+        sim = Simulator()
+        scheduler = BurstScheduler(sim, lambda payloads: None)
+        members = [scheduler.add(0.02, index) for index in range(6)]
+        grid = members[0]._grid
+        for member in members[::2]:
+            member.stop()
+        # O(1) stops: the list is compacted at the next tick, not per stop.
+        assert len(grid.members) == 6
+        assert grid.n_live == 3
+        sim.run_until(0.0)
+        assert [m.payload for m in grid.members] == [1, 3, 5]
+
+
+class TestCallbackGrid:
+    def test_fires_each_payload_in_registration_order(self):
+        sim = Simulator()
+        fired = []
+        scheduler = BurstScheduler(sim)
+        for name in ("a", "b", "c"):
+            scheduler.add(
+                0.01, lambda name=name: fired.append((sim.now, name)),
+                start_delay=0.01,
+            )
+        sim.run_until(0.025)
+        assert fired == [
+            (0.01, "a"), (0.01, "b"), (0.01, "c"),
+            (0.02, "a"), (0.02, "b"), (0.02, "c"),
+        ]
+        assert sim.events_fired == 2
+
+    def test_member_stopped_earlier_in_tick_does_not_fire(self):
+        sim = Simulator()
+        fired = []
+        members = {}
+        scheduler = BurstScheduler(sim)
+
+        def first():
+            fired.append("a")
+            members["c"].stop()
+
+        members["a"] = scheduler.add(0.01, first)
+        members["b"] = scheduler.add(0.01, lambda: fired.append("b"))
+        members["c"] = scheduler.add(0.01, lambda: fired.append("c"))
+        sim.run_until(0.015)
+        assert fired == ["a", "b", "a", "b"]
+
+    def test_last_member_stopping_itself_retires_grid(self):
+        sim = Simulator()
+        members = {}
+        scheduler = BurstScheduler(sim)
+        members["a"] = scheduler.add(0.01, lambda: members["a"].stop())
+        sim.run_until(0.1)
+        assert sim.events_fired == 1
+        assert sim.pending_events == 0
+        assert members["a"].next_fire_s == pytest.approx(0.01)
+
+    def test_single_member_matches_periodic_task_event_by_event(self):
+        def trace(make):
+            sim = Simulator()
+            log = []
+            make(sim, lambda: log.append((sim.now, sim.events_fired)))
+            # An unrelated event on the same instants interleaves by seq.
+            PeriodicTask(sim, 0.01, lambda: log.append((sim.now, "other")),
+                         start_delay=0.01)
+            sim.run_until(0.1)
+            return log
+
+        periodic = trace(lambda sim, cb: PeriodicTask(
+            sim, 0.01, cb, start_delay=0.01, label="w"))
+        grid = trace(lambda sim, cb: BurstScheduler(sim).add(
+            0.01, cb, start_delay=0.01, label="w"))
+        assert grid == periodic
 
 
 class TestTelemetryReresolve:
