@@ -32,7 +32,7 @@ drift apart.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Mapping, Optional
 
 from repro.core.config import SilentTrackerConfig
 from repro.measure.report import RssMeasurement
@@ -72,9 +72,8 @@ class ProtocolArm:
         self.links = deployment.links
         self.trace = deployment.trace
         self.metrics = deployment.metrics
-        self._stations: Dict[str, object] = {
-            s.cell_id: s for s in deployment.stations
-        }
+        #: A view, not a copy: a dense fleet builds one arm per mobile.
+        self._stations: Mapping[str, object] = deployment.station_map
         if serving_cell not in self._stations:
             raise ValueError(f"unknown serving cell {serving_cell!r}")
         self.handover_log = HandoverLog()

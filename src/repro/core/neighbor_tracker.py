@@ -85,8 +85,10 @@ class NeighborTracker:
         self._on_transition = on_transition
         self._state = NeighborState.IDLE
         self._cells = list(neighbor_cells)
-        # Search bookkeeping: per-cell sweep order and cursor.
-        self._sweep_order: Dict[str, List[int]] = {}
+        # Search bookkeeping: one beam order per search, and a cursor
+        # into it for every cell the search sweeps (empty: nothing to
+        # sweep).
+        self._sweep_order: List[int] = []
         self._sweep_cursor: Dict[str, int] = {}
         # Tracking bookkeeping.
         self._focused_cell: Optional[str] = None
@@ -152,14 +154,11 @@ class NeighborTracker:
         """
         if self._state is NeighborState.TRACKING:
             raise RuntimeError("begin_search while tracking; call declare_lost first")
-        order = (
+        self._start_sweep(
             spiral_order(around_beam, len(self.codebook))
             if around_beam is not None
             else self.codebook.sweep_order()
         )
-        for cell in self._cells:
-            self._sweep_order[cell] = list(order)
-            self._sweep_cursor[cell] = 0
         was_idle = self._state is NeighborState.IDLE
         self._transition(
             NeighborState.SEARCHING, Fig2bEdge.B if was_idle else Fig2bEdge.D, now_s
@@ -183,17 +182,26 @@ class NeighborTracker:
         if not neighbor_cells:
             raise ValueError("tracker needs at least one neighbor cell")
         self._cells = list(neighbor_cells)
-        self._sweep_order.clear()
-        self._sweep_cursor.clear()
+        self._sweep_order = []
+        self._sweep_cursor = {}
+
+    def _start_sweep(self, order: List[int]) -> None:
+        """Sweep every searchable cell along ``order``, from its start.
+
+        The cells share the one order; only their cursors are per cell.
+        """
+        self._sweep_order = order
+        self._sweep_cursor = dict.fromkeys(self._cells, 0)
 
     # ------------------------------------------------------------ burst beam
     def beam_for_burst(self, cell_id: str) -> Optional[int]:
         """Receive beam to hold for ``cell_id``'s burst, or None to skip."""
         if self._state is NeighborState.SEARCHING:
-            if cell_id not in self._sweep_order:
+            cursor = self._sweep_cursor.get(cell_id)
+            if cursor is None:
                 return None
-            order = self._sweep_order[cell_id]
-            return order[self._sweep_cursor[cell_id] % len(order)]
+            order = self._sweep_order
+            return order[cursor % len(order)]
         if self._state is NeighborState.TRACKING and cell_id == self._focused_cell:
             if self._probe_current is not None:
                 return self._probe_current
@@ -210,7 +218,7 @@ class NeighborTracker:
         empty takes nothing.
         """
         if self._state is NeighborState.SEARCHING:
-            return None if self._sweep_order else ()
+            return None if self._sweep_cursor else ()
         if self._state is NeighborState.TRACKING:
             return (self._focused_cell,)
         return ()
@@ -286,10 +294,7 @@ class NeighborTracker:
         self._probe_results = {}
         # Leave TRACKING before begin_search (which asserts otherwise).
         self._state = NeighborState.SEARCHING
-        order = spiral_order(last_beam, len(self.codebook))
-        for cell in self._cells:
-            self._sweep_order[cell] = list(order)
-            self._sweep_cursor[cell] = 0
+        self._start_sweep(spiral_order(last_beam, len(self.codebook)))
         if self._on_transition is not None:
             self._on_transition(
                 NeighborState.TRACKING, NeighborState.SEARCHING, Fig2bEdge.D, now_s

@@ -19,13 +19,16 @@ Burst **delivery** branches on the population size only:
 * with **several mobiles**, arbitration runs station-by-station in tick
   order and mobile-by-mobile in registration order, but each station
   asks only the mobiles whose listener named its cell in
-  ``candidate_cells`` at the start of the tick (a listener without the
-  method, or answering ``None``, is asked about every cell).  A mobile
-  can dwell only on its serving cell and the neighbour cells it sweeps
-  or tracks, so on a dense corridor almost every (station, mobile) pair
-  is settled without a call.  Decline and busy counts follow from where
-  each mobile's tick stopped.  Every admitted (station, mobile) link of
-  the tick is evaluated in one
+  ``candidate_cells`` at the start of the tick, merged with the
+  *wildcard* mobiles (a listener without the method, or answering
+  ``None``, such as a neighbour search) that have not yet stopped their
+  tick.  A mobile can dwell only on its serving cell and the neighbour
+  cells it sweeps or tracks, and a searching mobile stops at the first
+  burst it admits, so on a dense corridor a tick costs one interest
+  read per free mobile plus about one ``choose_rx_beam`` call per
+  admission, not one per (station, mobile) pair.  Decline and busy
+  counts follow from where each mobile's tick stopped.  Every admitted
+  (station, mobile) link of the tick is evaluated in one
   :meth:`~repro.net.link_engine.LinkEngine.measure_burst_multi` call,
   and the measurements reach the listeners in that same order;
 * with **one mobile**, each station's burst is arbitrated by
@@ -57,7 +60,17 @@ artifacts are byte-identical with the index on or off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.measure.report import RssMeasurement
 from repro.mobility.base import sample_poses
@@ -118,6 +131,11 @@ class Deployment:
         #: can never influence simulation state or RNG streams).
         self.telemetry = _telemetry.current()
         self._stations: Dict[str, BaseStation] = {}
+        self._station_view: Mapping[str, BaseStation] = MappingProxyType(
+            self._stations
+        )
+        #: cell_id -> its ``bursts.<cell>`` counter key, built once.
+        self._burst_keys: Dict[str, str] = {}
         self._mobiles: Dict[str, Mobile] = {}
         #: Live burst-schedule handles keyed by cell id.
         self._burst_tasks: Dict[str, BurstMember] = {}
@@ -150,6 +168,7 @@ class Deployment:
         if station.cell_id in self._stations:
             raise ValueError(f"duplicate cell id {station.cell_id!r}")
         self._stations[station.cell_id] = station
+        self._burst_keys[station.cell_id] = f"bursts.{station.cell_id}"
         return station
 
     def add_mobile(self, mobile: Mobile) -> Mobile:
@@ -176,6 +195,11 @@ class Deployment:
     @property
     def stations(self) -> List[BaseStation]:
         return list(self._stations.values())
+
+    @property
+    def station_map(self) -> Mapping[str, BaseStation]:
+        """Read-only, live view of the stations keyed by cell id."""
+        return self._station_view
 
     @property
     def mobiles(self) -> List[Mobile]:
@@ -318,8 +342,9 @@ class Deployment:
             self._deliver_tick_batch(stations)
             return
         with self.telemetry.span("net.burst_single"):
+            burst_keys = self._burst_keys
             for station in stations:
-                self.metrics.incr(f"bursts.{station.cell_id}")
+                self.metrics.incr(burst_keys[station.cell_id])
                 for mobile in self._mobiles.values():
                     self._deliver_burst_single(station, mobile)
 
@@ -334,12 +359,20 @@ class Deployment:
         Arbitration asks each mobile only about the cells it can take
         (:meth:`_interest_queues`): its listener's ``candidate_cells``
         answer, read once at the start of the tick, promises ``None``
-        from every other ``choose_rx_beam`` call.  A mobile busy at
-        tick start skips the whole group, since every station on the
-        tick shares the same ``now`` and a busy window only ever grows.
-        A mobile that admits a burst of non-zero length is busy for the
-        group's remainder.  So a mobile's counts follow from where its
-        tick stopped:
+        from every other ``choose_rx_beam`` call.  A mobile that names
+        no cells (a *wildcard*) is asked by every station until its
+        tick stops.  A mobile busy at tick start skips the whole group,
+        since every station on the tick shares the same ``now`` and a
+        busy window only ever grows.  A mobile that admits a burst of
+        non-zero length is busy for the group's remainder, and a
+        wildcard leaves the wildcard list there.  Each station visits
+        its narrowed queue merged with the wildcards still free, in
+        registration order, so a tick costs one ``choose_rx_beam`` call
+        per narrowed entry and per (station, free wildcard) pair:
+        searching mobiles that admit their first station cost about one
+        call each, not one per station.
+
+        A mobile's counts follow from where its tick stopped:
 
         * ``declined += offered_while_active - admissions``;
         * ``skipped_busy += n_stations - offered_while_active``.
@@ -365,21 +398,32 @@ class Deployment:
                 else:
                     mobile.bursts_declined += n_stations
                     active.append(mobile)
-            queues = self._interest_queues(stations, active, now)
-            stopped: Set[Mobile] = set()  # busy for the rest of the tick
+            queues, wildcards = self._interest_queues(stations, active, now)
+            # Ranks (positions in ``active``) busy for the rest of the tick.
+            stopped: Set[int] = set()
+            burst_keys = self._burst_keys
             plan = []  # (station, admitted, group index or None)
             groups = []  # only stations with measured rows
             for index, station in enumerate(stations):
-                self.metrics.incr(f"bursts.{station.cell_id}")
-                queue = active if queues is None else queues[index]
+                self.metrics.incr(burst_keys[station.cell_id])
+                narrowed = queues[index] if queues is not None else None
+                if not narrowed:
+                    queue = wildcards
+                elif wildcards:
+                    # Two ascending runs: a linear merge.
+                    queue = sorted(narrowed + wildcards)
+                else:
+                    queue = narrowed
                 admitted = []
                 measured = []
                 if queue:
+                    n_stopped = len(stopped)
                     cell_id = station.cell_id
                     burst_s = station.schedule.burst_duration_s()
-                    for mobile in queue:
-                        if mobile in stopped:
+                    for rank in queue:
+                        if rank in stopped:
                             continue
+                        mobile = active[rank]
                         rx_beam = mobile._listener.choose_rx_beam(cell_id, now)
                         if rx_beam is None:
                             continue
@@ -390,12 +434,21 @@ class Deployment:
                             remaining = n_stations - index - 1
                             mobile.bursts_declined -= remaining
                             mobile.bursts_skipped_busy += remaining
-                            stopped.add(mobile)
+                            stopped.add(rank)
                         if self._excluded(station, mobile, now):
                             admitted.append((mobile, rx_beam, None))
                         else:
                             admitted.append((mobile, rx_beam, len(measured)))
                             measured.append((mobile, rx_beam))
+                    if (
+                        wildcards
+                        and len(stopped) > n_stopped
+                        and index + 1 < n_stations
+                    ):
+                        # Costs no more than the visits just made.
+                        wildcards = [
+                            rank for rank in wildcards if rank not in stopped
+                        ]
                 self.telemetry.observe("net.burst_batch_size", len(admitted))
                 if not admitted:
                     continue
@@ -416,45 +469,49 @@ class Deployment:
     @staticmethod
     def _interest_queues(
         stations: List[BaseStation], active: List[Mobile], now: float
-    ) -> Optional[List[List[Mobile]]]:
-        """Per tick position, the active mobiles that can take its burst.
+    ) -> Tuple[Optional[List[List[int]]], Sequence[int]]:
+        """Who each tick position asks: ``(queues, wildcards)``.
 
-        Each queue keeps registration order and names a mobile at most
-        once, however often its listener lists the cell.  A mobile whose
-        listener answers ``None`` (or has no ``candidate_cells``) is in
-        every queue.  Returns ``None`` when no mobile narrows its
-        interest, and for a one-station tick, where reading an interest
-        costs about what the one call it could save does: then every
-        station asks every active mobile.
+        Mobiles are named by rank, their position in ``active``
+        (registration order).  ``queues[i]`` lists, ascending and each
+        at most once however often its listener names the cell, the
+        mobiles whose ``candidate_cells`` answer names station ``i``'s
+        cell; ``queues`` is ``None`` when no mobile narrows its
+        interest.  ``wildcards`` lists, ascending, the mobiles whose
+        listener answers ``None`` (or has no ``candidate_cells``):
+        every station asks them until their tick stops.  A one-station
+        tick reads no interests, since reading one costs about what the
+        one call it could save does: every active mobile is a wildcard.
+
+        Cost: one ``candidate_cells`` read per active mobile and one
+        append per cell it names on the tick; a wildcard is listed once,
+        not once per station.
         """
         if len(stations) < 2:
-            return None
-        interests = []
-        narrowed = False
-        for mobile in active:
+            return None, range(len(active))
+        position: Optional[Dict[str, int]] = None
+        queues: Optional[List[List[int]]] = None
+        wildcards: List[int] = []
+        for rank, mobile in enumerate(active):
             candidate_cells = mobile._candidate_cells
             cells = None if candidate_cells is None else candidate_cells(now)
-            narrowed = narrowed or cells is not None
-            interests.append(cells)
-        if not narrowed:
-            return None
-        position = {
-            station.cell_id: index for index, station in enumerate(stations)
-        }
-        queues: List[List[Mobile]] = [[] for _ in stations]
-        for mobile, cells in zip(active, interests):
             if cells is None:
-                for queue in queues:
-                    queue.append(mobile)
+                wildcards.append(rank)
                 continue
+            if position is None:
+                position = {
+                    station.cell_id: index
+                    for index, station in enumerate(stations)
+                }
+                queues = [[] for _ in stations]
             for cell in cells:
                 index = position.get(cell)
                 if index is None:
                     continue
                 queue = queues[index]
-                if not queue or queue[-1] is not mobile:
-                    queue.append(mobile)
-        return queues
+                if not queue or queue[-1] != rank:
+                    queue.append(rank)
+        return queues, wildcards
 
     @staticmethod
     def _measure_requests(measured, now: float):

@@ -100,7 +100,12 @@ class TestSilentTracker:
                 seen.add((tracker.phase, neighbors.state))
                 if neighbors.state is NeighborState.SEARCHING:
                     # A search sweeps nearly every cell: never listed.
-                    assert (interest is None) == bool(neighbors._sweep_order)
+                    sweeping = any(
+                        neighbors.beam_for_burst(station.cell_id) is not None
+                        for station in tracker.deployment.stations
+                    )
+                    assert (neighbors.candidate_cells() is None) == sweeping
+                    assert (interest is None) == sweeping
                 else:
                     assert interest is not None
             return observe

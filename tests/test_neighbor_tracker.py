@@ -1,5 +1,7 @@
 """Unit tests for the neighbor tracker (N-A/R, N-RBA, edges B/C/D/H)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.events import Fig2bEdge, NeighborState
@@ -222,3 +224,78 @@ class TestControl:
         # No adjacent beams: stays on its only beam, no probe offered.
         assert tracker.beam_for_burst("cellB") == 0
         assert tracker.adjacent_switches == 0
+
+
+class TestSweepState:
+    """One beam order and one cursor map per search, whatever the
+    number of cells it sweeps."""
+
+    CELLS = [f"c{k}" for k in range(255)]
+
+    def _tracker(self, cells):
+        return NeighborTracker(Codebook.uniform_azimuth(360.0 / 64), cells,
+                               ewma_alpha=1.0)
+
+    @pytest.mark.parametrize("around_beam", [None, 17])
+    def test_begin_search_footprint(self, around_beam):
+        tracker = self._tracker(self.CELLS)
+        assert len(tracker.codebook) == 64
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            tracker.begin_search(0.0, around_beam=around_beam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A list of 64 beams per cell alone would be ~145 KiB.
+        assert peak - before <= 16 * 1024
+        assert all(tracker.beam_for_burst(cell) is not None for cell in self.CELLS)
+
+    def test_cursors_advance_per_cell(self):
+        tracker = make_tracker(cells=("cellB", "cellC"))
+        tracker.begin_search(0.0)
+        order = tracker.codebook.sweep_order()
+        for k in range(3):
+            beam = tracker.beam_for_burst("cellB")
+            assert beam == order[k]
+            tracker.on_measurement(miss(0.02 * k, beam, cell="cellB"), 0.02 * k)
+        # cellC's sweep has not moved; cellB's resumes where it stopped.
+        assert tracker.beam_for_burst("cellC") == order[0]
+        tracker.on_measurement(miss(0.1, order[0], cell="cellC"), 0.1)
+        assert tracker.beam_for_burst("cellC") == order[1]
+        assert tracker.beam_for_burst("cellB") == order[3]
+        # A dwell on a cell outside the sweep moves no cursor.
+        tracker.on_measurement(miss(0.12, 0, cell="cellZ"), 0.12)
+        assert tracker.beam_for_burst("cellB") == order[3]
+        assert tracker.beam_for_burst("cellZ") is None
+
+    def test_declare_lost_sweeps_in_spiral_order(self):
+        tracker = make_tracking()
+        tracker.retarget(["cellB", "cellC"])
+        tracker.declare_lost(1.0)
+        assert tracker.state is NeighborState.SEARCHING
+        expected = spiral_order(9, len(tracker.codebook))
+        for cell in ("cellC", "cellB"):
+            offered = []
+            for k in range(len(expected) + 2):
+                beam = tracker.beam_for_burst(cell)
+                offered.append(beam)
+                tracker.on_measurement(miss(1.0 + 0.02 * k, beam, cell), 1.0)
+            # The whole spiral, then it wraps around.
+            assert offered == expected + expected[:2]
+
+    def test_retarget_mid_search_leaves_nothing_to_sweep(self):
+        tracker = make_tracker(cells=("cellB", "cellC"))
+        tracker.begin_search(0.0)
+        tracker.retarget(["cellC", "cellD"])
+        assert tracker.state is NeighborState.SEARCHING
+        assert tracker.candidate_cells() == ()
+        for cell in ("cellB", "cellC", "cellD"):
+            assert tracker.beam_for_burst(cell) is None
+        # A new search sweeps the new cell set.
+        tracker.go_idle(0.1)
+        tracker.begin_search(0.2)
+        assert tracker.candidate_cells() is None
+        assert tracker.beam_for_burst("cellB") is None
+        assert tracker.beam_for_burst("cellD") is not None

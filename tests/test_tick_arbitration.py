@@ -261,3 +261,65 @@ class TestInterestIndex:
         # "a" is now busy with c0's burst: the next tick skips it unasked.
         deployment._deliver_tick_batch(deployment.stations)
         assert reads == [("a", 1.0), ("b", 1.0), ("b", 1.0)]
+
+
+def _chosen(log):
+    return [(entry[1], entry[2]) for entry in log if entry[0] == "choose"]
+
+
+def _delivered(log):
+    return [(entry[1], entry[2].cell_id) for entry in log if entry[0] == "measure"]
+
+
+class TestWildcards:
+    """Mobiles whose listener names no cells ride one wildcard list."""
+
+    def test_declining_wildcard_is_asked_later_in_registration_order(self):
+        log = []
+        deployment = _deployment_with([
+            ScriptedCandidates("a", log, [({"c2": 1}, ("c2",))], lambda now: 0),
+            ScriptedCandidates("b", log, [({"c2": 2}, None)], lambda now: 0),
+            ScriptedCandidates("c", log, [({"c2": 3}, ("c2",))], lambda now: 0),
+        ])
+        deployment._deliver_tick_batch(deployment.stations)
+        assert _chosen(log) == [
+            ("b", "c0"), ("b", "c1"), ("a", "c2"), ("b", "c2"), ("c", "c2"),
+        ]
+        assert _delivered(log) == [("a", "c2"), ("b", "c2"), ("c", "c2")]
+        for mobile in deployment.mobiles:
+            assert (mobile.bursts_declined, mobile.bursts_skipped_busy,
+                    mobile.bursts_measured) == (2, 0, 1)
+
+    def test_zero_length_admission_keeps_wildcard_in_play(self):
+        log = []
+        deployment = _deployment_with([
+            ScriptedCandidates("n", log, [({}, ())], lambda now: 0),
+            ScriptedCandidates("w", log, [({"c0": 0, "c1": 1, "c2": 2}, None)],
+                               lambda now: 0),
+        ])
+        deployment.station("c0").schedule.burst_duration_s = lambda: 0.0
+        deployment._deliver_tick_batch(deployment.stations)
+        # c0's burst leaves the chain free, so c1 is asked and ends the tick.
+        assert _chosen(log) == [("w", "c0"), ("w", "c1")]
+        assert _delivered(log) == [("w", "c0"), ("w", "c1")]
+        _, wildcard = deployment.mobiles
+        assert (wildcard.bursts_declined, wildcard.bursts_skipped_busy,
+                wildcard.bursts_measured) == (0, 1, 2)
+
+    def test_stopped_wildcard_is_not_asked_again(self):
+        log = []
+        deployment = _deployment_with([
+            ScriptedCandidates("w", log, [({"c0": 0, "c1": 1, "c2": 2}, None)],
+                               lambda now: 0),
+            ScriptedListener("x", log, [({"c2": 4}, None)], lambda now: 0),
+            ScriptedCandidates("n", log, [({"c1": 5}, ("c1", "c2"))],
+                               lambda now: 0),
+        ])
+        deployment._deliver_tick_batch(deployment.stations)
+        assert _chosen(log) == [
+            ("w", "c0"), ("x", "c0"), ("x", "c1"), ("n", "c1"), ("x", "c2"),
+        ]
+        w, x, n = deployment.mobiles
+        assert (w.bursts_declined, w.bursts_skipped_busy) == (0, 2)
+        assert (x.bursts_declined, x.bursts_skipped_busy) == (2, 0)
+        assert (n.bursts_declined, n.bursts_skipped_busy) == (1, 1)
