@@ -7,7 +7,8 @@ loss edge and forces re-acquisitions.
 """
 
 from repro.analysis.tables import format_table
-from repro.experiments.ablations import summarize_sweep, sweep_adapt_threshold
+from repro.experiments.ablations import sweep_adapt_threshold
+from repro.experiments.fig2c import tracking_headline
 
 
 def reproduce(n_trials):
@@ -20,17 +21,17 @@ def test_ablation_adapt_threshold(benchmark, trial_count):
     sweep = benchmark.pedantic(
         reproduce, args=(max(10, trial_count // 2),), iterations=1, rounds=1
     )
-    summary_rows = summarize_sweep(sweep)
+    summary = {
+        label: tracking_headline(trials) for label, trials in sweep.items()
+    }
     rows = [
         [
-            row["label"],
-            row["completion_rate"],
-            row["mean_switches"] if row["mean_switches"] is not None else "-",
-            row["mean_reacquisitions"]
-            if row["mean_reacquisitions"] is not None
-            else "-",
+            label,
+            headline["completed_per_trial"],
+            headline["switches_per_completed"],
+            headline["reacquisitions_per_completed"],
         ]
-        for row in summary_rows
+        for label, headline in summary.items()
     ]
     print()
     print(
@@ -40,6 +41,5 @@ def test_ablation_adapt_threshold(benchmark, trial_count):
             title="Ablation: adaptation threshold (rotation scenario)",
         )
     )
-    summary = {row["label"]: row for row in summary_rows}
     # The paper's 3 dB point must work under rotation.
-    assert summary["adapt=3dB"]["completion_rate"] >= 0.7
+    assert summary["adapt=3dB"]["completed_per_trial"] >= 0.7

@@ -7,10 +7,8 @@ beams trade search speed against link margin.
 """
 
 from repro.analysis.tables import format_table
-from repro.experiments.ablations import (
-    summarize_sweep,
-    sweep_codebook_beamwidth,
-)
+from repro.experiments.ablations import sweep_codebook_beamwidth
+from repro.experiments.fig2c import tracking_headline
 
 
 def reproduce(n_trials):
@@ -21,17 +19,17 @@ def test_ablation_codebook(benchmark, trial_count):
     sweep = benchmark.pedantic(
         reproduce, args=(max(10, trial_count // 2),), iterations=1, rounds=1
     )
-    summary_rows = summarize_sweep(sweep)
+    summary = {
+        label: tracking_headline(trials) for label, trials in sweep.items()
+    }
     rows = [
         [
-            row["label"],
-            row["trials"],
-            row["completion_rate"],
-            row["mean_completion_s"]
-            if row["mean_completion_s"] is not None
-            else "-",
+            label,
+            headline["trials"],
+            headline["completed_per_trial"],
+            headline["mean_completion_s"],
         ]
-        for row in summary_rows
+        for label, headline in summary.items()
     ]
     print()
     print(
@@ -41,8 +39,10 @@ def test_ablation_codebook(benchmark, trial_count):
             title="Ablation: mobile codebook through the full protocol (walk)",
         )
     )
-    summary = {row["label"]: row for row in summary_rows}
     # Directional codebooks complete; omni collapses end-to-end.
-    assert summary["narrow"]["completion_rate"] >= 0.8
-    assert summary["narrow"]["completion_rate"] >= summary["omni"]["completion_rate"]
-    assert summary["omni"]["completion_rate"] <= 0.5
+    assert summary["narrow"]["completed_per_trial"] >= 0.8
+    assert (
+        summary["narrow"]["completed_per_trial"]
+        >= summary["omni"]["completed_per_trial"]
+    )
+    assert summary["omni"]["completed_per_trial"] <= 0.5

@@ -6,7 +6,8 @@ until the target dominates, lengthening the tracked period.
 """
 
 from repro.analysis.tables import format_table
-from repro.experiments.ablations import summarize_sweep, sweep_handover_margin
+from repro.experiments.ablations import sweep_handover_margin
+from repro.experiments.fig2c import tracking_headline
 
 
 def reproduce(n_trials):
@@ -19,14 +20,17 @@ def test_ablation_handover_margin(benchmark, trial_count):
     sweep = benchmark.pedantic(
         reproduce, args=(max(10, trial_count // 2),), iterations=1, rounds=1
     )
+    summary = {
+        label: tracking_headline(trials) for label, trials in sweep.items()
+    }
     rows = [
         [
-            row["label"],
-            row["trials"],
-            row["completion_rate"],
-            row["mean_completion_s"] if row["mean_completion_s"] is not None else "-",
+            label,
+            headline["trials"],
+            headline["completed_per_trial"],
+            headline["mean_completion_s"],
         ]
-        for row in summarize_sweep(sweep)
+        for label, headline in summary.items()
     ]
     print()
     print(
@@ -36,9 +40,8 @@ def test_ablation_handover_margin(benchmark, trial_count):
             title="Ablation: handover margin T (walk scenario)",
         )
     )
-    summary = {row["label"]: row for row in summarize_sweep(sweep)}
     # The paper's T=3 dB operating point completes reliably.
-    assert summary["T=3dB"]["completion_rate"] >= 0.8
+    assert summary["T=3dB"]["completed_per_trial"] >= 0.8
     # Earlier triggers complete no later than very conservative ones.
     eager = summary["T=0dB"]["mean_completion_s"]
     lazy = summary["T=9dB"]["mean_completion_s"]

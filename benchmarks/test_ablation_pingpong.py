@@ -8,7 +8,7 @@ equal-loss point and counts churn per NR-style time-to-trigger setting
 """
 
 from repro.analysis.tables import format_table
-from repro.experiments.pingpong import summarize_pingpong, sweep_time_to_trigger
+from repro.experiments.pingpong import pingpong_headline, sweep_time_to_trigger
 
 
 def reproduce(n_trials):
@@ -21,15 +21,17 @@ def test_ablation_pingpong(benchmark, trial_count):
     sweep = benchmark.pedantic(
         reproduce, args=(max(6, trial_count // 3),), iterations=1, rounds=1
     )
-    summary_rows = summarize_pingpong(sweep)
+    summary = {
+        label: pingpong_headline(trials) for label, trials in sweep.items()
+    }
     rows = [
         [
-            row["label"],
-            row["mean_handovers"],
-            row["mean_ping_pongs"],
-            row["trials_with_ping_pong"],
+            label,
+            headline["handovers_per_trial"],
+            headline["ping_pongs_per_trial"],
+            headline["trials_with_ping_pong"],
         ]
-        for row in summary_rows
+        for label, headline in summary.items()
     ]
     print()
     print(
@@ -40,13 +42,12 @@ def test_ablation_pingpong(benchmark, trial_count):
             title="Ablation: boundary churn vs time-to-trigger",
         )
     )
-    summary = {row["label"]: row for row in summary_rows}
     # TTT suppresses churn: strictly fewer handovers at 480 ms than at 0.
     assert (
-        summary["ttt=480ms"]["mean_handovers"]
-        < summary["ttt=0ms"]["mean_handovers"]
+        summary["ttt=480ms"]["handovers_per_trial"]
+        < summary["ttt=0ms"]["handovers_per_trial"]
     )
     assert (
-        summary["ttt=480ms"]["mean_ping_pongs"]
-        <= summary["ttt=0ms"]["mean_ping_pongs"]
+        summary["ttt=480ms"]["ping_pongs_per_trial"]
+        <= summary["ttt=0ms"]["ping_pongs_per_trial"]
     )

@@ -8,7 +8,7 @@ make-before-break.
 """
 
 from repro.analysis.tables import format_table
-from repro.experiments.comparison import run_comparison, summarize_comparison
+from repro.experiments.comparison import comparison_headline, run_comparison
 
 
 def reproduce(n_trials):
@@ -21,18 +21,19 @@ def test_baseline_comparison(benchmark, trial_count):
     results = benchmark.pedantic(
         reproduce, args=(max(8, trial_count // 2),), iterations=1, rounds=1
     )
-    summary_rows = summarize_comparison(results)
+    summary = {
+        protocol: comparison_headline(trials)
+        for protocol, trials in results.items()
+    }
     rows = [
         [
-            row["protocol"],
-            row["trials"],
-            row["completed_any"],
-            row["soft_ratio"] if row["soft_ratio"] is not None else "-",
-            row["mean_interruption_s"]
-            if row["mean_interruption_s"] is not None
-            else "-",
+            protocol,
+            headline["trials"],
+            headline["completed_any"],
+            headline["soft_per_resolved"],
+            headline["mean_first_interruption_s"],
         ]
-        for row in summary_rows
+        for protocol, headline in summary.items()
     ]
     print()
     print(
@@ -43,18 +44,20 @@ def test_baseline_comparison(benchmark, trial_count):
             title="Baseline comparison (vehicular drive-by)",
         )
     )
-    summary = {row["protocol"]: row for row in summary_rows}
     tracker = summary["silent-tracker"]
     reactive = summary["reactive"]
     # Silent Tracker hands over softly; reactive only ever hard.
-    assert tracker["soft_ratio"] is not None and tracker["soft_ratio"] >= 0.6
-    assert reactive["soft_ratio"] in (None, 0.0)
+    assert (
+        tracker["soft_per_resolved"] is not None
+        and tracker["soft_per_resolved"] >= 0.6
+    )
+    assert reactive["soft_per_resolved"] in (None, 0.0)
     # Interruption gap: the headline win.
     if (
-        tracker["mean_interruption_s"] is not None
-        and reactive["mean_interruption_s"] is not None
+        tracker["mean_first_interruption_s"] is not None
+        and reactive["mean_first_interruption_s"] is not None
     ):
         assert (
-            tracker["mean_interruption_s"]
-            < reactive["mean_interruption_s"]
+            tracker["mean_first_interruption_s"]
+            < reactive["mean_first_interruption_s"]
         )

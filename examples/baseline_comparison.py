@@ -11,7 +11,7 @@ Run:  python examples/baseline_comparison.py [n_trials]
 import sys
 
 from repro.analysis.tables import format_table
-from repro.experiments.comparison import run_comparison, summarize_comparison
+from repro.experiments.comparison import comparison_headline, run_comparison
 
 
 def main() -> None:
@@ -20,18 +20,18 @@ def main() -> None:
         results = run_comparison(
             scenario=scenario, n_trials=n_trials, base_seed=4200
         )
-        rows = [
-            [
-                row["protocol"],
-                row["trials"],
-                row["completed_any"],
-                row["soft_ratio"] if row["soft_ratio"] is not None else "-",
-                row["mean_interruption_s"]
-                if row["mean_interruption_s"] is not None
-                else "-",
-            ]
-            for row in summarize_comparison(results)
-        ]
+        rows = []
+        for protocol, trials in results.items():
+            headline = comparison_headline(trials)
+            rows.append(
+                [
+                    protocol,
+                    headline["trials"],
+                    headline["completed_any"],
+                    headline["soft_per_resolved"],
+                    headline["mean_first_interruption_s"],
+                ]
+            )
         print(
             format_table(
                 ["protocol", "trials", "completed", "soft ratio",

@@ -18,7 +18,12 @@ from pathlib import Path
 
 from repro import register_protocol, register_scenario
 from repro.api import Session, TrialSpec
-from repro.campaign import CampaignSpec, run_campaign, summarize_campaign
+from repro.campaign import (
+    CampaignSpec,
+    group_trials,
+    run_campaign,
+    summarize_campaign,
+)
 from repro.fleet import FleetSpec, UserProfile, run_fleet_trial
 from repro.geometry.vectors import Vec3
 from repro.mobility.walk import HumanWalk
@@ -94,7 +99,7 @@ def build_jog(rng, start_x):
 
 def main() -> None:
     # 1. The plugin arms show up next to the built-ins.
-    from repro.registry import PROTOCOLS, SCENARIOS
+    from repro.registry import EXPERIMENTS, PROTOCOLS, SCENARIOS
 
     print("registered protocols:", ", ".join(PROTOCOLS.names()))
     print("registered scenarios:", ", ".join(SCENARIOS.names()))
@@ -126,14 +131,14 @@ def main() -> None:
         for row in rows:
             print("  ", dict(zip(headers, row)))
 
-    sticky_trials = [
-        trial
-        for cell, trial in result.trials_in_order()
-        if cell.protocol == "sticky"
-    ]
-    assert sticky_trials and all(
-        t.handovers_completed == 0 for t in sticky_trials
-    ), "sticky camper must never hand over"
+    # Every arm, plugin or built-in, is summarized by its experiment
+    # kind's one headline definition.
+    sticky = EXPERIMENTS.get("comparison").headline(
+        group_trials(result.results_in_order(), "protocol")["sticky"]
+    )
+    assert sticky["trials"] == spec.seeds and sticky["completed_any"] == 0, (
+        "sticky camper must never hand over"
+    )
 
     # 4. Several users on a corridor whose SSB ticks carry several
     #    cells each: every tick reads each listener's candidate_cells()

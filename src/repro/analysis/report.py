@@ -10,44 +10,31 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.analysis.stats import empirical_cdf, summarize
-from repro.experiments.comparison import run_comparison, summarize_comparison
+from repro.analysis.stats import empirical_cdf
+from repro.analysis.tables import format_markdown_table
+from repro.campaign.aggregate import headline_table
+from repro.experiments.comparison import comparison_headline, run_comparison
 from repro.experiments.fig2a import run_fig2a
 from repro.experiments.fig2c import run_fig2c
 
 
-def _markdown_table(headers: List[str], rows: List[List]) -> str:
-    def cell(value) -> str:
-        if isinstance(value, float):
-            return f"{value:.3f}"
-        return str(value)
-
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(cell(c) for c in row) + " |")
-    return "\n".join(lines)
+def _percent(name: str):
+    return lambda headline: f"{100.0 * headline[name]:.0f}%"
 
 
 def fig2a_section(n_trials: int, base_seed: int = 5000) -> str:
     """Markdown for both Fig. 2a panels."""
     results = run_fig2a(n_trials=n_trials, base_seed=base_seed)
-    rows = []
-    for kind in ("narrow", "wide", "omni"):
-        data = results[kind]
-        latency = data["latency"]
-        rows.append(
-            [
-                kind,
-                f"{100.0 * data['success_rate']:.0f}%",
-                latency.get("mean", "-") if latency["count"] else "-",
-                latency.get("p50", "-") if latency["count"] else "-",
-            ]
-        )
-    table = _markdown_table(
-        ["codebook", "search success", "mean dwells", "median dwells"], rows
+    headlines = {
+        kind: results[kind]["headline"] for kind in ("narrow", "wide", "omni")
+    }
+    columns = (
+        ("search success", _percent("successes_per_trial")),
+        ("mean dwells", "mean_dwells"),
+        ("median dwells", "p50_dwells"),
+    )
+    table = format_markdown_table(
+        *headline_table(("codebook",), headlines, columns)
     )
     return (
         "## Fig. 2a — directional search under mobility (human walk)\n\n"
@@ -60,21 +47,19 @@ def fig2a_section(n_trials: int, base_seed: int = 5000) -> str:
 def fig2c_section(n_trials: int, base_seed: int = 5100) -> str:
     """Markdown for the Fig. 2c CDFs."""
     results = run_fig2c(n_trials=n_trials, base_seed=base_seed)
-    rows = []
+    headlines = {
+        scenario: results[scenario]["headline"]
+        for scenario in ("walk", "rotation", "vehicular")
+    }
+    columns = (
+        ("completion", _percent("completed_per_trial")),
+        ("soft", _percent("soft_per_completed")),
+        ("p50 (s)", "p50_completion_s"),
+        ("p90 (s)", "p90_completion_s"),
+    )
     cdf_lines = []
-    for scenario in ("walk", "rotation", "vehicular"):
-        data = results[scenario]
-        times = data["completion_times_s"]
-        summary = summarize(times)
-        rows.append(
-            [
-                scenario,
-                f"{100.0 * data['completion_rate']:.0f}%",
-                f"{100.0 * data['soft_rate']:.0f}%",
-                summary.get("p50", "-"),
-                summary.get("p90", "-"),
-            ]
-        )
+    for scenario, headline in headlines.items():
+        times = headline["completion_times_s"]
         if times:
             xs, ps = empirical_cdf(times)
             points = ", ".join(
@@ -83,8 +68,8 @@ def fig2c_section(n_trials: int, base_seed: int = 5100) -> str:
                                 ps[:: max(1, len(ps) // 6)])
             )
             cdf_lines.append(f"* {scenario}: {points}")
-    table = _markdown_table(
-        ["scenario", "completion", "soft", "p50 (s)", "p90 (s)"], rows
+    table = format_markdown_table(
+        *headline_table(("scenario",), headlines, columns)
     )
     return (
         "## Fig. 2c — soft-handover completion time\n\n"
@@ -100,19 +85,17 @@ def comparison_section(n_trials: int, base_seed: int = 5200) -> str:
     results = run_comparison(
         scenario="vehicular", n_trials=n_trials, base_seed=base_seed
     )
-    rows = [
-        [
-            row["protocol"],
-            row["completed_any"],
-            row["soft_ratio"] if row["soft_ratio"] is not None else "-",
-            row["mean_interruption_s"]
-            if row["mean_interruption_s"] is not None
-            else "-",
-        ]
-        for row in summarize_comparison(results)
-    ]
-    table = _markdown_table(
-        ["protocol", "completed", "soft ratio", "mean interruption (s)"], rows
+    headlines = {
+        protocol: comparison_headline(trials)
+        for protocol, trials in results.items()
+    }
+    columns = (
+        ("completed", "completed_any"),
+        ("soft ratio", "soft_per_resolved"),
+        ("mean interruption (s)", "mean_first_interruption_s"),
+    )
+    table = format_markdown_table(
+        *headline_table(("protocol",), headlines, columns)
     )
     return (
         "## Baseline comparison (vehicular)\n\n"

@@ -1,7 +1,9 @@
-"""ASCII table rendering for benchmark output.
+"""ASCII and markdown table rendering for benchmark and report output.
 
 The benches print the same rows the paper's figures report; a plain
-monospace table keeps the output diffable and terminal-friendly.
+monospace table keeps the output diffable and terminal-friendly.  Both
+table kinds render their cells the same way: floats to three decimals,
+``None`` (a statistic with no sample) as ``-``.
 """
 
 from __future__ import annotations
@@ -10,9 +12,22 @@ from typing import List, Sequence
 
 
 def _render_cell(value) -> str:
+    if value is None:
+        return "-"
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)
+
+
+def format_markdown_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """Render headers + rows as a GitHub-flavoured markdown table."""
+    lines = [
+        "| " + " | ".join(headers) + " |",
+        "|" + "|".join("---" for _ in headers) + "|",
+    ]
+    for row in rows:
+        lines.append("| " + " | ".join(_render_cell(c) for c in row) + " |")
+    return "\n".join(lines)
 
 
 def format_table(

@@ -10,8 +10,8 @@ writing one JSON artifact per cell:
   deterministic regardless of worker count (shared with sharded fleets).
 * :mod:`repro.campaign.store` — the on-disk task store and resume
   bookkeeping (shared with sharded fleets).
-* :mod:`repro.campaign.aggregate` — artifacts back into the summary
-  structures :mod:`repro.analysis` consumes.
+* :mod:`repro.campaign.aggregate` — artifacts grouped into arms, each
+  summarized by its experiment kind's headline statistics.
 * :mod:`repro.campaign.progress` — reporting hooks for the CLI.
 
 Quickstart::
@@ -32,12 +32,8 @@ Interrupt it, run it again: completed cells are skipped.
 """
 
 from repro.campaign.aggregate import (
-    aggregate_by_protocol,
-    aggregate_comparison,
-    aggregate_search,
-    aggregate_sweep,
-    aggregate_tracking,
-    aggregate_workload,
+    group_trials,
+    headline_table,
     load_campaign,
     summarize_campaign,
 )
@@ -88,16 +84,12 @@ __all__ = [
     "ProgressReporter",
     "SpecError",
     "StoreError",
-    "aggregate_by_protocol",
-    "aggregate_comparison",
-    "aggregate_search",
-    "aggregate_sweep",
-    "aggregate_tracking",
-    "aggregate_workload",
     "build_config",
     "config_to_overrides",
     "decode_payload",
     "execute_cell",
+    "group_trials",
+    "headline_table",
     "load_campaign",
     "load_spec",
     "resume_campaign",

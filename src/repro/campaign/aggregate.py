@@ -1,10 +1,13 @@
-"""Aggregate campaign artifacts into the structures the figures consume.
+"""Group campaign results by arm and lay out each arm's headline.
 
-The one-shot experiment entry points (``run_fig2a`` and friends) predate
-the campaign subsystem, and everything downstream — ``repro.analysis``
-tables, the markdown report, the benchmarks — consumes their return
-shapes.  The aggregators here rebuild exactly those shapes from
-``(cell, payload)`` pairs, whether the pairs come from an in-memory
+Every experiment kind registers one ``headline(trials)`` (see
+:class:`repro.registry.ExperimentDef`): the kind's only definition of
+its per-arm statistics.  A headline is a dict of named rates and counts
+(``None`` where there is nothing to average) and named sample vectors
+(tuples); a rate's name says what it divides by, as in
+``soft_per_completed``.  This module groups decoded trials into arms and
+lays their headlines out as tables, whether the ``(cell, payload)``
+pairs come from an in-memory
 :class:`~repro.campaign.runner.CampaignResult` or were loaded back from
 a campaign directory written last week.
 """
@@ -12,11 +15,12 @@ a campaign directory written last week.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from repro.campaign.runner import decode_payload
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import ArtifactStore
+from repro.registry import EXPERIMENTS
 
 PathLike = Union[str, Path]
 ResultPairs = Iterable[Tuple[CampaignCell, dict]]
@@ -28,212 +32,60 @@ def load_campaign(out_dir: PathLike) -> Tuple[CampaignSpec, List[Tuple[CampaignC
     return store.load_spec(), store.load_results()
 
 
-def decoded_trials(pairs: ResultPairs) -> List[Tuple[CampaignCell, object]]:
-    """Decode every payload into its trial dataclass, keeping the cell."""
-    return [
-        (cell, decode_payload(cell.experiment, payload))
-        for cell, payload in pairs
-    ]
+def group_trials(pairs: ResultPairs, *fields: str) -> Dict[object, list]:
+    """Decoded trials grouped by cell ``fields``, arms and trials in grid order.
 
-
-# ------------------------------------------------------------------- search
-def aggregate_search(pairs: ResultPairs) -> Dict[str, Dict[str, dict]]:
-    """Fig. 2a shape per scenario: ``{scenario: {codebook: {...}}}``.
-
-    The inner dict matches :func:`repro.experiments.fig2a.run_fig2a`:
-    ``success_rate``, ``latency`` summary over successful trials'
-    dwell counts, and the full ``trials`` list.
+    One field keys each arm by that cell attribute (``"protocol"``);
+    several key it by the tuple of them.
     """
-    from repro.analysis.stats import success_rate, summarize
-
-    grouped: Dict[str, Dict[str, list]] = {}
-    for cell, trial in decoded_trials(pairs):
-        grouped.setdefault(cell.scenario, {}).setdefault(
-            cell.protocol, []
-        ).append(trial)
-    results: Dict[str, Dict[str, dict]] = {}
-    for scenario, by_codebook in grouped.items():
-        results[scenario] = {}
-        for codebook, trials in by_codebook.items():
-            successes = [t for t in trials if t.success]
-            results[scenario][codebook] = {
-                "success_rate": success_rate(len(successes), len(trials)),
-                "latency": summarize([float(t.dwells) for t in successes]),
-                "trials": trials,
-            }
-    return results
-
-
-# ----------------------------------------------------------------- tracking
-def aggregate_tracking(pairs: ResultPairs) -> Dict[str, dict]:
-    """Fig. 2c shape: ``{scenario: {...}}`` with completion-time stats."""
-    from repro.net.handover import HandoverOutcome
-
-    grouped: Dict[str, list] = {}
-    for cell, trial in decoded_trials(pairs):
-        grouped.setdefault(cell.scenario, []).append(trial)
-    results: Dict[str, dict] = {}
-    for scenario, trials in grouped.items():
-        completed = [t for t in trials if t.completed]
-        soft = [t for t in completed if t.outcome is HandoverOutcome.SOFT]
-        results[scenario] = {
-            "completion_times_s": [t.completion_time_s for t in completed],
-            "completion_rate": len(completed) / len(trials),
-            "soft_rate": (len(soft) / len(completed)) if completed else 0.0,
-            "trials": trials,
-        }
-    return results
-
-
-def aggregate_sweep(pairs: ResultPairs) -> Dict[str, list]:
-    """Ablation shape: ``{override_label: [TrackingTrialResult, ...]}``."""
-    grouped: Dict[str, list] = {}
-    for cell, trial in decoded_trials(pairs):
-        grouped.setdefault(cell.override_label, []).append(trial)
+    grouped: Dict[object, list] = {}
+    for cell, payload in pairs:
+        key = tuple(getattr(cell, name) for name in fields)
+        grouped.setdefault(key[0] if len(fields) == 1 else key, []).append(
+            decode_payload(cell.experiment, payload)
+        )
     return grouped
 
 
-# --------------------------------------------------------------- comparison
-def aggregate_by_protocol(pairs: ResultPairs) -> Dict[str, list]:
-    """``{protocol arm: [trial, ...]}`` in grid order, any experiment kind."""
-    grouped: Dict[str, list] = {}
-    for cell, trial in decoded_trials(pairs):
-        grouped.setdefault(cell.protocol, []).append(trial)
-    return grouped
+def headline_table(
+    labels: Tuple[str, ...], headlines: Mapping[object, dict], columns
+) -> Tuple[List[str], List[list]]:
+    """``(headers, rows)``: one row per arm, its key cells then ``columns``.
+
+    ``headlines`` maps each arm's key (one cell, or a tuple of cells, for
+    the ``labels`` headers) to its headline; ``columns`` is a sequence of
+    ``(header, headline name or callable(headline))`` pairs.
+    """
+    rows = []
+    for key, headline in headlines.items():
+        row = list(key) if isinstance(key, tuple) else [key]
+        for _, source in columns:
+            row.append(source(headline) if callable(source) else headline[source])
+        rows.append(row)
+    return [*labels, *(header for header, _ in columns)], rows
 
 
-def aggregate_comparison(pairs: ResultPairs) -> Dict[str, list]:
-    """Baseline-comparison shape: ``{protocol: [trial, ...]}``."""
-    return aggregate_by_protocol(pairs)
-
-
-# ----------------------------------------------------------------- workload
-def aggregate_workload(pairs: ResultPairs) -> Dict[str, Dict[str, list]]:
-    """Workload shape: ``{scenario: {policy: [trace, ...]}}`` (seed order)."""
-    grouped: Dict[str, Dict[str, list]] = {}
-    for cell, trace in decoded_trials(pairs):
-        grouped.setdefault(cell.scenario, {}).setdefault(
-            cell.protocol, []
-        ).append(trace)
-    return grouped
-
-
-# ------------------------------------------------------------------ summary
 def summarize_campaign(
     spec: CampaignSpec, pairs: ResultPairs
 ) -> Tuple[List[str], List[list]]:
     """``(headers, rows)`` for a per-arm summary table of any kind.
 
-    One row per (scenario, protocol, override) arm with the headline
-    number(s) for the experiment kind; feed straight into
+    One row per (scenario, protocol, override) arm: the arm's cell count,
+    then its kind's headline columns (every rate and count under its own
+    name for a kind that declares none).  Feed straight into
     :func:`repro.analysis.tables.format_table`.
     """
-    from repro.analysis.stats import summarize
-    from repro.net.handover import HandoverOutcome
-
-    arms: Dict[Tuple[str, str, str], list] = {}
-    for cell, trial in decoded_trials(pairs):
-        key = (cell.scenario, cell.protocol, cell.override_label)
-        arms.setdefault(key, []).append(trial)
-
-    headers = ["scenario", "protocol", "override", "cells"]
-    rows: List[list] = []
-    if spec.experiment == "search":
-        headers += ["success %", "mean dwells"]
-        for (scenario, protocol, label), trials in arms.items():
-            successes = [t for t in trials if t.success]
-            latency = summarize([float(t.dwells) for t in successes])
-            rows.append(
-                [
-                    scenario,
-                    protocol,
-                    label,
-                    len(trials),
-                    100.0 * len(successes) / len(trials),
-                    latency["mean"] if latency["count"] else "-",
-                ]
-            )
-    elif spec.experiment == "tracking":
-        headers += ["completion", "soft", "p50 (s)"]
-        for (scenario, protocol, label), trials in arms.items():
-            completed = [t for t in trials if t.completed]
-            soft = [t for t in completed if t.outcome is HandoverOutcome.SOFT]
-            times = summarize([t.completion_time_s for t in completed])
-            rows.append(
-                [
-                    scenario,
-                    protocol,
-                    label,
-                    len(trials),
-                    len(completed) / len(trials),
-                    (len(soft) / len(completed)) if completed else 0.0,
-                    times["p50"] if times["count"] else "-",
-                ]
-            )
-    elif spec.experiment == "comparison":
-        headers += ["completed", "soft", "hard", "mean interruption (s)"]
-        for (scenario, protocol, label), trials in arms.items():
-            completed = [t for t in trials if t.handovers_completed > 0]
-            interruptions = [
-                t.first_interruption_s
-                for t in completed
-                if t.first_interruption_s is not None
-            ]
-            rows.append(
-                [
-                    scenario,
-                    protocol,
-                    label,
-                    len(trials),
-                    len(completed),
-                    sum(t.soft_handovers for t in trials),
-                    sum(t.hard_handovers for t in trials),
-                    sum(interruptions) / len(interruptions)
-                    if interruptions
-                    else "-",
-                ]
-            )
-    elif spec.experiment == "fleet":
-        headers += [
-            "users",
-            "handovers",
-            "p50 search (s)",
-            "p90 outage frac",
-        ]
-        for (scenario, protocol, label), trials in arms.items():
-            totals = [t.aggregates["totals"] for t in trials]
-            searches = [
-                x for t in trials for u in t.users for x in u.search_latencies_s
-            ]
-            outages = [u.outage_fraction for t in trials for u in t.users]
-            search_summary = summarize(searches)
-            outage_summary = summarize(outages)
-            rows.append(
-                [
-                    scenario,
-                    protocol,
-                    label,
-                    len(trials),
-                    sum(t["users"] for t in totals),
-                    sum(t["handovers_completed"] for t in totals),
-                    search_summary.get("p50", "-"),
-                    outage_summary.get("p90", "-"),
-                ]
-            )
-    elif spec.experiment == "workload":
-        headers += ["mean duty cycle", "points"]
-        from repro.experiments.workloads import detection_duty_cycle
-
-        for (scenario, protocol, label), traces in arms.items():
-            duties = [detection_duty_cycle(trace) for trace in traces]
-            rows.append(
-                [
-                    scenario,
-                    protocol,
-                    label,
-                    len(traces),
-                    sum(duties) / len(duties),
-                    sum(len(trace) for trace in traces),
-                ]
-            )
-    return headers, rows
+    kind = EXPERIMENTS.get(spec.experiment)
+    headlines = {
+        (*arm, len(trials)): kind.headline(trials)
+        for arm, trials in group_trials(
+            pairs, "scenario", "protocol", "override_label"
+        ).items()
+    }
+    columns = kind.columns
+    if not columns and headlines:
+        first = next(iter(headlines.values()))
+        columns = [(k, k) for k, v in first.items() if not isinstance(v, tuple)]
+    return headline_table(
+        ("scenario", "protocol", "override", "cells"), headlines, columns
+    )

@@ -59,7 +59,7 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.analysis.stats import empirical_cdf, summarize
+from repro.analysis.stats import empirical_cdf
 from repro.analysis.tables import format_cdf_series, format_table
 from repro.bench.harness import BenchError
 from repro.campaign.runner import CampaignError
@@ -113,28 +113,24 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig2a(args: argparse.Namespace) -> int:
+    from repro.campaign.aggregate import headline_table
     from repro.experiments.fig2a import run_fig2a
 
     results = run_fig2a(
         n_trials=args.trials, scenario=args.scenario, base_seed=args.seed,
         workers=args.workers,
     )
-    rows = []
-    for kind in ("narrow", "wide", "omni"):
-        data = results[kind]
-        latency = data["latency"]
-        rows.append(
-            [
-                kind,
-                100.0 * data["success_rate"],
-                latency["mean"] if latency["count"] else "-",
-                latency["p50"] if latency["count"] else "-",
-            ]
-        )
+    headlines = {
+        kind: results[kind]["headline"] for kind in ("narrow", "wide", "omni")
+    }
+    columns = (
+        ("success %", lambda h: 100.0 * h["successes_per_trial"]),
+        ("mean dwells", "mean_dwells"),
+        ("p50 dwells", "p50_dwells"),
+    )
     print(
         format_table(
-            ["codebook", "success %", "mean dwells", "p50 dwells"],
-            rows,
+            *headline_table(("codebook",), headlines, columns),
             title=f"Fig. 2a ({args.scenario}, {args.trials} trials)",
         )
     )
@@ -142,36 +138,29 @@ def _cmd_fig2a(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig2c(args: argparse.Namespace) -> int:
+    from repro.campaign.aggregate import headline_table
     from repro.experiments.fig2c import run_fig2c
 
     results = run_fig2c(
         n_trials=args.trials, base_seed=args.seed, workers=args.workers
     )
-    rows = []
-    for scenario in ("walk", "rotation", "vehicular"):
-        data = results[scenario]
-        summary = summarize(data["completion_times_s"])
-        rows.append(
-            [
-                scenario,
-                data["completion_rate"],
-                data["soft_rate"],
-                summary.get("p50", "-"),
-                summary.get("p90", "-"),
-            ]
-        )
+    headlines = {
+        scenario: results[scenario]["headline"]
+        for scenario in ("walk", "rotation", "vehicular")
+    }
     print(
         format_table(
-            ["scenario", "completion", "soft", "p50 (s)", "p90 (s)"],
-            rows,
+            *headline_table(
+                ("scenario",), headlines, EXPERIMENTS.get("tracking").columns
+            ),
             title=f"Fig. 2c ({args.trials} trials per scenario)",
         )
     )
     if args.cdf:
         series = {
-            scenario: results[scenario]["completion_times_s"]
-            for scenario in ("walk", "rotation", "vehicular")
-            if results[scenario]["completion_times_s"]
+            scenario: headline["completion_times_s"]
+            for scenario, headline in headlines.items()
+            if headline["completion_times_s"]
         }
         if series:
             from repro.analysis.plotting import ascii_cdf_plot
@@ -186,30 +175,25 @@ def _cmd_fig2c(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.experiments.comparison import (
-        run_comparison,
-        summarize_comparison,
-    )
+    from repro.campaign.aggregate import headline_table
+    from repro.experiments.comparison import comparison_headline, run_comparison
 
     results = run_comparison(
         scenario=args.scenario, n_trials=args.trials, base_seed=args.seed,
         workers=args.workers,
     )
-    rows = [
-        [
-            row["protocol"],
-            row["completed_any"],
-            row["soft_ratio"] if row["soft_ratio"] is not None else "-",
-            row["mean_interruption_s"]
-            if row["mean_interruption_s"] is not None
-            else "-",
-        ]
-        for row in summarize_comparison(results)
-    ]
+    headlines = {
+        protocol: comparison_headline(trials)
+        for protocol, trials in results.items()
+    }
+    columns = (
+        ("completed", "completed_any"),
+        ("soft ratio", "soft_per_resolved"),
+        ("interruption (s)", "mean_first_interruption_s"),
+    )
     print(
         format_table(
-            ["protocol", "completed", "soft ratio", "interruption (s)"],
-            rows,
+            *headline_table(("protocol",), headlines, columns),
             title=f"Baselines ({args.scenario}, {args.trials} trials)",
         )
     )

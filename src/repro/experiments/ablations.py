@@ -2,14 +2,16 @@
 
 The paper fixes three constants (3 dB adaptation, 10 dB loss, margin T);
 these sweeps quantify how sensitive the headline behaviour is to each —
-the analysis a full-paper evaluation would include.
+the analysis a full-paper evaluation would include.  Every sweep runs
+the ``tracking`` experiment kind and returns ``{arm: [trial, ...]}``;
+:func:`repro.experiments.fig2c.tracking_headline` summarizes an arm.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.campaign.aggregate import aggregate_by_protocol, aggregate_sweep
+from repro.campaign.aggregate import group_trials
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, config_to_overrides
 from repro.core.beamsurfer import BeamSurferConfig
@@ -50,7 +52,7 @@ def _run_sweep(
 ) -> Dict[str, List[TrackingTrialResult]]:
     spec = sweep_spec(configs, scenario, n_trials, base_seed, codebook)
     result = run_campaign(spec, workers=workers)
-    return aggregate_sweep(result.results_in_order())
+    return group_trials(result.results_in_order(), "override_label")
 
 
 def sweep_handover_margin(
@@ -116,7 +118,7 @@ def sweep_codebook_beamwidth(
         overrides={"default": config_to_overrides(SilentTrackerConfig())},
     )
     result = run_campaign(spec, workers=workers)
-    return aggregate_by_protocol(result.results_in_order())
+    return group_trials(result.results_in_order(), "protocol")
 
 
 def sweep_loss_threshold(
@@ -133,32 +135,3 @@ def sweep_loss_threshold(
             loss_threshold_db=threshold
         )
     return _run_sweep(configs, scenario, n_trials, base_seed, workers=workers)
-
-
-def summarize_sweep(
-    sweep: Dict[str, List[TrackingTrialResult]]
-) -> List[dict]:
-    """One summary row per sweep arm (label, completion rate, mean time...)."""
-    rows = []
-    for label, trials in sweep.items():
-        completed = [t for t in trials if t.completed]
-        times = [t.completion_time_s for t in completed]
-        rows.append(
-            {
-                "label": label,
-                "trials": len(trials),
-                "completion_rate": len(completed) / len(trials) if trials else 0.0,
-                "mean_completion_s": sum(times) / len(times) if times else None,
-                "mean_switches": (
-                    sum(t.beam_switches for t in completed) / len(completed)
-                    if completed
-                    else None
-                ),
-                "mean_reacquisitions": (
-                    sum(t.reacquisitions for t in completed) / len(completed)
-                    if completed
-                    else None
-                ),
-            }
-        )
-    return rows

@@ -11,6 +11,20 @@ The module registers the ``comparison`` experiment kind: its campaign
 :data:`repro.registry.PROTOCOLS` — so a plugin protocol registered via
 :func:`repro.registry.register_protocol` slots straight into the same
 paired-seed grid as the paper's three arms.
+
+Softness is reported two ways, and :func:`comparison_headline` names
+both by what they count:
+
+* ``soft`` is a **count**: soft handovers summed over the arm's trials
+  (every completed handover of a trial, not only its first).  ``repro
+  campaign summarize`` prints it as "soft", next to the ``hard`` count.
+* ``soft_per_resolved`` is a **ratio**: soft / (soft + hard) over the
+  same handovers, ``None`` when none completed.  ``repro compare`` and
+  ``repro report`` print it as "soft ratio".
+
+``completed_any`` counts the trials with at least one completed
+handover, and ``mean_first_interruption_s`` averages the first completed
+handover's service interruption over those trials.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.api import Session, TrialSpec
-from repro.campaign.aggregate import aggregate_comparison
+from repro.campaign.aggregate import group_trials
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, build_config
 from repro.core.config import SilentTrackerConfig
@@ -97,9 +111,44 @@ def _decode_comparison(payload: dict) -> ComparisonTrialResult:
     return ComparisonTrialResult(**payload)
 
 
+def comparison_headline(trials) -> dict:
+    """Handover counts, softness and interruption of one protocol arm.
+
+    See the module docstring for ``soft`` (a count) versus
+    ``soft_per_resolved`` (a ratio).
+    """
+    completed = [t for t in trials if t.handovers_completed > 0]
+    interruptions = tuple(
+        t.first_interruption_s
+        for t in completed
+        if t.first_interruption_s is not None
+    )
+    soft = sum(t.soft_handovers for t in trials)
+    hard = sum(t.hard_handovers for t in trials)
+    return {
+        "trials": len(trials),
+        "completed_any": len(completed),
+        "soft": soft,
+        "hard": hard,
+        "soft_per_resolved": soft / (soft + hard) if soft + hard else None,
+        "mean_first_interruption_s": (
+            sum(interruptions) / len(interruptions) if interruptions else None
+        ),
+        "first_interruptions_s": interruptions,
+    }
+
+
 @register_experiment(
     "comparison",
     decode=_decode_comparison,
+    headline=comparison_headline,
+    columns=(
+        ("completed", "completed_any"),
+        ("soft", "soft"),
+        ("hard", "hard"),
+        ("soft ratio", "soft_per_resolved"),
+        ("mean interruption (s)", "mean_first_interruption_s"),
+    ),
     axis="protocol",
     protocol_axis="protocol",
     protocol_names=PROTOCOLS.names,
@@ -148,7 +197,8 @@ def run_comparison(
     """All protocol arms over the same seeds (paired comparison).
 
     Thin wrapper over :func:`repro.campaign.runner.run_campaign` on the
-    :func:`comparison_spec` grid.
+    :func:`comparison_spec` grid.  Returns ``{protocol: [trial, ...]}``
+    in grid order; :func:`comparison_headline` summarizes an arm.
     """
     spec = comparison_spec(
         scenario=scenario,
@@ -157,34 +207,4 @@ def run_comparison(
         protocols=protocols,
     )
     result = run_campaign(spec, workers=workers)
-    return aggregate_comparison(result.results_in_order())
-
-
-def summarize_comparison(
-    results: Dict[str, List[ComparisonTrialResult]]
-) -> List[dict]:
-    """One row per protocol: completion, softness, interruption."""
-    rows = []
-    for name, trials in results.items():
-        completed = [t for t in trials if t.handovers_completed > 0]
-        interruptions = [
-            t.first_interruption_s
-            for t in completed
-            if t.first_interruption_s is not None
-        ]
-        total_soft = sum(t.soft_handovers for t in trials)
-        total_resolved = total_soft + sum(t.hard_handovers for t in trials)
-        rows.append(
-            {
-                "protocol": name,
-                "trials": len(trials),
-                "completed_any": len(completed),
-                "soft_ratio": (total_soft / total_resolved) if total_resolved else None,
-                "mean_interruption_s": (
-                    sum(interruptions) / len(interruptions)
-                    if interruptions
-                    else None
-                ),
-            }
-        )
-    return rows
+    return group_trials(result.results_in_order(), "protocol")

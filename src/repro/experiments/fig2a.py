@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.api import Session, TrialSpec
-from repro.campaign.aggregate import aggregate_search
+from repro.campaign.aggregate import group_trials
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.core.events import NeighborState
@@ -117,9 +117,57 @@ def _decode_search(payload: dict) -> SearchTrialResult:
     return SearchTrialResult(**payload)
 
 
+def search_headline(trials) -> dict:
+    """Search success and dwell counts of one arm (the Fig. 2a panels).
+
+    ``successes_per_trial`` is successful searches / trials.  ``dwells``
+    holds the dwell counts of the successful searches, which
+    ``mean_dwells`` and ``p50_dwells`` summarize (``None`` without a
+    success).  Any trials with ``success`` and ``dwells`` fields will do.
+    """
+    from repro.analysis.stats import success_rate, summarize
+
+    dwells = tuple(float(t.dwells) for t in trials if t.success)
+    latency = summarize(dwells)
+    return {
+        "trials": len(trials),
+        "successes": len(dwells),
+        "successes_per_trial": success_rate(len(dwells), len(trials)),
+        "mean_dwells": latency.get("mean"),
+        "p50_dwells": latency.get("p50"),
+        "dwells": dwells,
+    }
+
+
+#: ``repro campaign summarize`` columns of a search arm.
+SEARCH_COLUMNS = (
+    ("success %", lambda h: 100.0 * h["successes"] / h["trials"]),
+    ("mean dwells", "mean_dwells"),
+    ("p50 dwells", "p50_dwells"),
+)
+
+
+def search_arms(pairs, headline=search_headline) -> Dict[str, dict]:
+    """:func:`run_fig2a`'s per-codebook dicts, one per protocol arm."""
+    from repro.analysis.stats import summarize
+
+    arms = {}
+    for arm, trials in group_trials(pairs, "protocol").items():
+        summary = headline(trials)
+        arms[arm] = {
+            "success_rate": summary["successes_per_trial"],
+            "latency": summarize(summary["dwells"]),
+            "trials": trials,
+            "headline": summary,
+        }
+    return arms
+
+
 @register_experiment(
     "search",
     decode=_decode_search,
+    headline=search_headline,
+    columns=SEARCH_COLUMNS,
     axis="codebook",
     protocol_axis="codebook",
     protocol_names=CODEBOOKS.names,
@@ -171,9 +219,10 @@ def run_fig2a(
     :func:`fig2a_spec` grid (in-memory; pass ``workers`` to fan the
     trials out over processes).  Returns, per codebook kind::
 
-        {"success_rate": float,
+        {"success_rate": float,         # successes / trials
          "latency": summary-dict over dwell counts of successful trials,
-         "trials": [SearchTrialResult, ...]}
+         "trials": [SearchTrialResult, ...],
+         "headline": dict}              # see search_headline
     """
     spec = fig2a_spec(
         n_trials=n_trials,
@@ -182,5 +231,4 @@ def run_fig2a(
         base_seed=base_seed,
         codebooks=codebooks,
     )
-    result = run_campaign(spec, workers=workers)
-    return aggregate_search(result.results_in_order())[scenario]
+    return search_arms(run_campaign(spec, workers=workers).results_in_order())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.api import Session, TrialSpec
-from repro.campaign.aggregate import aggregate_tracking
+from repro.campaign.aggregate import group_trials
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, build_config, config_to_overrides
 from repro.core.config import SilentTrackerConfig
@@ -142,9 +142,56 @@ def _decode_tracking(payload: dict) -> TrackingTrialResult:
     return TrackingTrialResult(**record)
 
 
+def tracking_headline(trials) -> dict:
+    """Handover completion, softness and completion time of one arm.
+
+    ``completed_per_trial`` is completed episodes / trials and
+    ``soft_per_completed`` soft episodes / completed ones (0.0 when none
+    completed).  ``completion_times_s`` holds the completed episodes'
+    Fig. 2c times, which the mean and quantiles summarize; beam switches
+    and re-acquisitions are averaged per completed episode.  A mean or
+    quantile is ``None`` when no episode completed.
+    """
+    from repro.analysis.stats import summarize
+
+    completed = [t for t in trials if t.completed]
+    n = len(completed)
+    soft = sum(1 for t in completed if t.outcome is HandoverOutcome.SOFT)
+    times = tuple(t.completion_time_s for t in completed)
+    summary = summarize(times)
+
+    def per_completed(values):
+        return sum(values) / n if n else None
+
+    return {
+        "trials": len(trials),
+        "completed": n,
+        "soft": soft,
+        "completed_per_trial": n / len(trials),
+        "soft_per_completed": soft / n if n else 0.0,
+        "mean_completion_s": per_completed(times),
+        "p50_completion_s": summary.get("p50"),
+        "p90_completion_s": summary.get("p90"),
+        "switches_per_completed": per_completed(
+            [t.beam_switches for t in completed]
+        ),
+        "reacquisitions_per_completed": per_completed(
+            [t.reacquisitions for t in completed]
+        ),
+        "completion_times_s": times,
+    }
+
+
 @register_experiment(
     "tracking",
     decode=_decode_tracking,
+    headline=tracking_headline,
+    columns=(
+        ("completion", "completed_per_trial"),
+        ("soft", "soft_per_completed"),
+        ("p50 (s)", "p50_completion_s"),
+        ("p90 (s)", "p90_completion_s"),
+    ),
     axis="codebook",
     protocol_axis="codebook",
     protocol_names=CODEBOOKS.names,
@@ -201,7 +248,8 @@ def run_fig2c(
         {"completion_times_s": [...],   # successful episodes only
          "completion_rate": float,      # episodes completed / trials
          "soft_rate": float,            # soft / completed
-         "trials": [TrackingTrialResult, ...]}
+         "trials": [TrackingTrialResult, ...],
+         "headline": dict}              # see tracking_headline
     """
     spec = fig2c_spec(
         scenarios=scenarios,
@@ -211,5 +259,16 @@ def run_fig2c(
         codebook=codebook,
     )
     result = run_campaign(spec, workers=workers)
-    aggregated = aggregate_tracking(result.results_in_order())
-    return {scenario: aggregated[scenario] for scenario in spec.scenarios}
+    results = {}
+    for scenario, trials in group_trials(
+        result.results_in_order(), "scenario"
+    ).items():
+        headline = tracking_headline(trials)
+        results[scenario] = {
+            "completion_times_s": list(headline["completion_times_s"]),
+            "completion_rate": headline["completed_per_trial"],
+            "soft_rate": headline["soft_per_completed"],
+            "trials": trials,
+            "headline": headline,
+        }
+    return results

@@ -24,14 +24,16 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.stats import summarize, success_rate
 from repro.api import Session, TrialSpec
-from repro.campaign.aggregate import aggregate_by_protocol
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
-from repro.core.events import NeighborState
-from repro.core.neighbor_tracker import NeighborTracker
-from repro.experiments.fig2a import TARGET_CELL, NeighborSearchProbe
+from repro.experiments.fig2a import (
+    SEARCH_COLUMNS,
+    TARGET_CELL,
+    run_search_trial,
+    search_arms,
+    search_headline,
+)
 from repro.measure.report import RssMeasurement
 from repro.phy.codebook import Codebook, HierarchicalCodebook
 from repro.registry import register_experiment
@@ -175,24 +177,10 @@ def run_hierarchical_trial(
 def run_exhaustive_trial(
     seed: int, scenario: str, deadline_s: float
 ) -> HierarchicalTrialResult:
-    """Exhaustive narrow-beam search baseline (same machinery as Fig 2a)."""
-    spec = TrialSpec(
-        scenario=scenario, codebook="narrow", seed=seed, duration_s=deadline_s
-    )
-    with Session(spec) as session:
-        tracker = NeighborTracker(session.mobile.codebook, [TARGET_CELL])
-        probe = NeighborSearchProbe(tracker, TARGET_CELL)
-        session.attach_listener(probe)
-        tracker.begin_search(0.0)
-        session.run()
-    success = tracker.state is NeighborState.TRACKING
-    dwells = (
-        tracker.search_dwells_at_found
-        if success and tracker.search_dwells_at_found is not None
-        else tracker.search_dwells
-    )
+    """Exhaustive narrow-beam search baseline: one Fig. 2a search trial."""
+    result = run_search_trial("narrow", scenario, seed, deadline_s)
     return HierarchicalTrialResult(
-        success=success, dwells=dwells, stage_reached=0, seed=seed
+        success=result.success, dwells=result.dwells, stage_reached=0, seed=seed
     )
 
 
@@ -201,9 +189,23 @@ def _decode_strategy(payload: dict) -> HierarchicalTrialResult:
     return HierarchicalTrialResult(**payload)
 
 
+def strategy_headline(trials) -> dict:
+    """The search headline of one strategy arm, plus ``stage2_reached``.
+
+    ``stage2_reached`` counts the trials whose coarse stage detected the
+    cell and moved on to refinement (always 0 for the exhaustive arm).
+    """
+    return {
+        **search_headline(trials),
+        "stage2_reached": sum(1 for t in trials if t.stage_reached == 2),
+    }
+
+
 @register_experiment(
     "hierarchical",
     decode=_decode_strategy,
+    headline=strategy_headline,
+    columns=SEARCH_COLUMNS + (("stage2 reached", "stage2_reached"),),
     axis="custom",
     protocol_axis="search strategy",
     protocol_names=lambda: SEARCH_STRATEGIES,
@@ -255,7 +257,11 @@ def compare_search_strategies(
     """Exhaustive vs hierarchical: success rate and dwell counts.
 
     Thin wrapper over :func:`repro.campaign.runner.run_campaign` on the
-    :func:`strategy_spec` grid (paired seeds across the two arms).
+    :func:`strategy_spec` grid (paired seeds across the two arms).  Each
+    strategy maps to an arm shaped like one of
+    :func:`~repro.experiments.fig2a.run_fig2a` (``success_rate``,
+    ``latency``, ``trials``), whose ``headline`` is the
+    :func:`strategy_headline`.
     """
     spec = strategy_spec(
         n_trials=n_trials,
@@ -264,21 +270,4 @@ def compare_search_strategies(
         base_seed=base_seed,
     )
     result = run_campaign(spec, workers=workers)
-    by_strategy = aggregate_by_protocol(result.results_in_order())
-    exhaustive = by_strategy.get("exhaustive", [])
-    hierarchical = by_strategy.get("hierarchical", [])
-    ex_successes = [t.dwells for t in exhaustive if t.success]
-    hi_successes = [t.dwells for t in hierarchical if t.success]
-    return {
-        "exhaustive": {
-            "success_rate": success_rate(len(ex_successes), n_trials),
-            "latency": summarize([float(d) for d in ex_successes]),
-        },
-        "hierarchical": {
-            "success_rate": success_rate(len(hi_successes), n_trials),
-            "latency": summarize([float(d) for d in hi_successes]),
-            "stage2_reached": sum(
-                1 for t in hierarchical if t.stage_reached == 2
-            ),
-        },
-    }
+    return search_arms(result.results_in_order(), strategy_headline)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.api import Session, TrialSpec
-from repro.campaign.aggregate import aggregate_sweep
+from repro.campaign.aggregate import group_trials
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, build_config, config_to_overrides
 from repro.core.config import SilentTrackerConfig
@@ -118,9 +118,26 @@ def _decode_pingpong(payload: dict) -> PingPongTrialResult:
     return PingPongTrialResult(**payload)
 
 
+def pingpong_headline(trials) -> dict:
+    """Handover churn of one time-to-trigger arm, per trial."""
+    n = len(trials)
+    return {
+        "trials": n,
+        "handovers_per_trial": sum(t.handovers for t in trials) / n,
+        "ping_pongs_per_trial": sum(t.ping_pongs for t in trials) / n,
+        "trials_with_ping_pong": sum(1 for t in trials if t.ping_pongs > 0),
+    }
+
+
 @register_experiment(
     "pingpong",
     decode=_decode_pingpong,
+    headline=pingpong_headline,
+    columns=(
+        ("handovers/trial", "handovers_per_trial"),
+        ("ping-pongs/trial", "ping_pongs_per_trial"),
+        ("trials w/ ping-pong", "trials_with_ping_pong"),
+    ),
     axis="codebook",
     protocol_axis="codebook",
     protocol_names=CODEBOOKS.names,
@@ -186,31 +203,11 @@ def sweep_time_to_trigger(
     The default values bracket NR's standardized TTT set (0, 160 ms,
     480 ms).  Thin wrapper over
     :func:`repro.campaign.runner.run_campaign` on the
-    :func:`pingpong_spec` grid.
+    :func:`pingpong_spec` grid; :func:`pingpong_headline` summarizes an
+    arm.
     """
     spec = pingpong_spec(
         ttt_s_values=ttt_s_values, n_trials=n_trials, base_seed=base_seed
     )
     result = run_campaign(spec, workers=workers)
-    grouped = aggregate_sweep(result.results_in_order())
-    return {label: grouped[label] for label in spec.overrides}
-
-
-def summarize_pingpong(
-    sweep: Dict[str, List[PingPongTrialResult]]
-) -> List[dict]:
-    """One row per TTT arm."""
-    rows = []
-    for label, trials in sweep.items():
-        n = len(trials)
-        rows.append(
-            {
-                "label": label,
-                "mean_handovers": sum(t.handovers for t in trials) / n,
-                "mean_ping_pongs": sum(t.ping_pongs for t in trials) / n,
-                "trials_with_ping_pong": sum(
-                    1 for t in trials if t.ping_pongs > 0
-                ),
-            }
-        )
-    return rows
+    return group_trials(result.results_in_order(), "override_label")

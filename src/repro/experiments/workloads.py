@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.api import Session, TrialSpec
-from repro.campaign.aggregate import aggregate_workload
+from repro.campaign.aggregate import group_trials
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.scenarios import SCENARIO_NAMES
@@ -97,9 +97,25 @@ def _decode_workload(payload: dict) -> List[RssTracePoint]:
     return [RssTracePoint(**point) for point in payload["points"]]
 
 
+def workload_headline(traces) -> dict:
+    """Detection duty cycle of one policy arm: per trace, and its mean."""
+    duties = tuple(detection_duty_cycle(trace) for trace in traces)
+    return {
+        "traces": len(traces),
+        "points": sum(len(trace) for trace in traces),
+        "mean_duty_cycle": sum(duties) / len(duties),
+        "duty_cycles": duties,
+    }
+
+
 @register_experiment(
     "workload",
     decode=_decode_workload,
+    headline=workload_headline,
+    columns=(
+        ("mean duty cycle", "mean_duty_cycle"),
+        ("points", "points"),
+    ),
     axis="custom",
     protocol_axis="rx-beam policy",
     protocol_names=lambda: RX_BEAM_POLICIES,
@@ -179,7 +195,12 @@ def run_workload_sweep(
         fixed_rx_beam=fixed_rx_beam,
     )
     result = run_campaign(spec, workers=workers)
-    return aggregate_workload(result.results_in_order())
+    grouped: Dict[str, Dict[str, List[List[RssTracePoint]]]] = {}
+    for (scenario, policy), traces in group_trials(
+        result.results_in_order(), "scenario", "protocol"
+    ).items():
+        grouped.setdefault(scenario, {})[policy] = traces
+    return grouped
 
 
 def trace_to_measurements(

@@ -190,9 +190,39 @@ def _decode_fleet(payload: dict) -> FleetTrialResult:
     return FleetTrialResult.from_dict(payload)
 
 
+def fleet_headline(trials) -> dict:
+    """Users, completed handovers, search latency and outage of one mix arm.
+
+    The samples pool every user of every trial: each search latency,
+    and each user's outage fraction.  Quantiles are ``None`` when empty.
+    """
+    from repro.analysis.stats import summarize
+
+    searches = tuple(
+        x for t in trials for u in t.users for x in u.search_latencies_s
+    )
+    outages = tuple(u.outage_fraction for t in trials for u in t.users)
+    totals = [t.aggregates["totals"] for t in trials]
+    return {
+        "users": sum(t["users"] for t in totals),
+        "handovers_completed": sum(t["handovers_completed"] for t in totals),
+        "p50_search_s": summarize(searches).get("p50"),
+        "p90_outage_fraction": summarize(outages).get("p90"),
+        "search_latencies_s": searches,
+        "outage_fractions": outages,
+    }
+
+
 @register_experiment(
     "fleet",
     decode=_decode_fleet,
+    headline=fleet_headline,
+    columns=(
+        ("users", "users"),
+        ("handovers", "handovers_completed"),
+        ("p50 search (s)", "p50_search_s"),
+        ("p90 outage frac", "p90_outage_fraction"),
+    ),
     axis="custom",
     protocol_axis="profile mix",
     protocol_names=mix_names,

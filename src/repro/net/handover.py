@@ -73,30 +73,3 @@ class HandoverLog:
 
     def count(self, outcome: HandoverOutcome) -> int:
         return sum(1 for r in self._records if r.outcome is outcome)
-
-    @property
-    def soft_count(self) -> int:
-        return self.count(HandoverOutcome.SOFT)
-
-    @property
-    def hard_count(self) -> int:
-        return self.count(HandoverOutcome.HARD)
-
-    @property
-    def failed_count(self) -> int:
-        return self.count(HandoverOutcome.FAILED)
-
-    def completion_times_s(self) -> List[float]:
-        """Trigger-to-completion latencies of all completed handovers."""
-        return [
-            r.completion_time_s
-            for r in self._records
-            if r.completion_time_s is not None
-        ]
-
-    def soft_ratio(self) -> float:
-        """Fraction of resolved handovers that were soft."""
-        resolved = [r for r in self._records if r.outcome is not None]
-        if not resolved:
-            raise ValueError("no resolved handovers")
-        return sum(1 for r in resolved if r.is_soft) / len(resolved)

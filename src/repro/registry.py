@@ -23,8 +23,8 @@ registry                 entry
 :data:`CODEBOOKS`        factory ``() -> Codebook`` for the mobile's
                          receive codebook
 :data:`EXPERIMENTS`      :class:`ExperimentDef` — how to run one
-                         campaign cell of the kind and decode its
-                         artifact payload
+                         campaign cell of the kind, decode its
+                         artifact payload and summarize an arm
 =======================  =============================================
 
 Registering a custom arm::
@@ -250,7 +250,14 @@ class ExperimentDef:
 
     ``run(cell)`` executes one :class:`~repro.campaign.spec.CampaignCell`
     and returns its JSON-safe artifact payload; ``decode(payload)``
-    rebuilds the trial dataclass from that payload.  The ``protocols``
+    rebuilds the trial dataclass from that payload.
+    ``headline(trials)`` is the kind's one definition of its per-arm
+    statistics: given one arm's decoded trials it returns a dict of named
+    rates and counts plus named sample vectors (tuples), which ``repro
+    campaign summarize``, the figure commands and ``repro report`` only
+    format.  ``columns`` picks what ``campaign summarize`` prints, as
+    ``(header, headline name or callable(headline))`` pairs (every rate
+    and count under its own name when empty).  The ``protocols``
     axis of a campaign grid is interpreted per kind: ``axis`` says which
     registry the values come from (``"codebook"``, ``"protocol"``, or
     ``"custom"`` for kind-private arms), ``protocol_axis`` is the
@@ -269,6 +276,7 @@ class ExperimentDef:
     name: str
     run: Callable
     decode: Callable
+    headline: Callable
     axis: str
     protocol_axis: str
     protocol_names: Callable[[], Tuple[str, ...]]
@@ -276,6 +284,7 @@ class ExperimentDef:
     description: str = ""
     duration_param: Optional[str] = "duration_s"
     accepts_config: bool = False
+    columns: Tuple[Tuple[str, object], ...] = ()
 
 
 # ---------------------------------------------------------------- registries
@@ -341,6 +350,7 @@ def register_experiment(
     name: str,
     *,
     decode: Callable,
+    headline: Callable,
     axis: str,
     protocol_axis: str,
     protocol_names: Callable[[], Tuple[str, ...]],
@@ -348,9 +358,15 @@ def register_experiment(
     description: str = "",
     duration_param: Optional[str] = "duration_s",
     accepts_config: bool = False,
+    columns: Tuple[Tuple[str, object], ...] = (),
     override: bool = False,
 ):
-    """Register a campaign experiment kind; decorates its cell runner."""
+    """Register a campaign experiment kind; decorates its cell runner.
+
+    ``decode`` and ``headline`` are required (see :class:`ExperimentDef`);
+    a kind whose trials look like another kind's may reuse its
+    ``headline`` and ``columns``.
+    """
     if axis not in ("codebook", "protocol", "custom"):
         raise RegistryError(
             f"experiment {name!r}: axis must be 'codebook', 'protocol' or "
@@ -364,6 +380,7 @@ def register_experiment(
                 name=name,
                 run=run,
                 decode=decode,
+                headline=headline,
                 axis=axis,
                 protocol_axis=protocol_axis,
                 protocol_names=protocol_names,
@@ -371,6 +388,7 @@ def register_experiment(
                 description=description or _first_doc_line(run),
                 duration_param=duration_param,
                 accepts_config=accepts_config,
+                columns=tuple(columns),
             ),
             override=override,
         )

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.experiments.ablations import (
-    summarize_sweep,
     sweep_adapt_threshold,
     sweep_codebook_beamwidth,
     sweep_handover_margin,
     sweep_loss_threshold,
 )
+from repro.experiments.fig2c import tracking_headline
+
+
+def summarize(sweep):
+    return {label: tracking_headline(trials) for label, trials in sweep.items()}
 
 
 class TestHandoverMarginSweep:
@@ -26,10 +30,10 @@ class TestHandoverMarginSweep:
             assert len(trials) == 4
 
     def test_summary_rows(self, sweep):
-        rows = summarize_sweep(sweep)
-        assert len(rows) == 2
-        for row in rows:
-            assert 0.0 <= row["completion_rate"] <= 1.0
+        summary = summarize(sweep)
+        assert len(summary) == 2
+        for headline in summary.values():
+            assert 0.0 <= headline["completed_per_trial"] <= 1.0
 
 
 class TestAdaptThresholdSweep:
@@ -38,8 +42,7 @@ class TestAdaptThresholdSweep:
             thresholds_db=(3.0,), n_trials=3, base_seed=7100
         )
         assert set(sweep) == {"adapt=3dB"}
-        rows = summarize_sweep(sweep)
-        assert rows[0]["trials"] == 3
+        assert summarize(sweep)["adapt=3dB"]["trials"] == 3
 
 
 class TestCodebookSweep:
@@ -49,10 +52,10 @@ class TestCodebookSweep:
 
     def test_narrow_beats_omni(self):
         sweep = sweep_codebook_beamwidth(n_trials=4, base_seed=7300)
-        summary = {row["label"]: row for row in summarize_sweep(sweep)}
+        summary = summarize(sweep)
         assert (
-            summary["narrow"]["completion_rate"]
-            >= summary["omni"]["completion_rate"]
+            summary["narrow"]["completed_per_trial"]
+            >= summary["omni"]["completed_per_trial"]
         )
 
 
@@ -68,7 +71,6 @@ class TestSummaryShape:
     def test_empty_completed_arm(self):
         # Omni arm often completes nothing; summary must not crash.
         sweep = sweep_codebook_beamwidth(n_trials=2, base_seed=7500)
-        rows = summarize_sweep(sweep)
-        for row in rows:
-            if row["completion_rate"] == 0.0:
-                assert row["mean_completion_s"] is None
+        for headline in summarize(sweep).values():
+            if headline["completed_per_trial"] == 0.0:
+                assert headline["mean_completion_s"] is None

@@ -10,8 +10,7 @@ import json
 import pytest
 
 from repro.campaign.aggregate import (
-    aggregate_comparison,
-    aggregate_search,
+    group_trials,
     load_campaign,
     summarize_campaign,
 )
@@ -34,6 +33,7 @@ from repro.campaign.store import ArtifactStore, StoreError
 from repro.cli import main
 from repro.core.beamsurfer import BeamSurferConfig
 from repro.core.config import SilentTrackerConfig
+from repro.experiments.fig2a import search_headline
 
 
 def small_search_spec(**kwargs) -> CampaignSpec:
@@ -184,10 +184,14 @@ class TestRunCampaign:
         assert isinstance(result, CampaignResult)
         assert result.executed == 4
         assert result.skipped == 0
-        agg = aggregate_search(result.results_in_order())["walk"]
-        assert set(agg) == {"narrow", "omni"}
-        assert len(agg["narrow"]["trials"]) == 2
-        assert agg["narrow"]["success_rate"] >= agg["omni"]["success_rate"]
+        arms = group_trials(result.results_in_order(), "protocol")
+        assert set(arms) == {"narrow", "omni"}
+        assert len(arms["narrow"]) == 2
+        headlines = {kind: search_headline(trials) for kind, trials in arms.items()}
+        assert (
+            headlines["narrow"]["successes_per_trial"]
+            >= headlines["omni"]["successes_per_trial"]
+        )
 
     def test_matches_direct_trials(self):
         from repro.experiments.fig2a import run_search_trial

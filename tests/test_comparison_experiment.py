@@ -3,9 +3,10 @@
 import pytest
 
 from repro.experiments.comparison import (
+    ComparisonTrialResult,
+    comparison_headline,
     run_comparison,
     run_comparison_trial,
-    summarize_comparison,
 )
 
 
@@ -37,16 +38,46 @@ class TestComparisonAggregate:
     def test_protocol_arms(self, results):
         assert set(results) == {"silent-tracker", "reactive"}
 
-    def test_summary_interruption_gap(self, results):
-        summary = {row["protocol"]: row for row in summarize_comparison(results)}
-        tracker = summary["silent-tracker"]["mean_interruption_s"]
-        reactive = summary["reactive"]["mean_interruption_s"]
+    @pytest.fixture(scope="class")
+    def summary(self, results):
+        return {
+            protocol: comparison_headline(trials)
+            for protocol, trials in results.items()
+        }
+
+    def test_summary_interruption_gap(self, summary):
+        tracker = summary["silent-tracker"]["mean_first_interruption_s"]
+        reactive = summary["reactive"]["mean_first_interruption_s"]
         if tracker is not None and reactive is not None:
             assert tracker < reactive
 
-    def test_summary_soft_ratios(self, results):
-        summary = {row["protocol"]: row for row in summarize_comparison(results)}
-        if summary["silent-tracker"]["soft_ratio"] is not None:
-            assert summary["silent-tracker"]["soft_ratio"] > 0.5
-        if summary["reactive"]["soft_ratio"] is not None:
-            assert summary["reactive"]["soft_ratio"] == 0.0
+    def test_summary_soft_ratios(self, summary):
+        if summary["silent-tracker"]["soft_per_resolved"] is not None:
+            assert summary["silent-tracker"]["soft_per_resolved"] > 0.5
+        if summary["reactive"]["soft_per_resolved"] is not None:
+            assert summary["reactive"]["soft_per_resolved"] == 0.0
+
+
+class TestComparisonHeadline:
+    def trial(self, soft, hard, interruption):
+        return ComparisonTrialResult(
+            protocol="arm", scenario="walk", seed=1,
+            handovers_completed=soft + hard, soft_handovers=soft,
+            hard_handovers=hard, first_interruption_s=interruption,
+        )
+
+    def test_soft_is_a_count_and_soft_per_resolved_a_ratio(self):
+        headline = comparison_headline(
+            [self.trial(2, 1, 0.02), self.trial(0, 1, 0.9), self.trial(0, 0, None)]
+        )
+        assert headline["soft"] == 2
+        assert headline["hard"] == 2
+        assert headline["soft_per_resolved"] == 0.5
+        assert headline["completed_any"] == 2
+        assert headline["first_interruptions_s"] == (0.02, 0.9)
+        assert headline["mean_first_interruption_s"] == (0.02 + 0.9) / 2
+
+    def test_no_resolved_handover_has_no_ratio(self):
+        headline = comparison_headline([self.trial(0, 0, None)])
+        assert headline["soft_per_resolved"] is None
+        assert headline["mean_first_interruption_s"] is None

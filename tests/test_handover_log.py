@@ -36,22 +36,8 @@ class TestLog:
     def test_counts(self):
         log = self.make_log()
         assert len(log) == 3
-        assert log.soft_count == 1
-        assert log.hard_count == 1
-        assert log.failed_count == 1
-
-    def test_completion_times(self):
-        log = self.make_log()
-        assert log.completion_times_s() == pytest.approx([0.5, 2.0])
-
-    def test_soft_ratio(self):
-        assert self.make_log().soft_ratio() == pytest.approx(1.0 / 3.0)
-
-    def test_soft_ratio_empty_raises(self):
-        log = HandoverLog()
-        log.open_record("ue0", "a", "b", 0.0)  # unresolved
-        with pytest.raises(ValueError):
-            log.soft_ratio()
+        for outcome in HandoverOutcome:
+            assert log.count(outcome) == 1
 
     def test_records_copy(self):
         log = self.make_log()

@@ -4,8 +4,8 @@ import pytest
 
 from repro.experiments.pingpong import (
     _count_ping_pongs,
+    pingpong_headline,
     run_pingpong_trial,
-    summarize_pingpong,
     sweep_time_to_trigger,
 )
 from repro.net.handover import HandoverRecord
@@ -78,10 +78,10 @@ class TestSweep:
             ttt_s_values=(0.0, 0.16), n_trials=3, base_seed=8100
         )
         assert set(sweep) == {"ttt=0ms", "ttt=160ms"}
-        rows = summarize_pingpong(sweep)
-        assert len(rows) == 2
-        for row in rows:
-            assert row["mean_handovers"] >= 0.0
+        headlines = [pingpong_headline(trials) for trials in sweep.values()]
+        assert len(headlines) == 2
+        for headline in headlines:
+            assert headline["handovers_per_trial"] >= 0.0
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

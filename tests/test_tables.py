@@ -1,8 +1,12 @@
-"""Tests for ASCII table rendering."""
+"""Tests for ASCII and markdown table rendering."""
 
 import pytest
 
-from repro.analysis.tables import format_cdf_series, format_table
+from repro.analysis.tables import (
+    format_cdf_series,
+    format_markdown_table,
+    format_table,
+)
 
 
 class TestFormatTable:
@@ -33,6 +37,16 @@ class TestFormatTable:
     def test_no_rows_ok(self):
         text = format_table(["a"], [])
         assert "a" in text
+
+    def test_missing_statistic_renders_as_dash(self):
+        text = format_table(["a", "b"], [[None, 1.5]])
+        assert "| - | 1.500 |" in text
+
+
+class TestFormatMarkdownTable:
+    def test_renders_cells_like_the_ascii_table(self):
+        text = format_markdown_table(["a", "b"], [[None, 1.5], ["x", 2]])
+        assert text == "| a | b |\n|---|---|\n| - | 1.500 |\n| x | 2 |"
 
 
 class TestFormatCdf:

@@ -71,6 +71,7 @@ search = EXPERIMENTS.get("search")
 @register_experiment(
     "fault-search",
     decode=search.decode,
+    headline=search.headline,
     axis="codebook",
     protocol_axis="codebook",
     protocol_names=search.protocol_names,
