@@ -850,7 +850,7 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     spec = _fleet_spec_from_args(args)
     hub = Telemetry(record_events=True, max_events=args.max_events)
     with use(hub):
-        run = build_fleet(spec)
+        run = build_fleet(spec, trace=True)
         run_built_fleet(run)
     path = write_chrome_trace(args.out, hub, run.deployment.trace)
     summary = hub.summary()

@@ -32,6 +32,7 @@ drift apart.
 
 from __future__ import annotations
 
+from math import atan2
 from typing import Callable, List, Mapping, Optional
 
 from repro.core.config import SilentTrackerConfig
@@ -153,26 +154,28 @@ class ProtocolArm:
             self._last_good_service_s = now_s
         self.beamsurfer.on_serving_measurement(measurement, now_s)
         if self.beamsurfer.cabm_request_pending:
-            self._attempt_cabm_request(now_s)
+            self._attempt_cabm_request(station, now_s)
 
-    def _attempt_cabm_request(self, now_s: float) -> None:
+    def _attempt_cabm_request(self, station, now_s: float) -> None:
         """Send the BeamSurfer transmit-beam switch request on the uplink.
 
         At the cell edge this is the message that starts failing — the
-        'assistance delayed or lost' condition of edge G.
+        'assistance delayed or lost' condition of edge G.  The request
+        reacts to the serving burst just delivered, so it reuses the
+        pose and receive-gain function that burst was measured with.
         """
-        station = self._serving_station()
-        if station is None or not station.is_attached(self.mobile.mobile_id):
+        mobile = self.mobile
+        mobile_id = mobile.mobile_id
+        if not station.is_attached(mobile_id):
             return
-        station_beam = station.serving_tx_beam(self.mobile.mobile_id)
-        pose = self.mobile.pose_at(now_s)
+        pose, rx_gain_fn = mobile.geometry_at(now_s)
         delivered = self.links.uplink_success(
             station,
-            self.mobile.mobile_id,
+            mobile_id,
             pose,
-            self.mobile.rx_gain_fn(now_s, pose),
+            rx_gain_fn,
             self.beamsurfer.beam,
-            station_beam,
+            station.serving_tx_beam(mobile_id),
             now_s,
         )
         self._record(
@@ -181,9 +184,14 @@ class ProtocolArm:
             delivered=delivered,
         )
         if delivered:
-            bearing = station.pose.bearing_to(pose.position)
-            new_beam = station.refine_tx_beam(self.mobile.mobile_id, bearing)
-            self._emit("cabm.refined", tx_beam=new_beam)
+            # The station-side bearing, as the message path computes it.
+            origin = station.pose.position
+            position = pose.position
+            new_beam = station.refine_tx_beam(
+                mobile_id, atan2(position.y - origin.y, position.x - origin.x)
+            )
+            if self.trace.enabled:
+                self._emit("cabm.refined", tx_beam=new_beam)
 
     # --------------------------------------------------------------- watchdog
     def _watchdog_tick(self) -> None:

@@ -137,7 +137,7 @@ def build_fleet(
     spec: FleetSpec,
     progress: Optional[FleetProgress] = None,
     users: Optional[List[UserSpec]] = None,
-    trace: bool = True,
+    trace: bool = False,
 ) -> FleetRun:
     """Materialize a fleet spec onto the street grid.
 
@@ -149,9 +149,14 @@ def build_fleet(
     ``users`` restricts the build to a subset of the population (a
     shard); every user's streams and outcomes are unchanged by the
     subsetting because fleet deployments run with per-link decode
-    streams.  ``trace=False`` drops the O(events) trace recorder —
-    shard workers use it to keep memory flat; traces are never part of
-    fleet artifacts.
+    streams.
+
+    The deployment records a simulation trace only with ``trace=True``
+    (``repro obs export`` asks for one).  By default the recorder is
+    off: :func:`run_fleet_trial`, fleet campaign cells and shard
+    workers never read a trace, and an O(events) recorder would only
+    cost time and memory.  A trace is never a simulation input, so the
+    artifact bytes are the same either way.
     """
     from repro.experiments.scenarios import (
         build_corridor_deployment,
@@ -358,7 +363,7 @@ def run_shard(
     """Run one shard of a partitioned fleet; returns its JSON-safe payload.
 
     Synthesizes only this shard's users (keyed synthesis makes that
-    O(shard size)), builds the deployment with tracing off, runs it, and
+    O(shard size)), builds the deployment (no trace), runs it, and
     folds each user into a :class:`~repro.fleet.metrics.FleetAccumulator`.
     With ``stream=True`` the per-user dicts are dropped as they are
     folded (``capacity`` bounds the quantile reservoirs); otherwise they
@@ -367,9 +372,7 @@ def run_shard(
     spec = shard.spec
     telemetry = _telemetry.current()
     with telemetry.span("fleet.build"):
-        run = build_fleet(
-            spec, progress=progress, users=shard.synthesize(), trace=False
-        )
+        run = build_fleet(spec, progress=progress, users=shard.synthesize())
     started: List = []
     if progress is not None:
         # Monitor heartbeats report cumulative engine events; the

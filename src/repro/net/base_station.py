@@ -149,20 +149,23 @@ class BaseStation:
         Models the P-2 refinement sweep triggered by a BeamSurfer
         request: among the current beam and its two directional
         neighbors, select the one best pointed at the mobile's actual
-        bearing, and make it the serving beam.  The move is limited to
-        one hop per request — a sweep only covers the adjacent beams.
+        bearing (``mobile_world_azimuth``, the station-side bearing of
+        the link), and make it the serving beam.  The move is limited
+        to one hop per request — a sweep only covers the adjacent
+        beams.  Ties go to the first of current, left, right.
 
         Returns the (possibly unchanged) serving beam index.
         """
         current = self.serving_tx_beam(mobile_id)
         body_azimuth = self.pose.world_to_body(mobile_world_azimuth)
-        candidates = [current] + self.codebook.adjacent_indices(current)
-        best = min(
-            candidates,
-            key=lambda idx: angular_distance(
-                self.codebook[idx].boresight_rad, body_azimuth
-            ),
-        )
+        codebook = self.codebook
+        best = current
+        best_distance = angular_distance(codebook[current].boresight_rad, body_azimuth)
+        for index in codebook.adjacent_indices(current):
+            distance = angular_distance(codebook[index].boresight_rad, body_azimuth)
+            if distance < best_distance:
+                best = index
+                best_distance = distance
         self._serving_tx_beam[mobile_id] = best
         return best
 

@@ -515,10 +515,14 @@ class Deployment:
 
     @staticmethod
     def _measure_requests(measured, now: float):
-        """Link-engine request rows for the measured (mobile, beam) pairs."""
+        """Link-engine request rows for the measured (mobile, beam) pairs.
+
+        Each mobile keeps the sampled pose and its gain function for
+        messages sent at the same instant (:meth:`Mobile.geometry_at`).
+        """
         poses = sample_poses([mobile.trajectory for mobile, _ in measured], now)
         return [
-            (mobile.mobile_id, pose, mobile.rx_gain_fn(now, pose), rx_beam)
+            (mobile.mobile_id, pose, mobile.geometry_at(now, pose)[1], rx_beam)
             for (mobile, rx_beam), pose in zip(measured, poses)
         ]
 
@@ -546,14 +550,9 @@ class Deployment:
         if self._excluded(station, mobile, now):
             mobile.complete_burst(RssMeasurement(now, station.cell_id, rx_beam))
             return
-        pose = mobile.pose_at(now)
+        pose, rx_gain_fn = mobile.geometry_at(now)
         measurement = self.links.measure_burst(
-            station,
-            mobile.mobile_id,
-            pose,
-            mobile.rx_gain_fn(now, pose),
-            rx_beam,
-            now,
+            station, mobile.mobile_id, pose, rx_gain_fn, rx_beam, now
         )
         mobile.complete_burst(measurement)
 

@@ -6,13 +6,15 @@ meet.  Three operations cover everything the protocols need:
 * :meth:`LinkEngine.measure_burst` — the mobile holds one receive beam
   through a cell's SSB burst; the engine evaluates every transmit dwell
   and reports the best detected SSB (or a non-detection).
-* :meth:`LinkEngine.downlink_rss` — RSS of a single directed downlink
-  transmission (msg2/msg4, serving data) on given beams.
-* :meth:`LinkEngine.uplink_success` — Bernoulli decode of an uplink
-  message (BeamSurfer switch request, RACH preamble, msg3) using beam
+* :meth:`LinkEngine.uplink_success` / :meth:`LinkEngine.downlink_success`
+  — Bernoulli decode of one control message on fixed beams: the
+  BeamSurfer (CABM) switch request, RACH msg1 and msg3 on the uplink,
+  msg2 and msg4 on the downlink.  Both go through one message path
+  (:meth:`LinkEngine.message_rss` gives its RSS) using beam
   reciprocity: the mobile transmits on the antenna weights of its
-  current receive beam, the base station listens on its serving/detected
-  beam.
+  current receive beam, the base station listens on its serving or
+  detected beam.  A message is one :meth:`Channel.rss_dbm
+  <repro.phy.channel.Channel.rss_dbm>` dwell and one decode draw.
 
 Bursts are evaluated in one vectorized pass per link
 (:meth:`~repro.phy.channel.Channel.burst_rss_dbm` + batched codebook
@@ -36,7 +38,7 @@ and a zero xy offset between station and mobile raises.
 from __future__ import annotations
 
 from math import atan2
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +51,26 @@ from repro.phy.channel import Channel
 from repro.sim.rng import RngRegistry
 
 
+def _link_bearings(station_pose: Pose, mobile_pose: Pose) -> Tuple[float, float]:
+    """World azimuths ``(station -> mobile, mobile -> station)`` of a link.
+
+    The floats ``Pose.bearing_to`` yields in each direction, as atan2 of
+    the link's offsets without ``Vec3`` temporaries.  Each offset is
+    computed in its own direction: negating one would turn a +0.0 into
+    -0.0 and flip atan2 across the seam.  The tick-wide burst pass
+    inlines the same arithmetic per row.  Raises :class:`ValueError`
+    for a zero xy offset.
+    """
+    sx = station_pose.position.x
+    sy = station_pose.position.y
+    position = mobile_pose.position
+    dx = position.x - sx
+    dy = position.y - sy
+    if dx == 0.0 and dy == 0.0:
+        raise ValueError("azimuth undefined for vector with zero xy projection")
+    return atan2(dy, dx), atan2(sy - position.y, sx - position.x)
+
+
 class LinkEngine:
     """Evaluates dwell/message outcomes over the shared channel.
 
@@ -57,15 +79,30 @@ class LinkEngine:
     Reproducibility across refactors rests on every path consuming RNG
     draws in a fixed, documented order:
 
+    * A message (:meth:`uplink_success`, :meth:`downlink_success`)
+      makes one :meth:`Channel.rss_dbm` call on the link's own streams
+      -- one shadowing normal, the blockage renewal draws needed to
+      pass the message timestamp, two I/Q fading normals -- then one
+      uniform decode draw.
     * The decode stream backs *both* :meth:`uplink_success` and
       :meth:`downlink_success` — exactly one uniform draw per decode
       attempt, in call order.  By default all links share one stream
       (registry key ``"uplink"``, kept for seed compatibility with
       existing traces).  With ``per_link_decode=True`` each link draws
-      from its own stream (key ``"decode/{link_id}"``) so one user's
-      decode attempts never perturb another's — the property that makes
-      a fleet population separable into shards with byte-identical
-      per-user results (see :mod:`repro.fleet`).
+      from its own stream (key ``"decode/{link_id}"``, resolved once
+      per link) so one user's decode attempts never perturb another's
+      — the property that makes a fleet population separable into
+      shards with byte-identical per-user results (see
+      :mod:`repro.fleet`).
+    * Known quirk, kept for byte identity: an uplink message passes the
+      *station's* pose as the channel's receive pose, while every burst
+      and downlink message passes the mobile's.  The link's motion
+      state (``LinkState.traveled_m`` and its last pose) therefore
+      jumps from the mobile to the station and back, and each uplink
+      adds about twice the link distance of travel -- many shadowing
+      decorrelation lengths -- so every uplink re-randomizes the
+      serving link's shadowing.  ``tests/test_message_path.py`` pins
+      the defect with a strict xfail; fixing it changes artifact bytes.
     * A measured burst of ``n`` dwells consumes, from the link's own
       streams and in this order: one ``standard_normal(n)`` shadowing
       call (its first normal is the innovation; the other ``n - 1``
@@ -86,21 +123,17 @@ class LinkEngine:
     ) -> None:
         self.channel = channel
         self._rng_registry = rng_registry
-        self._per_link_decode = per_link_decode
         self._decode_rng: Optional[np.random.Generator] = (
             None if per_link_decode else rng_registry.stream("uplink")
         )
+        #: Per-link decode streams by link id, resolved once per link.
+        self._link_decode_rngs: Dict[str, np.random.Generator] = {}
         #: Uplink transmit power of the mobile, dBm.  Handsets run well
         #: below the base station's EIRP.
         self.mobile_tx_power_dbm = 5.0
         # Ambient telemetry: burst evaluation is the wall-clock hot
         # path, so spans are dispatched behind an ``enabled`` check.
         self._telemetry = _telemetry.current()
-
-    def _decode_stream(self, link: str) -> np.random.Generator:
-        if self._per_link_decode:
-            return self._rng_registry.stream(f"decode/{link}")
-        return self._decode_rng
 
     @staticmethod
     def link_id(cell_id: str, mobile_id: str) -> str:
@@ -168,23 +201,14 @@ class LinkEngine:
         threshold = (
             budget.detection_snr_db if detection_snr_db is None else detection_snr_db
         )
-        # Both bearings are atan2 of the link's offsets, exactly as in
-        # _measure_burst_multi_impl.
-        tx_pose = station.pose
-        sx = tx_pose.position.x
-        sy = tx_pose.position.y
-        position = mobile_pose.position
-        dx = position.x - sx
-        dy = position.y - sy
-        if dx == 0.0 and dy == 0.0:
-            raise ValueError("azimuth undefined for vector with zero xy projection")
-        rx_gain = rx_gain_fn(rx_beam, atan2(sy - position.y, sx - position.x))
+        to_mobile, to_station = _link_bearings(station.pose, mobile_pose)
+        rx_gain = rx_gain_fn(rx_beam, to_station)
         beams = station.burst_beams
-        tx_gains = station.tx_gains_dbi(atan2(dy, dx), station.burst_gain_indices)
+        tx_gains = station.tx_gains_dbi(to_mobile, station.burst_gain_indices)
         rss = self.channel.burst_rss_dbm(
             self.link_id(station.cell_id, mobile_id),
             time_s,
-            tx_pose,
+            station.pose,
             mobile_pose,
             tx_gains,
             rx_gain,
@@ -272,11 +296,8 @@ class LinkEngine:
                 if detection_snr_db is None
                 else detection_snr_db
             )
-            # Per-user scalar geometry: both bearings are atan2 of the
-            # row's offsets, the floats bearing_xy yields (each offset is
-            # computed in its own direction: negating one would turn a
-            # +0.0 into -0.0 and flip atan2 across the seam); only the
-            # users x dwells work batches.
+            # Per-user scalar geometry: _link_bearings inlined per row;
+            # only the users x dwells work batches.
             tx_pose = station.pose
             sx = tx_pose.position.x
             sy = tx_pose.position.y
@@ -359,30 +380,103 @@ class LinkEngine:
             results.append(measurements)
         return results
 
-    def downlink_rss(
+    # -------------------------------------------------------------- messages
+    def message_rss(
         self,
         station: BaseStation,
         mobile_id: str,
         mobile_pose: Pose,
         rx_gain_fn,
-        rx_beam: int,
-        tx_beam: int,
+        mobile_beam: int,
+        station_beam: int,
         time_s: float,
+        uplink: bool = False,
     ) -> float:
-        """RSS of one directed downlink transmission on specific beams."""
-        bearing_to_mobile = station.pose.bearing_to(mobile_pose.position)
-        bearing_to_station = mobile_pose.bearing_to(station.pose.position)
-        tx_gain = station.tx_gain_dbi(tx_beam, bearing_to_mobile)
-        rx_gain = rx_gain_fn(rx_beam, bearing_to_station)
-        return self.channel.rss_dbm(
+        """RSS of one directed control message on fixed beams.
+
+        A downlink message (msg2, msg4) is received at the mobile; an
+        uplink message (CABM request, msg1, msg3) at the base station,
+        sent at :attr:`mobile_tx_power_dbm`.  Beam reciprocity: the
+        mobile's receive pattern doubles as its transmit pattern, and
+        likewise at the base station.  Raises :class:`ValueError` when
+        the mobile has a zero xy offset from the station.
+        """
+        return self._message_rss(
             self.link_id(station.cell_id, mobile_id),
-            time_s,
-            station.pose,
+            station,
             mobile_pose,
-            tx_gain,
-            rx_gain,
+            rx_gain_fn,
+            mobile_beam,
+            station_beam,
+            time_s,
+            uplink,
+        )
+
+    def _message_rss(
+        self,
+        link: str,
+        station: BaseStation,
+        mobile_pose: Pose,
+        rx_gain_fn,
+        mobile_beam: int,
+        station_beam: int,
+        time_s: float,
+        uplink: bool,
+    ) -> float:
+        station_pose = station.pose
+        to_mobile, to_station = _link_bearings(station_pose, mobile_pose)
+        mobile_gain = rx_gain_fn(mobile_beam, to_station)
+        station_gain = station.tx_gain_dbi(station_beam, to_mobile)
+        if uplink:
+            # The station pose is passed as the receive pose: see the
+            # draw-order contract.
+            return self.channel.rss_dbm(
+                link,
+                time_s,
+                mobile_pose,
+                station_pose,
+                mobile_gain,
+                station_gain,
+                self.mobile_tx_power_dbm,
+            )
+        return self.channel.rss_dbm(
+            link,
+            time_s,
+            station_pose,
+            mobile_pose,
+            station_gain,
+            mobile_gain,
             station.tx_power_dbm,
         )
+
+    def _decode(
+        self,
+        station: BaseStation,
+        mobile_id: str,
+        mobile_pose: Pose,
+        rx_gain_fn,
+        mobile_beam: int,
+        station_beam: int,
+        time_s: float,
+        uplink: bool,
+        margin_db: float,
+    ) -> bool:
+        """Bernoulli decode of one message: one uniform decode draw."""
+        link = self.link_id(station.cell_id, mobile_id)
+        rss = self._message_rss(
+            link, station, mobile_pose, rx_gain_fn, mobile_beam, station_beam,
+            time_s, uplink,
+        )
+        probability = station.link_budget.packet_success_probability(
+            rss + margin_db
+        )
+        stream = self._decode_rng
+        if stream is None:
+            stream = self._link_decode_rngs.get(link)
+            if stream is None:
+                stream = self._rng_registry.stream(f"decode/{link}")
+                self._link_decode_rngs[link] = stream
+        return bool(stream.random() < probability)
 
     def downlink_success(
         self,
@@ -395,41 +489,9 @@ class LinkEngine:
         time_s: float,
     ) -> bool:
         """Bernoulli decode of a directed downlink control message."""
-        rss = self.downlink_rss(
-            station, mobile_id, mobile_pose, rx_gain_fn, rx_beam, tx_beam, time_s
-        )
-        probability = station.link_budget.packet_success_probability(rss)
-        stream = self._decode_stream(self.link_id(station.cell_id, mobile_id))
-        return bool(stream.random() < probability)
-
-    # ---------------------------------------------------------------- uplink
-    def uplink_rss(
-        self,
-        station: BaseStation,
-        mobile_id: str,
-        mobile_pose: Pose,
-        rx_gain_fn,
-        mobile_beam: int,
-        station_beam: int,
-        time_s: float,
-    ) -> float:
-        """RSS at the base station of an uplink message.
-
-        Beam reciprocity: the mobile's receive pattern doubles as its
-        transmit pattern, and likewise at the base station.
-        """
-        bearing_to_mobile = station.pose.bearing_to(mobile_pose.position)
-        bearing_to_station = mobile_pose.bearing_to(station.pose.position)
-        mobile_gain = rx_gain_fn(mobile_beam, bearing_to_station)
-        station_gain = station.tx_gain_dbi(station_beam, bearing_to_mobile)
-        return self.channel.rss_dbm(
-            self.link_id(station.cell_id, mobile_id),
-            time_s,
-            mobile_pose,
-            station.pose,
-            mobile_gain,
-            station_gain,
-            self.mobile_tx_power_dbm,
+        return self._decode(
+            station, mobile_id, mobile_pose, rx_gain_fn, rx_beam, tx_beam,
+            time_s, False, 0.0,
         )
 
     def uplink_success(
@@ -449,11 +511,7 @@ class LinkEngine:
         msg1 (long correlation sequences decode below the data
         threshold).
         """
-        rss = self.uplink_rss(
-            station, mobile_id, mobile_pose, rx_gain_fn, mobile_beam, station_beam, time_s
+        return self._decode(
+            station, mobile_id, mobile_pose, rx_gain_fn, mobile_beam,
+            station_beam, time_s, True, extra_margin_db,
         )
-        probability = station.link_budget.packet_success_probability(
-            rss + extra_margin_db
-        )
-        stream = self._decode_stream(self.link_id(station.cell_id, mobile_id))
-        return bool(stream.random() < probability)

@@ -16,7 +16,7 @@ hardware imposes:
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Optional, Protocol
+from typing import Callable, Collection, Optional, Protocol, Tuple
 
 from repro.geometry.pose import Pose
 from repro.measure.report import RssMeasurement
@@ -88,6 +88,10 @@ class Mobile:
         self.bursts_declined = 0
         #: Bursts actually measured.
         self.bursts_measured = 0
+        #: The last instant :meth:`geometry_at` evaluated, with its pose
+        #: and receive-gain function.
+        self._geometry_s: Optional[float] = None
+        self._geometry: Optional[Tuple[Pose, Callable[[int, float], float]]] = None
 
     # -------------------------------------------------------------- wiring
     def attach_listener(self, listener: BurstListener) -> None:
@@ -122,6 +126,27 @@ class Mobile:
             return self.codebook.gain_dbi(rx_beam, pose.world_to_body(world_azimuth))
 
         return gain
+
+    def geometry_at(
+        self, time_s: float, pose: Optional[Pose] = None
+    ) -> Tuple[Pose, Callable[[int, float], float]]:
+        """``(pose, rx_gain_fn)`` at ``time_s``, evaluated once per instant.
+
+        The burst delivery paths pass the pose they sampled; a message
+        sent at the same instant -- the CABM request that reacts to a
+        serving burst, or a random-access message -- then reuses both
+        instead of sampling the trajectory and building the gain
+        function again.  Trajectories are pure functions of time, so
+        the reuse changes no value.
+        """
+        if pose is None:
+            if time_s == self._geometry_s:
+                return self._geometry
+            pose = self.pose_at(time_s)
+        geometry = (pose, self.rx_gain_fn(time_s, pose))
+        self._geometry_s = time_s
+        self._geometry = geometry
+        return geometry
 
     def best_rx_beam_towards(self, station: BaseStation, time_s: float) -> int:
         """Genie helper: codebook beam best pointed at a station *now*.

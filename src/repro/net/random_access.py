@@ -139,8 +139,7 @@ class RandomAccessProcedure:
         heard = self._links.uplink_success(
             self._station,
             self._mobile.mobile_id,
-            self._mobile.pose_at(now),
-            self._mobile.rx_gain_fn(now),
+            *self._mobile.geometry_at(now),
             mobile_beam,
             station_beam,
             now,
@@ -181,8 +180,7 @@ class RandomAccessProcedure:
         received = self._links.downlink_success(
             self._station,
             self._mobile.mobile_id,
-            self._mobile.pose_at(now),
-            self._mobile.rx_gain_fn(now),
+            *self._mobile.geometry_at(now),
             mobile_beam,
             station_beam,
             now,
@@ -212,8 +210,7 @@ class RandomAccessProcedure:
         heard = self._links.uplink_success(
             self._station,
             self._mobile.mobile_id,
-            self._mobile.pose_at(now),
-            self._mobile.rx_gain_fn(now),
+            *self._mobile.geometry_at(now),
             mobile_beam,
             station_beam,
             now,
@@ -239,8 +236,7 @@ class RandomAccessProcedure:
         received = self._links.downlink_success(
             self._station,
             self._mobile.mobile_id,
-            self._mobile.pose_at(now),
-            self._mobile.rx_gain_fn(now),
+            *self._mobile.geometry_at(now),
             mobile_beam,
             station_beam,
             now,

@@ -71,18 +71,17 @@ class ShadowingProcess:
         ``standard_normal(n)`` call -- the stream consumption of those
         ``n`` calls -- and uses only its first normal as the innovation,
         so the value and the generator state match the scalar loop bit
-        for bit.  The inputs are checked before anything is drawn.
+        for bit.  A one-dwell sample draws a scalar
+        ``standard_normal()``, which yields the same value and leaves
+        the same stream state as ``standard_normal(1)[0]`` at a third of
+        the cost.  The inputs are checked before anything is drawn.
         """
         if n < 1:
             raise ValueError(f"need at least one sample, got {n!r}")
         if self.sigma_db == 0.0:
             return 0.0
         last = self._last_value_db
-        if last is None:
-            # ``normal(0, s)`` is ``0.0 + s * z``; spelled out so a
-            # burst needs one draw call.
-            value = 0.0 + self.sigma_db * float(self._rng.standard_normal(n)[0])
-        else:
+        if last is not None:
             delta = traveled_m - self._last_distance
             if delta < -1e-9:
                 raise ValueError(
@@ -92,9 +91,14 @@ class ShadowingProcess:
             delta = max(0.0, delta)
             rho = math.exp(-delta / self.decorrelation_m)
             innovation_sigma = self.sigma_db * math.sqrt(max(0.0, 1.0 - rho * rho))
-            value = rho * last + (
-                0.0 + innovation_sigma * float(self._rng.standard_normal(n)[0])
-            )
+        rng = self._rng
+        normal = rng.standard_normal() if n == 1 else float(rng.standard_normal(n)[0])
+        # ``normal(0, s)`` is ``0.0 + s * z``; spelled out so a burst
+        # needs one draw call.
+        if last is None:
+            value = 0.0 + self.sigma_db * normal
+        else:
+            value = rho * last + (0.0 + innovation_sigma * normal)
         self._last_value_db = value
         self._last_distance = traveled_m
         return value

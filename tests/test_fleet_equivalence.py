@@ -233,6 +233,16 @@ class TestStreetGolden:
         produced = canonical_json(run_fleet_trial(street_golden_spec()).to_dict())
         assert (produced + "\n").encode("utf-8") == GOLDEN_STREET.read_bytes()
 
+    def test_trace_is_never_an_input(self):
+        # A fleet records no trace by default; asking for one must not
+        # move a byte of the artifact.
+        from repro.fleet import build_fleet, run_built_fleet
+
+        run = build_fleet(street_golden_spec(), trace=True)
+        produced = canonical_json(run_built_fleet(run).to_dict())
+        assert len(run.deployment.trace) > 0
+        assert (produced + "\n").encode("utf-8") == GOLDEN_STREET.read_bytes()
+
     def test_sharded_byte_identical(self, tmp_path):
         from repro.fleet import run_fleet_sharded
 

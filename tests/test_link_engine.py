@@ -112,7 +112,7 @@ class TestDirectedLinks:
         tx_beam = station.best_tx_beam_towards(
             station.pose.bearing_to(pose.position)
         )
-        rss = engine.downlink_rss(
+        rss = engine.message_rss(
             station, "ue0", pose, gain, rx_beam, tx_beam, 0.0
         )
         expected = engine.channel.mean_rss_dbm(
@@ -131,8 +131,10 @@ class TestDirectedLinks:
         pose, gain, codebook = make_mobile_side()
         rx_beam = 0
         tx_beam = 0
-        down = engine.downlink_rss(station, "ue0", pose, gain, rx_beam, tx_beam, 0.0)
-        up = engine.uplink_rss(station, "ue0", pose, gain, rx_beam, tx_beam, 0.0)
+        down = engine.message_rss(station, "ue0", pose, gain, rx_beam, tx_beam, 0.0)
+        up = engine.message_rss(
+            station, "ue0", pose, gain, rx_beam, tx_beam, 0.0, uplink=True
+        )
         assert up - engine.mobile_tx_power_dbm == pytest.approx(down - 10.0)
 
     def test_aligned_uplink_succeeds(self):
@@ -178,7 +180,9 @@ class TestDirectedLinks:
         tx_beam = station.best_tx_beam_towards(
             station.pose.bearing_to(pose.position)
         )
-        rss = engine.uplink_rss(station, "ue0", pose, gain, rx_beam, tx_beam, 0.0)
+        rss = engine.message_rss(
+            station, "ue0", pose, gain, rx_beam, tx_beam, 0.0, uplink=True
+        )
         # Sit exactly at 50% decode: margin should lift success rate.
         deficit = station.link_budget.rss_for_snr(
             station.link_budget.decode_snr_db

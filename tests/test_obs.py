@@ -502,6 +502,18 @@ class TestObsCli:
         assert parsed["otherData"]["telemetry"]["spans"]
         assert "wrote" in capsys.readouterr().out
 
+    def test_export_asks_the_fleet_for_its_trace(self, tmp_path, capsys):
+        # Fleets record no simulation trace unless asked; export asks.
+        out = tmp_path / "trace.json"
+        assert main(
+            ["obs", "export", "--users", "2", "--duration", "0.5",
+             "--out", str(out)]
+        ) == 0
+        parsed = json.loads(out.read_text(encoding="utf-8"))
+        events = [e for e in parsed["traceEvents"] if e.get("cat") == "trace"]
+        assert len(events) > 0
+        assert f"{len(events)} trace events" in capsys.readouterr().out
+
     def test_fleet_run_telemetry_sidecar_then_top_and_diff(
         self, tmp_path, capsys
     ):

@@ -87,3 +87,29 @@ class TestStatistics:
         x = np.array(samples)
         rho = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert rho == pytest.approx(np.exp(-spacing / decorr), abs=0.07)
+
+
+class TestOneDwellDraw:
+    """A one-dwell sample draws a scalar normal; bursts draw arrays."""
+
+    def test_scalar_normal_matches_one_element_array(self):
+        # The scalar draw is only byte-safe if numpy yields the same
+        # value and leaves the same stream state as ``standard_normal(1)``.
+        scalar = np.random.default_rng(2024)
+        array = np.random.default_rng(2024)
+        draws = 200_000
+        mismatches = sum(
+            scalar.standard_normal() != array.standard_normal(1)[0]
+            for _ in range(draws)
+        )
+        assert mismatches == 0
+        assert scalar.bit_generator.state == array.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    def test_repeat_matches_scalar_loop(self, n):
+        batch = make(seed=9)
+        loop = make(seed=9)
+        for distance in (0.0, 0.4, 0.4, 2.5, 7.0):
+            value = batch.sample_repeat_db(distance, n)
+            assert [loop.sample_db(distance) for _ in range(n)] == [value] * n
+        assert batch._rng.bit_generator.state == loop._rng.bit_generator.state

@@ -53,7 +53,7 @@ def _records(trace):
 
 
 def _run_fleet(spec):
-    run = build_fleet(spec)
+    run = build_fleet(spec, trace=True)
     result = run_built_fleet(run)
     return canonical_json(result.to_dict()), _records(run.deployment.trace), run
 
