@@ -1,4 +1,4 @@
-"""Terminal plotting: ASCII CDF curves, sparklines and histograms.
+"""Terminal plotting: ASCII CDF curves and sparklines.
 
 The paper's figures are line/bar charts; these helpers render the same
 series legibly in a terminal so benches and the CLI can show *shapes*,
@@ -78,30 +78,3 @@ def ascii_cdf_plot(
     lines.append(f"      {x_label}   [{legend}]")
     return "\n".join(lines)
 
-
-def ascii_histogram(
-    values: Sequence[float],
-    bins: int = 10,
-    width: int = 40,
-    title: str = "",
-) -> str:
-    """Horizontal-bar histogram."""
-    if not values:
-        raise ValueError("empty sample")
-    if bins < 1:
-        raise ValueError(f"need >= 1 bin, got {bins!r}")
-    low = min(values)
-    high = max(values)
-    span = max(high - low, 1e-12)
-    counts = [0] * bins
-    for value in values:
-        index = min(bins - 1, int((value - low) / span * bins))
-        counts[index] += 1
-    peak = max(counts)
-    lines = [title] if title else []
-    for i, count in enumerate(counts):
-        left = low + span * i / bins
-        right = low + span * (i + 1) / bins
-        bar = "#" * (0 if peak == 0 else int(count / peak * width))
-        lines.append(f"  [{left:8.3f}, {right:8.3f})  {bar} {count}")
-    return "\n".join(lines)

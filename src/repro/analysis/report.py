@@ -19,7 +19,9 @@ from repro.experiments.fig2c import run_fig2c
 
 
 def _percent(name: str):
-    return lambda headline: f"{100.0 * headline[name]:.0f}%"
+    return lambda headline: (
+        None if headline[name] is None else f"{100.0 * headline[name]:.0f}%"
+    )
 
 
 def fig2a_section(n_trials: int, base_seed: int = 5000) -> str:

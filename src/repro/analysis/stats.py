@@ -332,25 +332,6 @@ class QuantileReservoir:
         return reservoir
 
 
-def mean_confidence_interval(
-    values: Sequence[float], z: float = 1.96
-) -> Tuple[float, float, float]:
-    """``(mean, low, high)`` normal-approximation CI of the mean.
-
-    ``z = 1.96`` gives a 95% interval; fine for the trial counts
-    (tens to hundreds) the benches run.
-    """
-    if not values:
-        raise ValueError("confidence interval of empty sample")
-    n = len(values)
-    mean = sum(values) / n
-    if n == 1:
-        return mean, mean, mean
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-    half = z * math.sqrt(variance / n)
-    return mean, mean - half, mean + half
-
-
 def success_rate(successes: int, trials: int) -> float:
     """Fraction in [0, 1]; raises on zero trials."""
     if trials <= 0:

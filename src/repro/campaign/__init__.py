@@ -56,24 +56,7 @@ from repro.campaign.spec import (
 )
 from repro.campaign.store import ArtifactStore, StoreError
 
-
-def __getattr__(name: str):
-    # Back-compat aliases for the pre-registry experiment table: both
-    # now resolve through repro.registry (lazily, to keep importing
-    # this package from pulling in every experiment module).
-    if name == "EXPERIMENTS":
-        from repro.registry import EXPERIMENTS
-
-        return EXPERIMENTS
-    if name == "EXPERIMENT_KINDS":
-        from repro.registry import EXPERIMENTS
-
-        return EXPERIMENTS.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "EXPERIMENTS",
-    "EXPERIMENT_KINDS",
     "ArtifactStore",
     "CampaignCell",
     "CampaignError",

@@ -393,10 +393,6 @@ class CampaignResult:
     #: only).  Kept out of ``payloads`` so artifacts stay deterministic.
     telemetry: Dict[str, dict] = field(default_factory=dict)
 
-    @property
-    def total_cells(self) -> int:
-        return self.spec.n_cells
-
     def merged_telemetry(self) -> Optional[dict]:
         """All per-cell summaries folded into one, or ``None`` if none."""
         if not self.telemetry:

@@ -281,16 +281,6 @@ class CampaignSpec:
         )
 
 
-def __getattr__(name: str):
-    # Back-compat: EXPERIMENT_KINDS used to be a static tuple here; it
-    # now reflects the live experiment registry (plugins included).
-    if name == "EXPERIMENT_KINDS":
-        from repro.registry import EXPERIMENTS
-
-        return EXPERIMENTS.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def load_spec(path: PathLike) -> CampaignSpec:
     """Read a :class:`CampaignSpec` from a JSON file."""
     try:

@@ -123,14 +123,11 @@ def _cmd_fig2a(args: argparse.Namespace) -> int:
     headlines = {
         kind: results[kind]["headline"] for kind in ("narrow", "wide", "omni")
     }
-    columns = (
-        ("success %", lambda h: 100.0 * h["successes_per_trial"]),
-        ("mean dwells", "mean_dwells"),
-        ("p50 dwells", "p50_dwells"),
-    )
     print(
         format_table(
-            *headline_table(("codebook",), headlines, columns),
+            *headline_table(
+                ("codebook",), headlines, EXPERIMENTS.get("search").columns
+            ),
             title=f"Fig. 2a ({args.scenario}, {args.trials} trials)",
         )
     )

@@ -8,7 +8,7 @@ FIG2B-FSM bench checks simulated edge coverage against it, and
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.core.events import Fig2bEdge
 
@@ -38,11 +38,6 @@ FIG2B_GUARDS: Dict[str, str] = {
     "G": "dRSS_S > 3 dB (assistance delayed or lost)",
     "H": "dRSS_N > 3 dB (adjacent receive-beam switch)",
 }
-
-
-def edges() -> List[Fig2bEdge]:
-    """All edges in label order."""
-    return [Fig2bEdge(label) for label in sorted(FIG2B_TOPOLOGY)]
 
 
 def validate_topology() -> None:

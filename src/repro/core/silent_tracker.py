@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.arm import ProtocolArm
-from repro.core.beamsurfer import BeamSurfer, ServingState
+from repro.core.beamsurfer import BeamSurfer
 from repro.core.config import SilentTrackerConfig
 from repro.core.events import Fig2bEdge, NeighborState, TrackerPhase
 from repro.core.neighbor_tracker import NeighborTracker
@@ -342,19 +342,3 @@ class SilentTracker(ProtocolArm):
 
     def _on_serving_silent(self, now_s: float) -> None:
         self._evaluate_handover_trigger(now_s)
-
-    # ------------------------------------------------------------- inspection
-    def fig2b_state(self) -> str:
-        """The paper's single-machine view of the composite state."""
-        if self.tracker.state is NeighborState.SEARCHING:
-            return "N-A/R"
-        if self.tracker.state is NeighborState.TRACKING:
-            if self.beamsurfer.state is ServingState.EDGE_OPERATION:
-                return "N-RBA"
-            # Serving-side adaptation takes narrative priority in the
-            # figure when both are active.
-        return {
-            ServingState.EDGE_OPERATION: "EO",
-            ServingState.MOBILE_ADAPTATION: "S-RBA",
-            ServingState.CELL_ASSISTED: "CABM",
-        }[self.beamsurfer.state]

@@ -12,7 +12,7 @@
 * :mod:`repro.experiments.hierarchical` — exhaustive vs two-stage
   (coarse -> fine) neighbor search.
 * :mod:`repro.experiments.pingpong` — handover churn vs time-to-trigger.
-* :mod:`repro.experiments.workloads` — canned RSS traces and replay.
+* :mod:`repro.experiments.workloads` — canned RSS traces.
 
 Each module registers its scenario/codebook/experiment arms in
 :mod:`repro.registry`; trials run through the

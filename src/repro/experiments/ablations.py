@@ -1,9 +1,10 @@
 """Ablation sweeps over Silent Tracker's design constants.
 
-The paper fixes three constants (3 dB adaptation, 10 dB loss, margin T);
-these sweeps quantify how sensitive the headline behaviour is to each —
-the analysis a full-paper evaluation would include.  Every sweep runs
-the ``tracking`` experiment kind and returns ``{arm: [trial, ...]}``;
+The paper fixes the 3 dB adaptation threshold, the handover margin T
+and the receive codebook; these sweeps quantify how sensitive the
+headline behaviour is to each — the analysis a full-paper evaluation
+would include.  Every sweep runs the ``tracking`` experiment kind and
+returns ``{arm: [trial, ...]}``;
 :func:`repro.experiments.fig2c.tracking_headline` summarizes an arm.
 """
 
@@ -120,18 +121,3 @@ def sweep_codebook_beamwidth(
     result = run_campaign(spec, workers=workers)
     return group_trials(result.results_in_order(), "protocol")
 
-
-def sweep_loss_threshold(
-    thresholds_db: Sequence[float] = (6.0, 10.0, 15.0),
-    scenario: str = "vehicular",
-    n_trials: int = 20,
-    base_seed: int = 600,
-    workers: int = 1,
-) -> Dict[str, List[TrackingTrialResult]]:
-    """Sweep the 10 dB loss threshold (edge D)."""
-    configs = {}
-    for threshold in thresholds_db:
-        configs[f"loss={threshold:g}dB"] = SilentTrackerConfig(
-            loss_threshold_db=threshold
-        )
-    return _run_sweep(configs, scenario, n_trials, base_seed, workers=workers)

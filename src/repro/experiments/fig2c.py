@@ -146,11 +146,13 @@ def tracking_headline(trials) -> dict:
     """Handover completion, softness and completion time of one arm.
 
     ``completed_per_trial`` is completed episodes / trials and
-    ``soft_per_completed`` soft episodes / completed ones (0.0 when none
-    completed).  ``completion_times_s`` holds the completed episodes'
-    Fig. 2c times, which the mean and quantiles summarize; beam switches
-    and re-acquisitions are averaged per completed episode.  A mean or
-    quantile is ``None`` when no episode completed.
+    ``soft_per_completed`` soft episodes / completed ones.
+    ``completion_times_s`` holds the completed episodes' Fig. 2c times,
+    which the mean and quantiles summarize; beam switches and
+    re-acquisitions are averaged per completed episode.  A ratio, mean
+    or quantile over completed episodes is ``None`` when none completed,
+    so an arm that never completed does not read like one whose
+    handovers were all hard.
     """
     from repro.analysis.stats import summarize
 
@@ -168,7 +170,7 @@ def tracking_headline(trials) -> dict:
         "completed": n,
         "soft": soft,
         "completed_per_trial": n / len(trials),
-        "soft_per_completed": soft / n if n else 0.0,
+        "soft_per_completed": soft / n if n else None,
         "mean_completion_s": per_completed(times),
         "p50_completion_s": summary.get("p50"),
         "p90_completion_s": summary.get("p90"),
@@ -247,7 +249,7 @@ def run_fig2c(
 
         {"completion_times_s": [...],   # successful episodes only
          "completion_rate": float,      # episodes completed / trials
-         "soft_rate": float,            # soft / completed
+         "soft_rate": float or None,    # soft / completed
          "trials": [TrackingTrialResult, ...],
          "headline": dict}              # see tracking_headline
     """

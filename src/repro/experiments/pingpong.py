@@ -99,20 +99,6 @@ def _run_loiter_trial(
     )
 
 
-def run_pingpong_trial(
-    time_to_trigger_s: float,
-    seed: int = 1,
-    margin_db: float = 3.0,
-    duration_s: float = PINGPONG_DURATION_S,
-) -> PingPongTrialResult:
-    """Park the mobile at the A/B boundary and count the churn."""
-    config = SilentTrackerConfig(
-        handover_margin_db=margin_db,
-        time_to_trigger_s=time_to_trigger_s,
-    )
-    return _run_loiter_trial(config, seed=seed, duration_s=duration_s)
-
-
 # ----------------------------------------------------------- experiment kind
 def _decode_pingpong(payload: dict) -> PingPongTrialResult:
     return PingPongTrialResult(**payload)

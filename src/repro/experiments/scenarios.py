@@ -165,11 +165,6 @@ def make_trajectory(
     return SCENARIOS.get(scenario).make_trajectory(rng=rng, start_x=start_x)
 
 
-def scenario_duration_s(scenario: str) -> float:
-    """Long enough for one full handover episode in each scenario."""
-    return SCENARIOS.get(scenario).duration_s
-
-
 def build_street_grid_deployment(
     seed: int,
     config: Optional[DeploymentConfig] = None,

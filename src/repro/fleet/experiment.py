@@ -252,25 +252,3 @@ def _run_fleet_cell(cell) -> dict:
     )
     return run_fleet_trial(spec).to_dict()
 
-
-def fleet_campaign_spec(
-    n_users: int = DEFAULT_N_USERS,
-    scenarios: Tuple[str, ...] = ("walk",),
-    mixes: Tuple[str, ...] = ("uniform", "mobility-blend"),
-    seeds: int = 4,
-    base_seed: int = 0,
-    duration_s: float = DEFAULT_DURATION_S,
-    name: str = "fleet",
-):
-    """A fleet sweep as a campaign grid (scenario x mix x seed)."""
-    from repro.campaign.spec import CampaignSpec
-
-    return CampaignSpec(
-        name=name,
-        experiment="fleet",
-        scenarios=tuple(scenarios),
-        protocols=tuple(mixes),
-        seeds=seeds,
-        base_seed=base_seed,
-        params={"n_users": n_users, "duration_s": duration_s},
-    )

@@ -29,12 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.stats import (
-    QuantileReservoir,
-    StreamingMoments,
-    empirical_cdf,
-    summarize,
-)
+from repro.analysis.stats import QuantileReservoir, StreamingMoments, summarize
 from repro.campaign.spec import SpecError
 from repro.fleet.spec import UserSpec
 

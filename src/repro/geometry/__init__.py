@@ -9,10 +9,8 @@ in for the paper's scenarios.
 from repro.geometry.angles import (
     TWO_PI,
     angular_distance,
-    angular_mean,
     signed_angle_delta,
     wrap_to_pi,
-    wrap_to_two_pi,
 )
 from repro.geometry.pose import Pose
 from repro.geometry.vectors import Vec3, bearing_xy, distance
@@ -22,10 +20,8 @@ __all__ = [
     "Pose",
     "Vec3",
     "angular_distance",
-    "angular_mean",
     "bearing_xy",
     "distance",
     "signed_angle_delta",
     "wrap_to_pi",
-    "wrap_to_two_pi",
 ]

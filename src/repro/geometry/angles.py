@@ -8,7 +8,6 @@ angle comparison in the library goes through these helpers.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -45,14 +44,6 @@ def wrap_to_pi_array(angles) -> np.ndarray:
     return wrapped
 
 
-def wrap_to_two_pi(angle: float) -> float:
-    """Wrap an angle into ``[0, 2*pi)``."""
-    wrapped = math.fmod(angle, TWO_PI)
-    if wrapped < 0.0:
-        wrapped += TWO_PI
-    return wrapped
-
-
 def signed_angle_delta(target: float, source: float) -> float:
     """Smallest signed rotation taking ``source`` onto ``target``.
 
@@ -65,23 +56,3 @@ def angular_distance(a: float, b: float) -> float:
     """Unsigned circular distance between two angles, in ``[0, pi]``."""
     return abs(signed_angle_delta(a, b))
 
-
-def angular_mean(angles: Iterable[float]) -> float:
-    """Circular mean of a collection of angles.
-
-    Computed via the mean resultant vector; raises :class:`ValueError`
-    when the resultant is (numerically) zero, i.e. the mean is undefined
-    (e.g. two opposite angles).
-    """
-    sin_sum = 0.0
-    cos_sum = 0.0
-    count = 0
-    for angle in angles:
-        sin_sum += math.sin(angle)
-        cos_sum += math.cos(angle)
-        count += 1
-    if count == 0:
-        raise ValueError("angular mean of empty collection")
-    if math.hypot(sin_sum, cos_sum) < 1e-12:
-        raise ValueError("angular mean undefined: zero resultant vector")
-    return math.atan2(sin_sum / count, cos_sum / count)

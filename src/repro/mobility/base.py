@@ -45,24 +45,6 @@ class Trajectory(ABC):
         """Convenience accessor for just the heading."""
         return self.pose_at(time_s).heading
 
-    def average_speed_mps(self, t0: float, t1: float, steps: int = 64) -> float:
-        """Mean translational speed over ``[t0, t1]`` by arc sampling.
-
-        Diagnostic helper used by scenario tests to confirm a model moves
-        at its nominal speed.
-        """
-        if t1 <= t0:
-            raise ValueError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
-        if steps < 1:
-            raise ValueError(f"need >= 1 step, got {steps!r}")
-        total = 0.0
-        previous = self.position_at(t0)
-        for k in range(1, steps + 1):
-            current = self.position_at(t0 + (t1 - t0) * k / steps)
-            total += previous.distance_to(current)
-            previous = current
-        return total / (t1 - t0)
-
 
 def sample_poses(trajectories: Sequence["Trajectory"], time_s: float) -> List[Pose]:
     """Poses of a whole population at one instant, in input order.

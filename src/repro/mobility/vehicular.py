@@ -36,7 +36,7 @@ class VehicularDriveBy(Trajectory):
         Direction of travel (also the device heading; the device is
         mounted in the vehicle).
     speed_mps:
-        Speed in m/s.  Use :func:`speed_from_mph` for the paper's 20 mph.
+        Speed in m/s.  Use :meth:`from_mph` for the paper's 20 mph.
     jitter_amplitude_rad:
         Suspension/road heading jitter.
     """

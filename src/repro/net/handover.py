@@ -11,7 +11,7 @@ the full directional cell search plus initial access with no context.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 

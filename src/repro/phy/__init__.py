@@ -11,7 +11,6 @@ from repro.phy.antenna import (
     AntennaPattern,
     GaussianBeamPattern,
     OmniPattern,
-    UlaPattern,
     peak_gain_dbi_for_beamwidth,
 )
 from repro.phy.channel import Channel, ChannelConfig, LinkState
@@ -32,6 +31,5 @@ __all__ = [
     "OmniPattern",
     "RachConfig",
     "SsbSchedule",
-    "UlaPattern",
     "peak_gain_dbi_for_beamwidth",
 ]

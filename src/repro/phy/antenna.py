@@ -1,18 +1,12 @@
 """Antenna beam patterns.
 
-Two levels of fidelity are provided:
-
 * :class:`GaussianBeamPattern` — the standard sectored-Gaussian
   approximation used throughout the mm-wave systems literature.  The
   mainlobe is Gaussian in dB (exactly -3 dB at half the nominal
-  beamwidth) with a flat sidelobe floor.  This is the default for
-  system-level simulation because it is fast and its two parameters
-  (beamwidth, peak gain) map directly onto the paper's 20°/60°/omni
-  codebook descriptions.
-* :class:`UlaPattern` — a true uniform-linear-array factor for
-  half-wavelength-spaced isotropic elements, used in validation tests to
-  check that the Gaussian approximation tracks a physical array within
-  tolerance inside the mainlobe.
+  beamwidth) with a flat sidelobe floor.  It is fast, and its two
+  parameters (beamwidth, peak gain) map directly onto the paper's
+  20°/60° codebook descriptions.
+* :class:`OmniPattern` — the idealized omnidirectional element.
 
 Patterns are azimuth-only: the paper's scenarios (walk, rotation,
 drive-by at fixed height) exercise horizontal beam management, and both
@@ -190,94 +184,3 @@ class OmniPattern(AntennaPattern):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OmniPattern(gain={self._gain:.1f}dBi)"
 
-
-class UlaPattern(AntennaPattern):
-    """Uniform linear array of isotropic elements, half-wavelength spacing.
-
-    The array factor for an N-element ULA steered to broadside is::
-
-        AF(psi) = sin(N * pi/2 * sin(psi)) / (N * sin(pi/2 * sin(psi)))
-
-    Power gain is ``N * |AF|^2`` (directivity of an N-element ULA).  Used
-    as the physical ground truth in antenna validation tests.
-    """
-
-    def __init__(self, n_elements: int, element_gain_dbi: float = 0.0) -> None:
-        if n_elements < 1:
-            raise ValueError(f"need at least 1 element, got {n_elements!r}")
-        self._n = n_elements
-        self._element_gain = element_gain_dbi
-
-    @property
-    def n_elements(self) -> int:
-        return self._n
-
-    @property
-    def peak_gain_dbi(self) -> float:
-        return self._element_gain + 10.0 * math.log10(self._n)
-
-    @property
-    def beamwidth_rad(self) -> float:
-        """Approximate HPBW of a broadside ULA: ``0.886 * lambda / (N*d)``.
-
-        With half-wavelength spacing this reduces to ``2 * 0.886 / N``
-        radians for large N; for N=1 the element is omni.
-        """
-        if self._n == 1:
-            return 2.0 * math.pi
-        return min(2.0 * math.pi, 2.0 * 0.886 / self._n)
-
-    def _array_factor_power(self, offset: float) -> float:
-        # psi measured from boresight; electrical angle for d = lambda/2.
-        u = 0.5 * math.pi * math.sin(offset)
-        numerator = math.sin(self._n * u)
-        denominator = self._n * math.sin(u)
-        if abs(denominator) < 1e-12:
-            return 1.0
-        af = numerator / denominator
-        return af * af
-
-    def gain_dbi(self, offset_rad: float) -> float:
-        offset = wrap_to_pi(offset_rad)
-        # Behind the array plane the pattern of a real module is shielded;
-        # model a -10 dBi backplane floor as in the Gaussian model.
-        if abs(offset) > 0.5 * math.pi:
-            return -10.0
-        power = self._n * self._array_factor_power(offset)
-        if power <= 1e-12:
-            return -10.0
-        return max(-10.0, self._element_gain + 10.0 * math.log10(power))
-
-    def gain_dbi_array(self, offsets_rad: np.ndarray) -> np.ndarray:
-        offsets = wrap_to_pi_array(offsets_rad)
-        gains = np.full(offsets.shape, -10.0)
-        front = np.abs(offsets) <= 0.5 * math.pi
-        # math.sin per element (like the log10 below): numpy can route
-        # float64 sin through SIMD implementations that differ from the
-        # scalar path's libm by a ULP on some hosts, which would break
-        # the bit-identity contract of gain_dbi_array.
-        sin = math.sin
-        u = 0.5 * math.pi * np.array(
-            [sin(o) for o in offsets[front].tolist()]
-        )
-        numerator = np.array([sin(x) for x in (self._n * u).tolist()])
-        denominator = self._n * np.array([sin(x) for x in u.tolist()])
-        af_power = np.ones_like(u)
-        steerable = np.abs(denominator) >= 1e-12
-        af = numerator[steerable] / denominator[steerable]
-        af_power[steerable] = af * af
-        power = self._n * af_power
-        front_gains = np.full(power.shape, -10.0)
-        detectable = power > 1e-12
-        # math.log10 per element: np.log10 differs from the scalar path
-        # by 1 ULP on some inputs, which would break the bit-identity
-        # contract of gain_dbi_array.
-        front_gains[detectable] = [
-            max(-10.0, self._element_gain + 10.0 * math.log10(p))
-            for p in power[detectable]
-        ]
-        gains[front] = front_gains
-        return gains
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"UlaPattern(n={self._n})"

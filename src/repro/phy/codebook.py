@@ -375,7 +375,3 @@ class HierarchicalCodebook:
         """
         self._coarse._check_index(coarse_index)
         return [int(i) for i in np.flatnonzero(self._parents == coarse_index)]
-
-    def search_cost(self, coarse_index: int) -> int:
-        """Number of dwells for a two-stage search landing in this sector."""
-        return len(self.coarse) + len(self.children(coarse_index))

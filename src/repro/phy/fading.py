@@ -40,10 +40,8 @@ class RicianFading:
 
     def sample_db(self) -> float:
         """One envelope-power fade in dB (0 dB mean in the linear domain)."""
-        in_phase = self._los_amplitude + self._diffuse_sigma * float(
-            self._rng.normal()
-        )
-        quadrature = self._diffuse_sigma * float(self._rng.normal())
+        in_phase = self._los_amplitude + self._diffuse_sigma * self._rng.standard_normal()
+        quadrature = self._diffuse_sigma * self._rng.standard_normal()
         power = in_phase * in_phase + quadrature * quadrature
         # power is almost surely positive; clamp defensively against a
         # pathological double-underflow.

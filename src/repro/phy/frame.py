@@ -54,17 +54,6 @@ class FrameConfig:
         """Time span of one burst sweeping ``n_beams`` beams."""
         return self.ssb_dwell_s * min(n_beams, self.max_ssb_per_burst)
 
-    def worst_case_search_s(self, n_rx_beams: int) -> float:
-        """Upper bound on a blind exhaustive search with ``n_rx_beams``.
-
-        One receive beam per burst, so a full receive sweep costs
-        ``n_rx_beams`` bursts.  With 64 receive beams this reproduces the
-        1.28 s figure from the paper's introduction.
-        """
-        if n_rx_beams < 1:
-            raise ValueError(f"need >= 1 rx beam, got {n_rx_beams!r}")
-        return n_rx_beams * self.ssb_period_s
-
 
 @dataclass(frozen=True)
 class RachConfig:
@@ -140,25 +129,10 @@ class SsbSchedule:
             raise ValueError(f"burst index must be >= 0, got {burst_index!r}")
         return self.phase_s + burst_index * self.config.ssb_period_s
 
-    def burst_index_at(self, time_s: float) -> int:
-        """Index of the last burst starting at or before ``time_s``.
-
-        Returns -1 before the first burst.
-        """
-        return int(math.floor((time_s - self.phase_s) / self.config.ssb_period_s + 1e-12))
-
     def next_burst_start(self, now_s: float) -> float:
         """Start time of the first burst at or after ``now_s``."""
         index = math.ceil((now_s - self.phase_s) / self.config.ssb_period_s - 1e-12)
         return self.burst_start(max(0, index))
-
-    def ssb_time(self, burst_index: int, beam_index: int) -> float:
-        """Time of the dwell carrying ``beam_index`` within a burst."""
-        if not 0 <= beam_index < self.n_beams:
-            raise ValueError(
-                f"beam index {beam_index!r} out of range for {self.n_beams} beams"
-            )
-        return self.burst_start(burst_index) + beam_index * self.config.ssb_dwell_s
 
     def beams_in_burst(self) -> List[int]:
         """Transmit-beam sweep order within every burst."""

@@ -56,23 +56,6 @@ class PathLossModel(ABC):
         return None
 
 
-class FreeSpacePathLoss(PathLossModel):
-    """Pure Friis free-space loss at a fixed carrier frequency."""
-
-    def __init__(self, frequency_hz: float) -> None:
-        if frequency_hz <= 0.0:
-            raise ValueError(f"frequency must be positive, got {frequency_hz!r}")
-        self.frequency_hz = frequency_hz
-
-    def path_loss_db(self, distance_m: float) -> float:
-        return fspl_db(distance_m, self.frequency_hz)
-
-    def max_distance_for_loss(self, loss_db: float) -> Optional[float]:
-        # Friis is CI with exponent 2 and a 1 m intercept.
-        intercept = fspl_db(1.0, self.frequency_hz)
-        return 10.0 ** ((loss_db - intercept) / 20.0)
-
-
 class CloseInPathLoss(PathLossModel):
     """CI model: 1 m free-space intercept plus a fitted distance exponent.
 
@@ -121,40 +104,3 @@ class CloseInPathLoss(PathLossModel):
         distance = 10.0 ** ((loss_db - self._intercept_db) / (10.0 * self.exponent))
         return max(distance, self.min_distance_m)
 
-
-class DualSlopePathLoss(PathLossModel):
-    """Two-exponent model with a breakpoint distance.
-
-    Included for the ablation benches: beyond the breakpoint (e.g. the
-    edge of the LoS corridor) loss steepens, which sharpens the cell-edge
-    RSS gradient and stresses the handover trigger.
-    """
-
-    def __init__(
-        self,
-        frequency_hz: float = 60.0e9,
-        near_exponent: float = 2.0,
-        far_exponent: float = 3.5,
-        breakpoint_m: float = 15.0,
-    ) -> None:
-        if breakpoint_m <= 1.0:
-            raise ValueError(f"breakpoint must exceed 1 m, got {breakpoint_m!r}")
-        self._near = CloseInPathLoss(frequency_hz, near_exponent)
-        self.far_exponent = far_exponent
-        self.breakpoint_m = breakpoint_m
-        self._loss_at_break = self._near.path_loss_db(breakpoint_m)
-
-    def path_loss_db(self, distance_m: float) -> float:
-        if distance_m <= self.breakpoint_m:
-            return self._near.path_loss_db(distance_m)
-        return self._loss_at_break + 10.0 * self.far_exponent * math.log10(
-            distance_m / self.breakpoint_m
-        )
-
-    def max_distance_for_loss(self, loss_db: float) -> Optional[float]:
-        if loss_db <= self._loss_at_break:
-            near = self._near.max_distance_for_loss(loss_db)
-            return min(near, self.breakpoint_m) if near is not None else None
-        return self.breakpoint_m * 10.0 ** (
-            (loss_db - self._loss_at_break) / (10.0 * self.far_exponent)
-        )

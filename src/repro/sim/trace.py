@@ -76,20 +76,6 @@ class TraceRecorder:
         """All recorded events in emission order."""
         return list(self._events)
 
-    def filter(
-        self,
-        category: Optional[str] = None,
-        node: Optional[str] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> List[TraceEvent]:
-        """Events matching all given criteria.
-
-        ``category`` matches exact name or any dotted descendant, so
-        ``filter(category="fsm")`` returns ``fsm.transition`` events too.
-        """
-        return list(self.iter_filter(category, node, since, until))
-
     def iter_filter(
         self,
         category: Optional[str] = None,
@@ -97,7 +83,12 @@ class TraceRecorder:
         since: Optional[float] = None,
         until: Optional[float] = None,
     ) -> Iterator[TraceEvent]:
-        """Lazy version of :meth:`filter`."""
+        """Events matching all given criteria, lazily.
+
+        ``category`` matches exact name or any dotted descendant, so
+        ``iter_filter(category="fsm")`` yields ``fsm.transition`` events
+        too.
+        """
         prefix = None if category is None else category + "."
         for event in self._events:
             if category is not None:

@@ -1,37 +1,9 @@
-"""Generic numeric helpers: smoothing filters, quantiles, interpolation."""
+"""Generic numeric helpers: smoothing filters, quantiles, pairs."""
 
 from __future__ import annotations
 
 import math
 from typing import Iterator, Optional, Sequence, Tuple
-
-
-def clamp(value: float, low: float, high: float) -> float:
-    """Clamp ``value`` into the closed interval ``[low, high]``.
-
-    >>> clamp(5.0, 0.0, 1.0)
-    1.0
-    """
-    if low > high:
-        raise ValueError(f"empty interval: low={low!r} > high={high!r}")
-    return max(low, min(high, value))
-
-
-def is_close(a: float, b: float, tol: float = 1e-9) -> bool:
-    """Absolute-tolerance float comparison."""
-    return abs(a - b) <= tol
-
-
-def lin_interp(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
-    """Linearly interpolate ``y`` at ``x`` between ``(x0, y0)`` and ``(x1, y1)``.
-
-    Extrapolates outside the interval; callers that need clamping should
-    clamp ``x`` first.
-    """
-    if x1 == x0:
-        return y0
-    frac = (x - x0) / (x1 - x0)
-    return y0 + frac * (y1 - y0)
 
 
 def pairwise(items: Sequence) -> Iterator[Tuple]:

@@ -91,11 +91,6 @@ _TABLE: Tuple[Switch, ...] = (
 SWITCHES: Dict[str, Switch] = {switch.name: switch for switch in _TABLE}
 
 
-def declared_switches() -> Tuple[Switch, ...]:
-    """The declared switch table, in display order."""
-    return _TABLE
-
-
 def switch(name: str) -> Switch:
     """The declaration for ``name``; ``SwitchError`` if undeclared."""
     try:

@@ -23,15 +23,6 @@ THERMAL_NOISE_DENSITY_DBM_PER_HZ = -174.0
 _MPS_PER_MPH = 0.44704
 
 
-def db_to_linear(value_db: float) -> float:
-    """Convert a ratio in decibels to a linear ratio.
-
-    >>> db_to_linear(3.0)  # doctest: +ELLIPSIS
-    1.995...
-    """
-    return 10.0 ** (value_db / 10.0)
-
-
 def linear_to_db(value: float) -> float:
     """Convert a linear power ratio to decibels.
 
@@ -42,25 +33,6 @@ def linear_to_db(value: float) -> float:
     if value <= 0.0:
         raise ValueError(f"cannot convert non-positive ratio {value!r} to dB")
     return 10.0 * math.log10(value)
-
-
-def dbm_to_watts(power_dbm: float) -> float:
-    """Convert a power level in dBm to watts."""
-    return 10.0 ** (power_dbm / 10.0) / 1000.0
-
-
-def watts_to_dbm(power_w: float) -> float:
-    """Convert a power level in watts to dBm."""
-    if power_w <= 0.0:
-        raise ValueError(f"cannot convert non-positive power {power_w!r} to dBm")
-    return 10.0 * math.log10(power_w * 1000.0)
-
-
-def mw_to_dbm(power_mw: float) -> float:
-    """Convert a power level in milliwatts to dBm."""
-    if power_mw <= 0.0:
-        raise ValueError(f"cannot convert non-positive power {power_mw!r} to dBm")
-    return 10.0 * math.log10(power_mw)
 
 
 def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:
@@ -86,11 +58,6 @@ def mph_to_mps(speed_mph: float) -> float:
     The paper's vehicular scenario is specified as 20 mph.
     """
     return speed_mph * _MPS_PER_MPH
-
-
-def kmh_to_mps(speed_kmh: float) -> float:
-    """Convert kilometers per hour to meters per second."""
-    return speed_kmh / 3.6
 
 
 def deg_per_s_to_rad_per_s(rate_deg_per_s: float) -> float:

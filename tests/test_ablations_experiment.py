@@ -6,7 +6,6 @@ from repro.experiments.ablations import (
     sweep_adapt_threshold,
     sweep_codebook_beamwidth,
     sweep_handover_margin,
-    sweep_loss_threshold,
 )
 from repro.experiments.fig2c import tracking_headline
 
@@ -57,14 +56,6 @@ class TestCodebookSweep:
             summary["narrow"]["completed_per_trial"]
             >= summary["omni"]["completed_per_trial"]
         )
-
-
-class TestLossThresholdSweep:
-    def test_runs(self):
-        sweep = sweep_loss_threshold(
-            thresholds_db=(10.0,), n_trials=3, base_seed=7400
-        )
-        assert set(sweep) == {"loss=10dB"}
 
 
 class TestSummaryShape:

@@ -6,10 +6,8 @@ import pytest
 
 from repro.geometry.angles import (
     angular_distance,
-    angular_mean,
     signed_angle_delta,
     wrap_to_pi,
-    wrap_to_two_pi,
 )
 
 
@@ -35,17 +33,6 @@ class TestWrapToPi:
 
     def test_zero(self):
         assert wrap_to_pi(0.0) == 0.0
-
-
-class TestWrapToTwoPi:
-    def test_in_range(self):
-        assert wrap_to_two_pi(1.0) == pytest.approx(1.0)
-
-    def test_negative(self):
-        assert wrap_to_two_pi(-0.5) == pytest.approx(2 * math.pi - 0.5)
-
-    def test_full_turn(self):
-        assert wrap_to_two_pi(2 * math.pi) == pytest.approx(0.0)
 
 
 class TestSignedDelta:
@@ -79,19 +66,3 @@ class TestAngularDistance:
     def test_zero(self):
         assert angular_distance(1.234, 1.234) == 0.0
 
-
-class TestAngularMean:
-    def test_simple_cluster(self):
-        assert angular_mean([0.1, -0.1]) == pytest.approx(0.0)
-
-    def test_across_seam(self):
-        mean = angular_mean([math.pi - 0.1, -math.pi + 0.1])
-        assert abs(wrap_to_pi(mean - math.pi)) < 1e-9
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            angular_mean([])
-
-    def test_opposite_angles_undefined(self):
-        with pytest.raises(ValueError):
-            angular_mean([0.0, math.pi])

@@ -8,7 +8,6 @@ import pytest
 from repro.phy.antenna import (
     GaussianBeamPattern,
     OmniPattern,
-    UlaPattern,
     peak_gain_dbi_for_beamwidth,
 )
 
@@ -108,37 +107,3 @@ class TestOmni:
             omni.gain_dbi_array(np.array([0.0, 1.0])), [1.5, 1.5]
         )
 
-
-class TestUla:
-    def test_peak_gain_scales_with_elements(self):
-        assert UlaPattern(8).peak_gain_dbi == pytest.approx(
-            10 * math.log10(8)
-        )
-
-    def test_boresight_near_peak(self):
-        ula = UlaPattern(8)
-        assert ula.gain_dbi(0.0) == pytest.approx(ula.peak_gain_dbi)
-
-    def test_single_element_omni_front(self):
-        ula = UlaPattern(1)
-        assert ula.gain_dbi(0.0) == pytest.approx(0.0)
-        assert ula.beamwidth_rad == 2 * math.pi
-
-    def test_backplane_floor(self):
-        assert UlaPattern(8).gain_dbi(math.pi) == -10.0
-
-    def test_rejects_zero_elements(self):
-        with pytest.raises(ValueError):
-            UlaPattern(0)
-
-    def test_gaussian_tracks_ula_mainlobe(self):
-        """The Gaussian model approximates a real ULA inside the mainlobe."""
-        n = 8
-        ula = UlaPattern(n)
-        gauss = GaussianBeamPattern(
-            ula.beamwidth_rad, peak_gain_dbi=ula.peak_gain_dbi
-        )
-        # Within +/- half the HPBW the two models agree to ~1.5 dB.
-        for frac in (-0.5, -0.25, 0.0, 0.25, 0.5):
-            offset = frac * ula.beamwidth_rad
-            assert abs(ula.gain_dbi(offset) - gauss.gain_dbi(offset)) < 1.5

@@ -32,7 +32,7 @@ class TestTraceParity:
             r for r in protocol.handover_log.records if r.complete_s is not None
         ]
         assert completed, "the vehicular drive-by must hand over"
-        events = deployment.trace.filter(category="handover.complete")
+        events = list(deployment.trace.iter_filter(category="handover.complete"))
         assert len(events) == len(completed)
         for record in completed:
             matches = [
@@ -48,21 +48,21 @@ class TestTraceParity:
     def test_each_failed_record_has_one_failed_event(self, arm_run):
         deployment, protocol = arm_run
         failed = protocol.handover_log.count(HandoverOutcome.FAILED)
-        assert len(deployment.trace.filter(category="handover.failed")) == failed
+        assert deployment.trace.count(category="handover.failed") == failed
 
     def test_random_access_is_traced(self, arm_run):
         deployment, _ = arm_run
-        assert deployment.trace.filter(category="rach.msg1")
+        assert list(deployment.trace.iter_filter(category="rach.msg1"))
 
     def test_link_upkeep_events_match_counters(self, arm_run):
         deployment, _ = arm_run
         trace, metrics = deployment.trace, deployment.metrics
-        assert len(trace.filter(category="cabm.request")) == (
+        assert trace.count(category="cabm.request") == (
             metrics.counter("cabm.delivered") + metrics.counter("cabm.lost")
         )
-        assert len(trace.filter(category="connection.rlf")) == metrics.counter(
+        assert trace.count(category="connection.rlf") == metrics.counter(
             "connection.rlf"
         )
-        assert len(trace.filter(category="connection.lost")) == metrics.counter(
+        assert trace.count(category="connection.lost") == metrics.counter(
             "connection.context_lost"
         )

@@ -340,22 +340,22 @@ class TestStore:
 
 class TestWorkloadCampaign:
     def test_sweep_matches_one_shot(self):
-        from repro.experiments.workloads import (
-            generate_rss_trace,
-            run_workload_sweep,
-        )
+        from repro.experiments.workloads import generate_rss_trace
 
-        sweep = run_workload_sweep(
+        spec = CampaignSpec(
+            name="workload",
+            experiment="workload",
             scenarios=("walk",),
-            policies=("best",),
-            n_traces=1,
+            protocols=("best",),
+            seeds=1,
             base_seed=3,
-            duration_s=0.5,
+            params={"duration_s": 0.5},
         )
+        [(_, trace)] = run_campaign(spec).trials_in_order()
         direct = generate_rss_trace(
             scenario="walk", seed=3, duration_s=0.5, rx_beam_policy="best"
         )
-        assert sweep["walk"]["best"][0] == direct
+        assert trace == direct
 
 
 class TestCampaignCli:
@@ -384,6 +384,28 @@ class TestCampaignCli:
 
         assert main(["campaign", "resume", "--out", str(out), "--quiet"]) == 0
         assert "1/1 cells" in capsys.readouterr().out
+
+    def test_summarize_marks_soft_unknown_without_completions(
+        self, tmp_path, capsys
+    ):
+        # The omni codebook never completes a walk handover, so its soft
+        # ratio has no denominator: "-", not the 0.000 of all-hard arms.
+        out = tmp_path / "camp"
+        assert main([
+            "campaign", "run", "--experiment", "tracking",
+            "--scenarios", "walk", "--protocols", "omni", "--seeds", "2",
+            "--out", str(out), "--quiet",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "summarize", "--out", str(out)]) == 0
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("|")
+        ]
+        headers, [row] = rows[0], rows[1:]
+        assert row[headers.index("completion")] == "0.000"
+        assert row[headers.index("soft")] == "-"
 
     def test_run_from_spec_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -29,12 +29,7 @@ from repro.net.cell_index import (
 from repro.net.mobile import Mobile
 from repro.phy.codebook import Codebook
 from repro.phy.fading import RicianFading
-from repro.phy.pathloss import (
-    CloseInPathLoss,
-    DualSlopePathLoss,
-    FreeSpacePathLoss,
-    PathLossModel,
-)
+from repro.phy.pathloss import CloseInPathLoss, PathLossModel
 
 
 class _Sweep:
@@ -73,10 +68,10 @@ class TestPathLossInverses:
     @pytest.mark.parametrize(
         "model",
         [
-            FreeSpacePathLoss(60.0e9),
+            # Free space: the CI model with exponent 2.
+            CloseInPathLoss(60.0e9, exponent=2.0),
             CloseInPathLoss(60.0e9, exponent=2.1),
             CloseInPathLoss(60.0e9, exponent=3.2),
-            DualSlopePathLoss(60.0e9),
         ],
     )
     @pytest.mark.parametrize("loss_db", [60.0, 90.0, 110.0, 140.0])
@@ -86,11 +81,6 @@ class TestPathLossInverses:
         # Beyond the returned distance the loss must be >= loss_db.
         for factor in (1.0 + 1e-9, 1.5, 10.0):
             assert model.path_loss_db(distance * factor) >= loss_db - 1e-6
-
-    def test_dual_slope_below_breakpoint_loss(self):
-        model = DualSlopePathLoss(60.0e9, breakpoint_m=15.0)
-        shallow = model.max_distance_for_loss(70.0)
-        assert shallow is not None and shallow <= model.breakpoint_m
 
     def test_default_inverse_is_none(self):
         class Opaque(PathLossModel):

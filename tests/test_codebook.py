@@ -146,12 +146,6 @@ class TestHierarchical:
             all_children.extend(hier.children(i))
         assert sorted(all_children) == list(range(len(fine)))
 
-    def test_search_cost_less_than_exhaustive(self):
-        coarse = Codebook.uniform_azimuth(90.0)
-        fine = Codebook.uniform_azimuth(10.0)
-        hier = HierarchicalCodebook(coarse, fine)
-        assert hier.search_cost(0) < len(fine)
-
     def test_rejects_inverted_tiers(self):
         with pytest.raises(ValueError):
             HierarchicalCodebook(

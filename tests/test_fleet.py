@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.campaign.spec import SpecError, canonical_json
+from repro.campaign.spec import CampaignSpec, SpecError, canonical_json
 from repro.fleet import (
     FleetSpec,
     FleetTrialResult,
@@ -17,7 +17,6 @@ from repro.fleet import (
 )
 from repro.fleet.experiment import (
     FLEET_MIXES,
-    fleet_campaign_spec,
     fleet_spec_for_cell,
     mix_names,
 )
@@ -253,9 +252,10 @@ class TestExperimentKind:
     def test_campaign_grid(self, tmp_path):
         from repro.campaign.runner import run_campaign
 
-        spec = fleet_campaign_spec(
-            n_users=3, scenarios=("walk",), mixes=("uniform",), seeds=2,
-            duration_s=1.0,
+        spec = CampaignSpec(
+            name="fleet", experiment="fleet", scenarios=("walk",),
+            protocols=("uniform",), seeds=2,
+            params={"n_users": 3, "duration_s": 1.0},
         )
         result = run_campaign(spec, out_dir=tmp_path / "campaign")
         assert len(result.payloads) == 2
@@ -266,9 +266,10 @@ class TestExperimentKind:
         from repro.campaign.aggregate import summarize_campaign
         from repro.campaign.runner import run_campaign
 
-        spec = fleet_campaign_spec(
-            n_users=3, scenarios=("walk",), mixes=("uniform",), seeds=1,
-            duration_s=1.0,
+        spec = CampaignSpec(
+            name="fleet", experiment="fleet", scenarios=("walk",),
+            protocols=("uniform",), seeds=1,
+            params={"n_users": 3, "duration_s": 1.0},
         )
         result = run_campaign(spec)
         headers, rows = summarize_campaign(spec, result.results_in_order())

@@ -253,11 +253,12 @@ class TestStreetGolden:
 class TestCampaignWorkerEquivalence:
     def test_worker_counts_byte_identical(self, tmp_path):
         from repro.campaign.runner import run_campaign
-        from repro.fleet.experiment import fleet_campaign_spec
+        from repro.campaign.spec import CampaignSpec
 
-        spec = fleet_campaign_spec(
-            n_users=4, scenarios=("walk",), mixes=("uniform", "mobility-blend"),
-            seeds=2, duration_s=1.0,
+        spec = CampaignSpec(
+            name="fleet", experiment="fleet", scenarios=("walk",),
+            protocols=("uniform", "mobility-blend"), seeds=2,
+            params={"n_users": 4, "duration_s": 1.0},
         )
         cell_bytes = {}
         for workers in (1, 2):
@@ -301,11 +302,12 @@ class TestTelemetryByteIdentity:
 
     def test_campaign_cells_identical_with_and_without_telemetry(self, tmp_path):
         from repro.campaign.runner import run_campaign
-        from repro.fleet.experiment import fleet_campaign_spec
+        from repro.campaign.spec import CampaignSpec
 
-        spec = fleet_campaign_spec(
-            n_users=3, scenarios=("walk",), mixes=("uniform",),
-            seeds=2, duration_s=1.0,
+        spec = CampaignSpec(
+            name="fleet", experiment="fleet", scenarios=("walk",),
+            protocols=("uniform",), seeds=2,
+            params={"n_users": 3, "duration_s": 1.0},
         )
         cell_bytes = {}
         for label, flag in (("plain", False), ("telemetry", True)):
@@ -319,12 +321,13 @@ class TestTelemetryByteIdentity:
 
     def test_telemetry_sidecars_do_not_affect_resume(self, tmp_path):
         from repro.campaign.runner import run_campaign
+        from repro.campaign.spec import CampaignSpec
         from repro.campaign.store import ArtifactStore
-        from repro.fleet.experiment import fleet_campaign_spec
 
-        spec = fleet_campaign_spec(
-            n_users=3, scenarios=("walk",), mixes=("uniform",),
-            seeds=1, duration_s=1.0,
+        spec = CampaignSpec(
+            name="fleet", experiment="fleet", scenarios=("walk",),
+            protocols=("uniform",), seeds=1,
+            params={"n_users": 3, "duration_s": 1.0},
         )
         out = tmp_path / "camp"
         run_campaign(spec, out_dir=out, telemetry=True)

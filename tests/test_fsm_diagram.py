@@ -7,7 +7,6 @@ from repro.core.fsm_diagram import (
     FIG2B_GUARDS,
     FIG2B_STATES,
     FIG2B_TOPOLOGY,
-    edges,
     render_ascii,
     render_dot,
     validate_topology,
@@ -20,9 +19,6 @@ class TestTopology:
 
     def test_every_enum_edge_present(self):
         assert {e.value for e in Fig2bEdge} == set(FIG2B_TOPOLOGY)
-
-    def test_edges_helper(self):
-        assert edges() == sorted(Fig2bEdge, key=lambda e: e.value)
 
     def test_all_states_referenced(self):
         referenced = set()

@@ -25,7 +25,7 @@ class TestTraceInvariants:
 
     def test_edge_c_preceded_by_edge_b(self, run):
         deployment, _, _ = run
-        events = deployment.trace.filter(category="fsm.neighbor")
+        events = list(deployment.trace.iter_filter(category="fsm.neighbor"))
         first_b = next(e.time for e in events if e.data["edge"] == "B")
         first_c = next(e.time for e in events if e.data["edge"] == "C")
         assert first_b <= first_c
@@ -39,8 +39,8 @@ class TestTraceInvariants:
 
     def test_rach_messages_ordered(self, run):
         deployment, _, _ = run
-        msg1 = deployment.trace.filter(category="rach.msg1")
-        msg4 = deployment.trace.filter(category="rach.msg4")
+        msg1 = list(deployment.trace.iter_filter(category="rach.msg1"))
+        msg4 = list(deployment.trace.iter_filter(category="rach.msg4"))
         assert msg1 and msg4
         assert msg1[0].time < msg4[-1].time
 

@@ -3,44 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.numerics import (
-    Ewma,
-    clamp,
-    is_close,
-    lin_interp,
-    pairwise,
-    quantile,
-)
-
-
-class TestClamp:
-    def test_inside(self):
-        assert clamp(0.5, 0.0, 1.0) == 0.5
-
-    def test_below(self):
-        assert clamp(-1.0, 0.0, 1.0) == 0.0
-
-    def test_above(self):
-        assert clamp(2.0, 0.0, 1.0) == 1.0
-
-    def test_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            clamp(0.5, 1.0, 0.0)
-
-
-class TestLinInterp:
-    def test_midpoint(self):
-        assert lin_interp(0.5, 0.0, 1.0, 10.0, 20.0) == pytest.approx(15.0)
-
-    def test_endpoints(self):
-        assert lin_interp(0.0, 0.0, 1.0, 10.0, 20.0) == 10.0
-        assert lin_interp(1.0, 0.0, 1.0, 10.0, 20.0) == 20.0
-
-    def test_extrapolates(self):
-        assert lin_interp(2.0, 0.0, 1.0, 0.0, 1.0) == pytest.approx(2.0)
-
-    def test_degenerate_interval(self):
-        assert lin_interp(5.0, 1.0, 1.0, 3.0, 9.0) == 3.0
+from repro.util.numerics import Ewma, pairwise, quantile
 
 
 class TestPairwise:
@@ -119,10 +82,3 @@ class TestQuantile:
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
 
-
-class TestIsClose:
-    def test_close(self):
-        assert is_close(1.0, 1.0 + 1e-12)
-
-    def test_far(self):
-        assert not is_close(1.0, 1.1)

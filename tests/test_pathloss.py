@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.phy.pathloss import (
-    CloseInPathLoss,
-    DualSlopePathLoss,
-    FreeSpacePathLoss,
-    fspl_db,
-)
+from repro.phy.pathloss import CloseInPathLoss, fspl_db
 
 
 class TestFspl:
@@ -33,12 +28,6 @@ class TestFspl:
             fspl_db(1.0, 0.0)
 
 
-class TestFreeSpace:
-    def test_matches_fspl(self):
-        model = FreeSpacePathLoss(60e9)
-        assert model.path_loss_db(10.0) == fspl_db(10.0, 60e9)
-
-
 class TestCloseIn:
     def test_intercept_is_1m_fspl(self):
         model = CloseInPathLoss(60e9, exponent=2.1)
@@ -52,9 +41,8 @@ class TestCloseIn:
 
     def test_exponent_two_equals_free_space(self):
         ci = CloseInPathLoss(60e9, exponent=2.0)
-        fs = FreeSpacePathLoss(60e9)
         for d in (2.0, 10.0, 50.0):
-            assert ci.path_loss_db(d) == pytest.approx(fs.path_loss_db(d))
+            assert ci.path_loss_db(d) == pytest.approx(fspl_db(d, 60e9))
 
     def test_clamps_below_reference(self):
         model = CloseInPathLoss(60e9)
@@ -70,22 +58,3 @@ class TestCloseIn:
         with pytest.raises(ValueError):
             CloseInPathLoss(60e9, exponent=0.0)
 
-
-class TestDualSlope:
-    def test_continuous_at_breakpoint(self):
-        model = DualSlopePathLoss(breakpoint_m=15.0)
-        just_below = model.path_loss_db(15.0 - 1e-9)
-        just_above = model.path_loss_db(15.0 + 1e-9)
-        assert just_below == pytest.approx(just_above, abs=0.001)
-
-    def test_steeper_beyond_breakpoint(self):
-        model = DualSlopePathLoss(
-            near_exponent=2.0, far_exponent=4.0, breakpoint_m=15.0
-        )
-        near_slope = model.path_loss_db(10.0) - model.path_loss_db(5.0)
-        far_slope = model.path_loss_db(60.0) - model.path_loss_db(30.0)
-        assert far_slope > near_slope
-
-    def test_rejects_tiny_breakpoint(self):
-        with pytest.raises(ValueError):
-            DualSlopePathLoss(breakpoint_m=0.5)

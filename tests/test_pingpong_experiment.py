@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core.config import SilentTrackerConfig
 from repro.experiments.pingpong import (
     _count_ping_pongs,
+    _run_loiter_trial,
     pingpong_headline,
-    run_pingpong_trial,
     sweep_time_to_trigger,
 )
 from repro.net.handover import HandoverRecord
@@ -54,21 +55,31 @@ class TestPingPongCounter:
 
 class TestTrials:
     def test_trial_runs(self):
-        result = run_pingpong_trial(0.0, seed=3, duration_s=6.0)
+        result = _run_loiter_trial(
+            SilentTrackerConfig(time_to_trigger_s=0.0), seed=3, duration_s=6.0
+        )
         assert result.handovers >= 0
         assert result.ping_pongs <= max(0, result.handovers - 1)
 
     def test_deterministic(self):
-        a = run_pingpong_trial(0.16, seed=9, duration_s=6.0)
-        b = run_pingpong_trial(0.16, seed=9, duration_s=6.0)
+        a = _run_loiter_trial(
+            SilentTrackerConfig(time_to_trigger_s=0.16), seed=9, duration_s=6.0
+        )
+        b = _run_loiter_trial(
+            SilentTrackerConfig(time_to_trigger_s=0.16), seed=9, duration_s=6.0
+        )
         assert a == b
 
     def test_large_ttt_suppresses_handover(self):
         # A TTT longer than the run disables the margin-triggered path;
         # only RLF-forced handovers (which rightly bypass TTT — the
         # serving link is already dead) can remain.
-        suppressed = run_pingpong_trial(99.0, seed=3, duration_s=4.0)
-        baseline = run_pingpong_trial(0.0, seed=3, duration_s=4.0)
+        suppressed = _run_loiter_trial(
+            SilentTrackerConfig(time_to_trigger_s=99.0), seed=3, duration_s=4.0
+        )
+        baseline = _run_loiter_trial(
+            SilentTrackerConfig(time_to_trigger_s=0.0), seed=3, duration_s=4.0
+        )
         assert suppressed.handovers <= baseline.handovers
 
 

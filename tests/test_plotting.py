@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.plotting import ascii_cdf_plot, ascii_histogram, sparkline
+from repro.analysis.plotting import ascii_cdf_plot, sparkline
 
 
 class TestSparkline:
@@ -46,26 +46,3 @@ class TestCdfPlot:
         with pytest.raises(ValueError):
             ascii_cdf_plot({"a": []})
 
-
-class TestHistogram:
-    def test_counts_sum(self):
-        values = [0.1, 0.2, 0.2, 0.9]
-        text = ascii_histogram(values, bins=4)
-        total = sum(int(line.rsplit(" ", 1)[1]) for line in text.splitlines())
-        assert total == len(values)
-
-    def test_title(self):
-        text = ascii_histogram([1.0, 2.0], bins=2, title="My Hist")
-        assert text.splitlines()[0] == "My Hist"
-
-    def test_bars_scale(self):
-        text = ascii_histogram([1.0] * 10 + [2.0], bins=2, width=20)
-        lines = text.splitlines()
-        assert lines[0].count("#") == 20  # the dominant bin fills the width
-        assert lines[1].count("#") < 20
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ascii_histogram([], bins=4)
-        with pytest.raises(ValueError):
-            ascii_histogram([1.0], bins=0)

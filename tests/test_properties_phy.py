@@ -8,7 +8,7 @@ from repro.phy.blockage import BlockageConfig, BlockageProcess
 from repro.phy.fading import RicianFading
 from repro.phy.frame import FrameConfig, RachConfig
 from repro.phy.link import LinkBudget
-from repro.phy.pathloss import CloseInPathLoss, DualSlopePathLoss
+from repro.phy.pathloss import CloseInPathLoss
 from repro.phy.shadowing import ShadowingProcess
 
 seeds = st.integers(0, 2**31 - 1)
@@ -79,12 +79,6 @@ class TestFadingProperties:
 
 
 class TestPathlossProperties:
-    @given(st.floats(1.0, 200.0), st.floats(1.0, 200.0))
-    def test_dual_slope_monotone(self, d1, d2):
-        model = DualSlopePathLoss()
-        near, far = min(d1, d2), max(d1, d2)
-        assert model.path_loss_db(near) <= model.path_loss_db(far) + 1e-9
-
     @given(st.floats(2.0, 100.0), st.floats(1.6, 4.0), st.floats(1.6, 4.0))
     def test_higher_exponent_more_loss(self, distance, e1, e2):
         lower, higher = min(e1, e2), max(e1, e2)

@@ -1,6 +1,9 @@
-"""Every ``src/repro`` module is reachable from a real entry point.
+"""Every ``src/repro`` module, function and class is reachable from a real
+entry point, and no module imports a name it never uses.
 
-The walk is static (``ast``): it never imports the modules it visits.
+The walks are static (``ast``): they never import the modules they visit.
+
+Modules:
 
 * Roots: ``repro.__main__``, ``repro.cli``, ``repro.api``, every module
   in ``repro.registry.BUILTIN_MODULES`` and the ``repro`` imports of
@@ -12,6 +15,27 @@ The walk is static (``ast``): it never imports the modules it visits.
 * A package ``__init__`` is only a name map: one of its re-exports
   counts as a use only when a reached module imports that name through
   the package.
+
+Module-level functions and classes of ``src/repro``:
+
+* One is reached when code under ``src/``, ``examples/``,
+  ``benchmarks/`` or ``perfbench/`` reads its name from outside its
+  own body: a loaded name or attribute, a ``from ... import``, or an
+  identifier-valued string (``getattr``-style lookups).  Names match by
+  identifier, not by binding, so a read of any same-named attribute
+  counts.
+* A decorated one is reached (decorators register), and so is every
+  public name of a root module (``repro.api``, ``repro.cli``,
+  ``repro.__main__``): that is the API users call.
+* A package ``__init__`` re-export or ``__all__`` entry is not a use,
+  and a module ``__getattr__`` gets no exemption.
+* Reads count only from module-level code or from reached
+  definitions, iterated to a fixed point: a helper that only unreached
+  code calls is itself unreached.
+
+Tests do not count as a use: code that only its own tests reach is
+either wired into a real path or deleted.  The same walk over class
+methods is left unpinned, since dynamic dispatch makes it approximate.
 """
 
 import ast
@@ -25,18 +49,22 @@ SRC = ROOT / "src"
 ENTRY_POINTS = ("repro.__main__", "repro.cli", "repro.api")
 
 #: Unreached on purpose.  ``ablations`` sweeps the paper's own design
-#: constants (the 3 dB adaptation threshold, the 10 dB loss threshold
-#: and the handover margin T) through ``run_campaign``; the
+#: constants (the 3 dB adaptation threshold, the handover margin T and
+#: the receive codebook) through ``run_campaign``; the
 #: ``benchmarks/test_ablation_*`` files and the README's ablation
 #: sweeps consume it.
 ALLOWED_UNREACHED = frozenset({"repro.experiments.ablations"})
 
+#: Trees besides ``src/`` whose code counts as a use of a ``src/repro``
+#: definition.
+CONSUMER_DIRS = ("examples", "benchmarks", "perfbench")
 
-def _index_sources():
+
+def _index_sources(src=SRC):
     """Map dotted module name -> (path, is_package) for ``src/repro``."""
     modules = {}
-    for path in (SRC / "repro").rglob("*.py"):
-        parts = path.relative_to(SRC).with_suffix("").parts
+    for path in (src / "repro").rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
         is_package = parts[-1] == "__init__"
         if is_package:
             parts = parts[:-1]
@@ -160,3 +188,127 @@ def test_every_src_module_is_reached_from_an_entry_point():
     walk = _Walk().run(ENTRY_POINTS + tuple(BUILTIN_MODULES), _example_trees())
     assert walk.unreached() == ALLOWED_UNREACHED
 
+
+def _reads(node):
+    """Identifiers ``node`` reads (see the module docstring)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+        elif (
+            isinstance(sub, ast.Constant)
+            and isinstance(sub.value, str)
+            and sub.value.isidentifier()
+        ):
+            yield sub.value
+
+
+def _is_all(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [
+        getattr(node, "target", None)
+    ]
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def _unreached_definitions(root):
+    """Qualified names of the unreached module-level defs under ``root/src``."""
+    definitions = {}  # qualified name -> (name, node, rooted)
+    names = set()  # identifiers read by module-level and consumer code
+    for module, (path, is_package) in _index_sources(root / "src").items():
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                rooted = bool(node.decorator_list) or (
+                    module in ENTRY_POINTS and not node.name.startswith("_")
+                )
+                definitions[f"{module}.{node.name}"] = (node.name, node, rooted)
+            elif not _is_all(node) and not (
+                is_package and isinstance(node, ast.ImportFrom)
+            ):
+                names.update(_reads(node))
+    for directory in CONSUMER_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            names.update(_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    reached = set()
+    grown = True
+    while grown:
+        grown = False
+        for qualified, (name, node, rooted) in definitions.items():
+            if qualified not in reached and (rooted or name in names):
+                reached.add(qualified)
+                names.update(_reads(node))
+                grown = True
+    return set(definitions) - reached
+
+
+def test_every_src_definition_is_reached():
+    assert _unreached_definitions(ROOT) == set()
+
+
+def test_definition_walk_finds_dead_code(tmp_path):
+    files = {
+        "src/repro/__init__.py": "",
+        "src/repro/api.py": (
+            "from repro.lib import used\n"
+            "def run():\n    return used()\n"
+        ),
+        "src/repro/lib.py": (
+            "def register(fn):\n    return fn\n"
+            "@register\ndef registered():\n    pass\n"
+            "def used():\n    pass\n"
+            "def dead():\n    return dead_helper()\n"
+            "def dead_helper():\n    return dead()\n"
+            "def reexported():\n    pass\n"
+            "def by_example():\n    pass\n"
+        ),
+        "src/repro/pkg/__init__.py": (
+            "from repro.lib import reexported\n"
+            "__all__ = ['reexported', 'dead']\n"
+            "def __getattr__(name):\n    return dead\n"
+        ),
+        "examples/demo.py": "import repro.lib as lib\nlib.by_example()\n",
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    assert _unreached_definitions(tmp_path) == {
+        "repro.lib.dead",
+        "repro.lib.dead_helper",
+        "repro.lib.reexported",
+        "repro.pkg.__getattr__",
+    }
+
+
+def _annotation_names(text):
+    """Names in a string that parses as an expression (a string annotation)."""
+    try:
+        expression = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError):
+        return ()
+    return [node.id for node in ast.walk(expression) if isinstance(node, ast.Name)]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for module, (path, is_package) in sorted(_index_sources().items()):
+        if is_package:
+            continue  # a package __init__ imports to re-export
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(_annotation_names(node.value))
+        for node in _statements(tree.body):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{module}:{node.lineno} {bound}")
+    assert unused == []

@@ -10,8 +10,8 @@ from repro.experiments.scenarios import (
     build_cell_edge_deployment,
     make_mobile_codebook,
     make_trajectory,
-    scenario_duration_s,
 )
+from repro.registry import SCENARIOS
 from repro.util.units import mph_to_mps
 
 
@@ -29,9 +29,8 @@ class TestCodebooks:
 class TestTrajectories:
     def test_walk_speed(self):
         walk = make_trajectory("walk")
-        assert walk.average_speed_mps(0.0, 5.0, steps=200) == pytest.approx(
-            1.4, rel=0.05
-        )
+        moved = walk.position_at(5.0).distance_to(walk.position_at(0.0))
+        assert moved / 5.0 == pytest.approx(1.4, rel=0.05)
 
     def test_rotation_rate(self):
         rotation = make_trajectory("rotation")
@@ -42,9 +41,8 @@ class TestTrajectories:
 
     def test_vehicular_speed(self):
         vehicle = make_trajectory("vehicular")
-        assert vehicle.average_speed_mps(0.0, 2.0, steps=100) == pytest.approx(
-            mph_to_mps(20.0), rel=0.02
-        )
+        moved = vehicle.position_at(2.0).distance_to(vehicle.position_at(0.0))
+        assert moved / 2.0 == pytest.approx(mph_to_mps(20.0), rel=0.02)
 
     def test_start_x_override(self):
         walk = make_trajectory("walk", start_x=3.0)
@@ -56,7 +54,7 @@ class TestTrajectories:
 
     def test_durations_positive(self):
         for scenario in SCENARIO_NAMES:
-            assert scenario_duration_s(scenario) > 0
+            assert SCENARIOS.get(scenario).duration_s > 0
 
 
 class TestDeployment:

@@ -150,25 +150,6 @@ class TestHandover:
         assert fired <= 0.5 / 0.020 * 3 + 5
 
 
-class TestFig2bStateView:
-    def test_initial_view(self):
-        _, _, tracker = make_run()
-        assert tracker.fig2b_state() in ("EO", "N-A/R")
-
-    def test_view_during_search(self):
-        deployment, _, tracker = make_run()
-        tracker.start()
-        deployment.run(0.03)
-        assert tracker.fig2b_state() == "N-A/R"
-
-    def test_view_during_tracking(self):
-        deployment, _, tracker = make_run(scenario="walk", seed=3)
-        tracker.start()
-        deployment.run(1.0)
-        if tracker.tracker.state is NeighborState.TRACKING:
-            assert tracker.fig2b_state() in ("N-RBA", "S-RBA", "CABM")
-
-
 class TestRotationScenario:
     def test_rotation_forces_beam_switches(self):
         """At 120 deg/s the tracker must adapt or re-acquire repeatedly."""

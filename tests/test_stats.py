@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.stats import (
     cdf_at,
     empirical_cdf,
-    mean_confidence_interval,
     success_rate,
     summarize,
     wilson_interval,
@@ -101,25 +100,6 @@ class TestVectorizedInputs:
 
         with pytest.raises(ValueError):
             summarize(np.zeros((3, 3)))
-
-
-class TestConfidenceIntervals:
-    def test_mean_ci_contains_mean(self):
-        mean, low, high = mean_confidence_interval([1.0, 2.0, 3.0])
-        assert low <= mean <= high
-
-    def test_single_sample_degenerate(self):
-        mean, low, high = mean_confidence_interval([5.0])
-        assert mean == low == high == 5.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_confidence_interval([])
-
-    def test_narrower_with_more_samples(self):
-        small = mean_confidence_interval([1.0, 2.0, 3.0] * 2)
-        large = mean_confidence_interval([1.0, 2.0, 3.0] * 50)
-        assert (large[2] - large[1]) < (small[2] - small[1])
 
 
 class TestProportions:

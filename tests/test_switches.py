@@ -5,7 +5,6 @@ import pytest
 from repro.cli import main
 from repro.util.switches import (
     SWITCHES,
-    declared_switches,
     switch,
     switch_records,
     switch_value,
@@ -21,7 +20,7 @@ class TestTable:
         }
 
     def test_defaults_are_legal_values(self):
-        for declared in declared_switches():
+        for declared in SWITCHES.values():
             if declared.values:
                 assert declared.default in declared.values
             else:
@@ -32,7 +31,7 @@ class TestTable:
     def test_records_shape(self):
         records = switch_records()
         assert [record["name"] for record in records] == [
-            declared.name for declared in declared_switches()
+            declared.name for declared in SWITCHES.values()
         ]
         for record in records:
             assert {"name", "default", "values", "description",

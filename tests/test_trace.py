@@ -75,25 +75,25 @@ class TestEmit:
 
 class TestFilter:
     def test_exact_category(self):
-        assert len(make_recorder().filter(category="rach.msg1")) == 1
+        assert len(list(make_recorder().iter_filter(category="rach.msg1"))) == 1
 
     def test_prefix_matches_descendants(self):
         # 'fsm' matches 'fsm' and 'fsm.transition'.
-        assert len(make_recorder().filter(category="fsm")) == 3
+        assert len(list(make_recorder().iter_filter(category="fsm"))) == 3
 
     def test_prefix_requires_dot_boundary(self):
         trace = TraceRecorder()
         trace.emit(0.0, "fsmx", "n")
-        assert trace.filter(category="fsm") == []
+        assert list(trace.iter_filter(category="fsm")) == []
 
     def test_by_node(self):
-        assert len(make_recorder().filter(node="ue1")) == 1
+        assert len(list(make_recorder().iter_filter(node="ue1"))) == 1
 
     def test_time_window(self):
-        assert len(make_recorder().filter(since=0.2, until=0.3)) == 2
+        assert len(list(make_recorder().iter_filter(since=0.2, until=0.3))) == 2
 
     def test_combined(self):
-        events = make_recorder().filter(category="fsm", node="ue0")
+        events = list(make_recorder().iter_filter(category="fsm", node="ue0"))
         assert [e.time for e in events] == [0.1, 0.4]
 
     def test_count(self):

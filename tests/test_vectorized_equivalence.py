@@ -24,7 +24,6 @@ from repro.phy.antenna import (
     AntennaPattern,
     GaussianBeamPattern,
     OmniPattern,
-    UlaPattern,
 )
 from repro.phy.channel import Channel, ChannelConfig
 from repro.phy.codebook import Beam, Codebook
@@ -101,9 +100,6 @@ def _patterns():
         GaussianBeamPattern(math.radians(20.0)),
         GaussianBeamPattern(math.radians(60.0), peak_gain_dbi=14.0),
         OmniPattern(1.5),
-        UlaPattern(8),
-        UlaPattern(1),
-        UlaPattern(3, element_gain_dbi=2.0),
     ]
 
 

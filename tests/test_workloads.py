@@ -1,4 +1,4 @@
-"""Tests for the workload generator and replay helpers."""
+"""Tests for the workload generator."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from repro.core.neighbor_tracker import NeighborTracker
 from repro.experiments.workloads import (
     detection_duty_cycle,
     generate_rss_trace,
-    replay_into,
-    trace_to_measurements,
 )
 from repro.measure.report import RssMeasurement
 from repro.phy.codebook import Codebook
@@ -58,12 +56,6 @@ class TestGenerate:
 
 
 class TestReplay:
-    def test_trace_to_measurements(self):
-        trace = generate_rss_trace(seed=3, duration_s=0.5)
-        measurements = trace_to_measurements(trace, "cellB")
-        assert len(measurements) == len(trace)
-        assert all(m.cell_id == "cellB" for m in measurements)
-
     def test_replay_into_tracker(self):
         """A canned detection sequence drives N-A/R -> N-RBA."""
         tracker = NeighborTracker(
@@ -77,8 +69,8 @@ class TestReplay:
             RssMeasurement(0.04, "cellB", beam, tx_beam=1,
                            rss_dbm=-61.0, snr_db=11.0),
         ]
-        count = replay_into(canned, tracker.on_measurement)
-        assert count == 2
+        for measurement in canned:
+            tracker.on_measurement(measurement, measurement.time_s)
         assert tracker.state is NeighborState.TRACKING
 
     def test_replay_into_beamsurfer(self):
@@ -89,13 +81,6 @@ class TestReplay:
             RssMeasurement(0.02, "cellA", 5, tx_beam=0, rss_dbm=-60.5,
                            snr_db=11.5),
         ]
-        replay_into(canned, surfer.on_serving_measurement)
+        for measurement in canned:
+            surfer.on_serving_measurement(measurement, measurement.time_s)
         assert surfer.smoothed_rss_dbm is not None
-
-    def test_replay_rejects_disorder(self):
-        canned = [
-            RssMeasurement(0.04, "cellB", 0),
-            RssMeasurement(0.02, "cellB", 0),
-        ]
-        with pytest.raises(ValueError):
-            replay_into(canned, lambda m, t: None)
