@@ -60,10 +60,6 @@ def count_ping_pongs(records) -> int:
     return count
 
 
-#: Back-compat alias (pre-fleet internal name).
-_count_ping_pongs = count_ping_pongs
-
-
 def _run_loiter_trial(
     config: SilentTrackerConfig,
     seed: int,
@@ -92,7 +88,7 @@ def _run_loiter_trial(
     return PingPongTrialResult(
         seed=seed,
         handovers=len(completed),
-        ping_pongs=_count_ping_pongs(protocol.handover_log.records),
+        ping_pongs=count_ping_pongs(protocol.handover_log.records),
         mean_interruption_s=(
             sum(interruptions) / len(interruptions) if interruptions else 0.0
         ),

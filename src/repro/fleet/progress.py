@@ -47,10 +47,6 @@ class FleetProgress:
         """Offer the built simulator so heartbeats can report events/s."""
 
 
-#: Library default: silence.
-NullFleetProgress = FleetProgress
-
-
 class ConsoleFleetProgress(FleetProgress):
     """Build counter plus run-phase percentage with a wall-clock ETA.
 

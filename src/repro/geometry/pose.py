@@ -9,15 +9,17 @@ body-frame beam indices (what the mobile can select).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.geometry.angles import wrap_to_pi
 from repro.geometry.vectors import Vec3, bearing_xy
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(NamedTuple):
     """Position and heading of a node.
+
+    Tuple-backed (a ``NamedTuple``), so a pose costs one tuple
+    allocation: fields are read-only and equal poses hash equal.
 
     Attributes
     ----------
@@ -55,10 +57,6 @@ class Pose:
     def distance_to(self, target: Vec3) -> float:
         """Euclidean distance from this pose's position to ``target``."""
         return self.position.distance_to(target)
-
-    def moved(self, delta: Vec3) -> "Pose":
-        """A copy of this pose translated by ``delta`` (heading unchanged)."""
-        return Pose(self.position + delta, self.heading)
 
     def rotated(self, delta_heading: float) -> "Pose":
         """A copy of this pose rotated by ``delta_heading`` radians."""

@@ -2,24 +2,27 @@
 
 A tiny hand-rolled vector type keeps the hot per-measurement geometry
 path free of numpy array-allocation overhead; bulk math elsewhere uses
-numpy directly.
+numpy directly.  :class:`Vec3` is tuple-backed (a ``NamedTuple``), so
+building one costs a single tuple allocation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Vec3:
-    """An immutable 3-D vector / point in world coordinates (meters)."""
+class Vec3(NamedTuple):
+    """An immutable 3-D vector / point in world coordinates (meters).
+
+    Tuple-backed: fields are read-only, equal vectors hash equal, and
+    ``+``, ``-``, ``*`` and ``/`` are the vector operators, not tuple
+    concatenation or repetition.
+    """
 
     x: float
     y: float
     z: float = 0.0
-
-    ZERO: "Vec3" = None  # populated after class definition
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -41,14 +44,6 @@ class Vec3:
     def dot(self, other: "Vec3") -> float:
         """Dot product."""
         return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "Vec3") -> "Vec3":
-        """Cross product (right-handed)."""
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
 
     def norm(self) -> float:
         """Euclidean length."""
@@ -79,24 +74,13 @@ class Vec3:
             raise ValueError("azimuth undefined for vector with zero xy projection")
         return math.atan2(self.y, self.x)
 
-    def rotated_z(self, angle: float) -> "Vec3":
-        """This vector rotated by ``angle`` radians CCW about the z axis."""
-        cos_a = math.cos(angle)
-        sin_a = math.sin(angle)
-        return Vec3(
-            self.x * cos_a - self.y * sin_a,
-            self.x * sin_a + self.y * cos_a,
-            self.z,
-        )
-
     @staticmethod
     def from_polar_xy(radius: float, azimuth: float, z: float = 0.0) -> "Vec3":
         """Build a vector from horizontal polar coordinates."""
         return Vec3(radius * math.cos(azimuth), radius * math.sin(azimuth), z)
 
 
-# The canonical zero vector, shared.  Class-attribute assignment goes
-# through type.__setattr__, which frozen dataclasses do not block.
+#: The canonical zero vector, shared (a class attribute, not a field).
 Vec3.ZERO = Vec3(0.0, 0.0, 0.0)
 
 

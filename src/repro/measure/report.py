@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class RssMeasurement:
+class RssMeasurement(NamedTuple):
     """One RSS dwell result.
+
+    Tuple-backed (a ``NamedTuple``): a dense tick builds one per
+    admitted link, so a record costs one tuple allocation.  Fields are
+    read-only and equal records hash equal, so one empty record may be
+    shared by every pruned link of a tick that holds the same beam.
 
     Attributes
     ----------

@@ -393,7 +393,7 @@ class Deployment:
             for mobile in self._mobiles.values():
                 if mobile._listener is None:
                     continue
-                if mobile.radio_busy(now):
+                if now < mobile._busy_until_s:  # Mobile.radio_busy, inline
                     mobile.bursts_skipped_busy += n_stations
                 else:
                     mobile.bursts_declined += n_stations
@@ -530,12 +530,20 @@ class Deployment:
         self, station: BaseStation, admitted, measurements, now: float
     ) -> None:
         """Listener delivery in arbitration order, synthesizing the
-        (provably empty) measurement for spatially pruned links."""
+        (provably empty) measurement for spatially pruned links.
+
+        Measurements are immutable records, so the pruned links that
+        hold the same receive beam share one empty record.
+        """
+        empty: Dict[int, RssMeasurement] = {}
         for mobile, rx_beam, index in admitted:
             if index is None:
-                mobile.complete_burst(
-                    RssMeasurement(now, station.cell_id, rx_beam)
-                )
+                measurement = empty.get(rx_beam)
+                if measurement is None:
+                    measurement = empty[rx_beam] = RssMeasurement(
+                        now, station.cell_id, rx_beam
+                    )
+                mobile.complete_burst(measurement)
             else:
                 mobile.complete_burst(measurements[index])
 

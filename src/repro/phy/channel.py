@@ -46,7 +46,7 @@ from repro.phy.fading import (
     rician_amplitudes,
     rician_fades_db,
 )
-from repro.phy.pathloss import CloseInPathLoss, PathLossModel
+from repro.phy.pathloss import CloseInPathLoss
 from repro.phy.shadowing import ShadowingProcess
 from repro.sim.rng import RngRegistry
 
@@ -151,15 +151,10 @@ class Channel:
     is created lazily keyed by ``link_id``.
     """
 
-    def __init__(
-        self,
-        config: ChannelConfig,
-        rng_registry: RngRegistry,
-        pathloss_model: Optional[PathLossModel] = None,
-    ) -> None:
+    def __init__(self, config: ChannelConfig, rng_registry: RngRegistry) -> None:
         self.config = config
         self._rng_registry = rng_registry
-        self.pathloss = pathloss_model or CloseInPathLoss(
+        self.pathloss = CloseInPathLoss(
             config.frequency_hz, config.pathloss_exponent
         )
         self._links: Dict[str, LinkState] = {}

@@ -264,15 +264,13 @@ class Simulator:
         """Request the run loop to stop after the current event returns."""
         self._stop_requested = True
 
-    def _run_loop(
-        self, end_time: Optional[float], max_events: Optional[int]
-    ) -> None:
-        """Shared event loop behind :meth:`run_until` / :meth:`run_until_idle`.
+    def _run_loop(self, end_time: float, max_events: Optional[int]) -> None:
+        """The event loop behind :meth:`run_until`.
 
         Fires events in ``(time, seq)`` order until the queue drains,
-        simulated time would pass ``end_time`` (when given), or
-        :meth:`stop` is called from a callback.  ``max_events`` bounds
-        the number of callbacks fired in this invocation.
+        simulated time would pass ``end_time``, or :meth:`stop` is
+        called from a callback.  ``max_events`` bounds the number of
+        callbacks fired in this invocation.
 
         Dispatch is batched: all events sharing the head timestamp are
         popped together (:meth:`EventQueue.pop_batch`), so a dense
@@ -297,7 +295,7 @@ class Simulator:
                 next_time = self._queue.peek_time()
                 if next_time is None:
                     break
-                if end_time is not None and next_time > end_time:
+                if next_time > end_time:
                     break
                 batch = self._queue.pop_batch()
                 if not batch:
@@ -331,11 +329,8 @@ class Simulator:
                     fired_this_run += 1
                     if max_events is not None and fired_this_run >= max_events:
                         self._queue.requeue(batch[index + 1:])
-                        horizon = (
-                            f" before {end_time}s" if end_time is not None else ""
-                        )
                         raise SimulationError(
-                            f"exceeded max_events={max_events}{horizon}"
+                            f"exceeded max_events={max_events} before {end_time}s"
                         )
         finally:
             self._running = False
@@ -355,14 +350,6 @@ class Simulator:
         self._run_loop(end_time, max_events)
         if not self._stop_requested:
             self._now = max(self._now, end_time)
-
-    def run_until_idle(self, max_events: int = 1_000_000) -> None:
-        """Run until the event queue drains (bounded by ``max_events``).
-
-        Honors :meth:`stop` like :meth:`run_until`: a callback requesting
-        a stop halts the loop with the remaining events still queued.
-        """
-        self._run_loop(None, max_events)
 
 
 class PeriodicTask:

@@ -82,11 +82,21 @@ class TestStochasticChannel:
         assert channel.active_links == 1
 
     def test_custom_pathloss_model(self):
-        model = CloseInPathLoss(60e9, exponent=3.0)
-        channel = Channel(
-            ChannelConfig.deterministic(), RngRegistry(1), pathloss_model=model
+        config = ChannelConfig(
+            frequency_hz=28e9,
+            pathloss_exponent=3.0,
+            shadowing_sigma_db=0.0,
+            rician_k_db=None,
+            blockage=BlockageConfig.disabled(),
         )
-        assert channel.pathloss is model
+        channel = Channel(config, RngRegistry(1))
+        reference = CloseInPathLoss(28e9, exponent=3.0)
+        assert channel.pathloss.exponent == 3.0
+        assert channel.pathloss.frequency_hz == 28e9
+        for distance_m in (0.5, 10.0, 250.0):
+            assert channel.pathloss.path_loss_db(distance_m) == (
+                reference.path_loss_db(distance_m)
+            )
 
     def test_rotation_advances_shadowing_distance(self):
         """Heading change alone must advance the shadowing process."""

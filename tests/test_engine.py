@@ -180,35 +180,18 @@ class TestSimulator:
         sim.run_until(10.0)
         assert sim.events_fired == 4
 
-    def test_run_until_idle(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, fired.append, "b")
-        sim.run_until_idle()
-        assert fired == ["a", "b"]
-        assert sim.now == 2.0
-
-    def test_run_until_idle_honors_stop(self):
+    def test_run_until_resumes_after_stop(self):
         sim = Simulator()
         fired = []
         sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
         sim.schedule(2.0, lambda: fired.append(2))
-        sim.run_until_idle()
+        sim.run_until(5.0)
         assert fired == [1]
         assert sim.pending_events == 1
-        sim.run_until_idle()
+        assert sim.now == 1.0
+        sim.run_until(5.0)
         assert fired == [1, 2]
-
-    def test_run_until_idle_max_events(self):
-        sim = Simulator()
-
-        def storm():
-            sim.schedule(0.0, storm)
-
-        sim.schedule(0.0, storm)
-        with pytest.raises(SimulationError):
-            sim.run_until_idle(max_events=50)
+        assert sim.now == 5.0
 
     def test_pending_events_exact_after_cancel(self):
         sim = Simulator()

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.config import SilentTrackerConfig
 from repro.experiments.pingpong import (
-    _count_ping_pongs,
     _run_loiter_trial,
+    count_ping_pongs,
     pingpong_headline,
     sweep_time_to_trigger,
 )
@@ -20,29 +20,29 @@ def completed_record(src, dst, t):
 
 class TestPingPongCounter:
     def test_no_records(self):
-        assert _count_ping_pongs([]) == 0
+        assert count_ping_pongs([]) == 0
 
     def test_single_handover_no_pingpong(self):
-        assert _count_ping_pongs([completed_record("A", "B", 1.0)]) == 0
+        assert count_ping_pongs([completed_record("A", "B", 1.0)]) == 0
 
     def test_immediate_return_counts(self):
         records = [
             completed_record("A", "B", 1.0),
             completed_record("B", "A", 2.0),
         ]
-        assert _count_ping_pongs(records) == 1
+        assert count_ping_pongs(records) == 1
 
     def test_forward_progress_not_counted(self):
         records = [
             completed_record("A", "B", 1.0),
             completed_record("B", "C", 2.0),
         ]
-        assert _count_ping_pongs(records) == 0
+        assert count_ping_pongs(records) == 0
 
     def test_incomplete_ignored(self):
         incomplete = HandoverRecord("ue0", "B", "A", trigger_s=2.0)
         records = [completed_record("A", "B", 1.0), incomplete]
-        assert _count_ping_pongs(records) == 0
+        assert count_ping_pongs(records) == 0
 
     def test_oscillation_chain(self):
         records = [
@@ -50,7 +50,7 @@ class TestPingPongCounter:
             completed_record("B", "A", 2.0),
             completed_record("A", "B", 3.0),
         ]
-        assert _count_ping_pongs(records) == 2
+        assert count_ping_pongs(records) == 2
 
 
 class TestTrials:

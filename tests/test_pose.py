@@ -45,12 +45,6 @@ class TestBearings:
 
 
 class TestTransforms:
-    def test_moved(self):
-        pose = Pose(Vec3(1, 1), heading=0.5)
-        moved = pose.moved(Vec3(2, 0))
-        assert moved.position == Vec3(3, 1)
-        assert moved.heading == 0.5
-
     def test_rotated_wraps(self):
         pose = Pose(Vec3(0, 0), heading=math.pi - 0.1)
         rotated = pose.rotated(0.2)

@@ -16,7 +16,9 @@ Modules:
   counts as a use only when a reached module imports that name through
   the package.
 
-Module-level functions and classes of ``src/repro``:
+Module-level functions and classes of ``src/repro``, and module-level
+aliases of them (``name = other_callable``, where ``other_callable`` is
+a function or class the module defines or imports):
 
 * One is reached when code under ``src/``, ``examples/``,
   ``benchmarks/`` or ``perfbench/`` reads its name from outside its
@@ -24,6 +26,9 @@ Module-level functions and classes of ``src/repro``:
   identifier-valued string (``getattr``-style lookups).  Names match by
   identifier, not by binding, so a read of any same-named attribute
   counts.
+* An alias is a definition of its own: its right-hand side counts as a
+  read only once the alias is reached, so an unused back-compat alias
+  is flagged and does not keep its target alive.
 * A decorated one is reached (decorators register), and so is every
   public name of a root module (``repro.api``, ``repro.cli``,
   ``repro.__main__``): that is the API users call.
@@ -213,17 +218,49 @@ def _is_all(node):
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
+def _bound_callables(body):
+    """Names ``body`` binds by ``def``, ``class`` or ``import``."""
+    bound = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(
+                alias.asname or alias.name.split(".")[0] for alias in node.names
+            )
+    return bound
+
+
+def _alias_name(node, callables):
+    """The name ``node`` binds when it is ``name = other_callable``."""
+    if (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in callables
+    ):
+        return node.targets[0].id
+    return None
+
+
 def _unreached_definitions(root):
     """Qualified names of the unreached module-level defs under ``root/src``."""
     definitions = {}  # qualified name -> (name, node, rooted)
     names = set()  # identifiers read by module-level and consumer code
     for module, (path, is_package) in _index_sources(root / "src").items():
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        callables = _bound_callables(body)
+        for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                rooted = bool(node.decorator_list) or (
-                    module in ENTRY_POINTS and not node.name.startswith("_")
+                name, decorated = node.name, bool(node.decorator_list)
+            else:
+                name, decorated = _alias_name(node, callables), False
+            if name is not None:
+                rooted = decorated or (
+                    module in ENTRY_POINTS and not name.startswith("_")
                 )
-                definitions[f"{module}.{node.name}"] = (node.name, node, rooted)
+                definitions[f"{module}.{name}"] = (name, node, rooted)
             elif not _is_all(node) and not (
                 is_package and isinstance(node, ast.ImportFrom)
             ):
@@ -251,8 +288,8 @@ def test_definition_walk_finds_dead_code(tmp_path):
     files = {
         "src/repro/__init__.py": "",
         "src/repro/api.py": (
-            "from repro.lib import used\n"
-            "def run():\n    return used()\n"
+            "from repro.lib import live, used\n"
+            "def run():\n    return used(), live()\n"
         ),
         "src/repro/lib.py": (
             "def register(fn):\n    return fn\n"
@@ -262,6 +299,11 @@ def test_definition_walk_finds_dead_code(tmp_path):
             "def dead_helper():\n    return dead()\n"
             "def reexported():\n    pass\n"
             "def by_example():\n    pass\n"
+            "def renamed():\n    pass\n"
+            "old_name = renamed\n"
+            "used_alias = used\n"
+            "def aliased():\n    pass\n"
+            "live = aliased\n"
         ),
         "src/repro/pkg/__init__.py": (
             "from repro.lib import reexported\n"
@@ -277,7 +319,10 @@ def test_definition_walk_finds_dead_code(tmp_path):
     assert _unreached_definitions(tmp_path) == {
         "repro.lib.dead",
         "repro.lib.dead_helper",
+        "repro.lib.old_name",
         "repro.lib.reexported",
+        "repro.lib.renamed",
+        "repro.lib.used_alias",
         "repro.pkg.__getattr__",
     }
 

@@ -36,14 +36,6 @@ class TestProducts:
     def test_dot(self):
         assert Vec3(1, 2, 3).dot(Vec3(4, -5, 6)) == 12
 
-    def test_cross_right_handed(self):
-        x, y = Vec3(1, 0, 0), Vec3(0, 1, 0)
-        assert x.cross(y) == Vec3(0, 0, 1)
-
-    def test_cross_anticommutes(self):
-        a, b = Vec3(1, 2, 3), Vec3(-2, 0.5, 4)
-        assert a.cross(b) == -b.cross(a)
-
 
 class TestNorms:
     def test_norm(self):
@@ -88,18 +80,6 @@ class TestAzimuth:
 
 
 class TestRotation:
-    def test_quarter_turn(self):
-        rotated = Vec3(1, 0).rotated_z(math.pi / 2)
-        assert rotated.x == pytest.approx(0.0, abs=1e-12)
-        assert rotated.y == pytest.approx(1.0)
-
-    def test_preserves_z(self):
-        assert Vec3(1, 0, 7).rotated_z(1.0).z == 7
-
-    def test_preserves_norm(self):
-        v = Vec3(3, -2, 1)
-        assert v.rotated_z(0.7).norm() == pytest.approx(v.norm())
-
     def test_from_polar(self):
         v = Vec3.from_polar_xy(2.0, math.pi / 2)
         assert v.x == pytest.approx(0.0, abs=1e-12)
