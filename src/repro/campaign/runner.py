@@ -408,11 +408,6 @@ class CampaignResult:
             if payload is not None:
                 yield cell, payload
 
-    def trials_in_order(self) -> Iterator[Tuple[CampaignCell, object]]:
-        """Like :meth:`results_in_order`, with payloads decoded."""
-        for cell, payload in self.results_in_order():
-            yield cell, decode_payload(cell.experiment, payload)
-
 
 def run_campaign(
     spec: CampaignSpec,

@@ -274,12 +274,6 @@ class FleetSpec:
         except KeyError as error:
             raise SpecError(f"fleet spec missing field: {error}") from error
 
-    def save(self, path: PathLike) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-
 
 def load_spec(path: PathLike) -> FleetSpec:
     """Read a :class:`FleetSpec` from a JSON file."""

@@ -38,10 +38,6 @@ class Pose(NamedTuple):
         """Express a world-frame azimuth in this pose's body frame."""
         return wrap_to_pi(world_azimuth - self.heading)
 
-    def body_to_world(self, body_azimuth: float) -> float:
-        """Express a body-frame azimuth in the world frame."""
-        return wrap_to_pi(body_azimuth + self.heading)
-
     def bearing_to(self, target: Vec3) -> float:
         """World-frame azimuth from this pose's position toward ``target``."""
         return bearing_xy(self.position, target)
@@ -57,7 +53,3 @@ class Pose(NamedTuple):
     def distance_to(self, target: Vec3) -> float:
         """Euclidean distance from this pose's position to ``target``."""
         return self.position.distance_to(target)
-
-    def rotated(self, delta_heading: float) -> "Pose":
-        """A copy of this pose rotated by ``delta_heading`` radians."""
-        return Pose(self.position, wrap_to_pi(self.heading + delta_heading))

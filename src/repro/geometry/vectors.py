@@ -80,10 +80,6 @@ class Vec3(NamedTuple):
         return Vec3(radius * math.cos(azimuth), radius * math.sin(azimuth), z)
 
 
-#: The canonical zero vector, shared (a class attribute, not a field).
-Vec3.ZERO = Vec3(0.0, 0.0, 0.0)
-
-
 def distance(a: Vec3, b: Vec3) -> float:
     """Euclidean distance between two points."""
     return a.distance_to(b)

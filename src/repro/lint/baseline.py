@@ -5,8 +5,9 @@ A baseline is a committed JSON file keying findings by
 line numbers, so grandfathered findings survive unrelated edits above
 them — with a count per key (several identical lines stay several
 entries).  ``repro lint --baseline`` subtracts the baseline from the
-run's findings; ``--write-baseline`` regenerates the file from the
-current tree.
+run's findings and fails on a stale entry, one for a linted module that
+matches fewer findings than its count, so the baseline only shrinks;
+``--write-baseline`` regenerates the file from the current tree.
 
 The contract for this repo: the shipped baseline is **empty for
 ``src/``** — library findings get fixed (or DET005/DET006-waived with a
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.lint.findings import Finding, LintError
 
@@ -91,6 +92,23 @@ def load_baseline(path: object) -> Dict[_Key, int]:
             )
         counts[key] = counts.get(key, 0) + count
     return counts
+
+
+def stale_entries(
+    findings: List[Finding], counts: Dict[_Key, int], linted: Set[str]
+) -> List[Tuple[str, str, str, int, int]]:
+    """Baseline entries that match fewer findings than their count.
+
+    Only entries whose module key is in ``linted`` are judged: a run
+    over ``src/`` says nothing about the entries for ``tests/``.
+    Returns sorted ``(rule, path, text, count, matched)`` tuples.
+    """
+    found = baseline_counts(findings)
+    return [
+        (*key, count, found.get(key, 0))
+        for key, count in sorted(counts.items())
+        if key[1] in linted and found.get(key, 0) < count
+    ]
 
 
 def apply_baseline(

@@ -5,8 +5,9 @@ lint stack only imports when the command actually runs.
 
 Exit codes (shared with the campaign/fleet CLI conventions):
 
-* ``0`` — clean (no new findings),
-* ``1`` — findings,
+* ``0`` — clean (no new findings, no stale baseline entry),
+* ``1`` — findings, or a baseline entry for a linted module that
+  matches fewer findings than its count (the baseline only shrinks),
 * ``2`` — operational error (bad path, malformed baseline), reported as
   a one-line message, never a traceback.
 """
@@ -16,7 +17,13 @@ from __future__ import annotations
 import json
 from typing import List
 
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
+from repro.lint.baseline import (
+    apply_baseline,
+    load_baseline,
+    stale_entries,
+    write_baseline,
+)
+from repro.lint.config import module_key
 from repro.lint.engine import LintEngine
 from repro.lint.findings import Finding, findings_payload
 
@@ -24,7 +31,8 @@ from repro.lint.findings import Finding, findings_payload
 def run_lint(args) -> int:
     """Handler behind ``repro lint`` (raises ``LintError`` for exit 2)."""
     engine = LintEngine()
-    checked, findings = engine.lint_paths(args.paths)
+    files, findings = engine.lint_paths(args.paths)
+    checked = len(files)
 
     if args.write_baseline is not None:
         target = write_baseline(findings, args.write_baseline)
@@ -34,18 +42,34 @@ def run_lint(args) -> int:
         )
         return 0
 
+    stale = []
     if args.baseline is not None:
-        findings = apply_baseline(findings, load_baseline(args.baseline))
+        counts = load_baseline(args.baseline)
+        linted = {module_key(path) for path in files}
+        stale = stale_entries(findings, counts, linted)
+        findings = apply_baseline(findings, counts)
 
     if args.json:
-        print(json.dumps(findings_payload(findings, checked), indent=2,
-                         sort_keys=True))
-        return 1 if findings else 0
+        payload = findings_payload(findings, checked)
+        payload["stale_baseline"] = [
+            {"rule": rule, "path": path, "text": text, "count": count,
+             "matched": matched}
+            for rule, path, text, count, matched in stale
+        ]
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 1 if findings or stale else 0
 
     _print_findings(findings)
+    for rule, path, text, count, matched in stale:
+        print(f"{args.baseline}: stale {rule} entry for {path}: {text!r} "
+              f"(count {count}, matches {matched})")
     suffix = f" (baseline: {args.baseline})" if args.baseline else ""
     if findings:
         print(f"{len(findings)} finding(s) in {checked} file(s){suffix}")
+    if stale:
+        print(f"{len(stale)} stale baseline entry(ies){suffix}: "
+              f"remove or lower them")
+    if findings or stale:
         return 1
     print(f"clean: {checked} file(s), 0 findings{suffix}")
     return 0

@@ -250,10 +250,10 @@ class LintEngine:
 
     def lint_paths(
         self, paths: Iterable[object]
-    ) -> Tuple[int, List[Finding]]:
+    ) -> Tuple[List[Path], List[Finding]]:
         """Lint files/directories; returns ``(files_checked, findings)``."""
         files = self.collect_files(paths)
         findings: List[Finding] = []
         for path in files:
             findings.extend(self.lint_file(path))
-        return len(files), sorted(findings, key=lambda f: f.sort_key)
+        return files, sorted(findings, key=lambda f: f.sort_key)

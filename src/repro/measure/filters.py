@@ -85,10 +85,6 @@ class HysteresisTrigger:
         self.exit_db = exit_db
         self._asserted = False
 
-    @property
-    def asserted(self) -> bool:
-        return self._asserted
-
     def update(self, margin_db: float) -> bool:
         """Feed the current margin; returns the (possibly new) state."""
         if self._asserted:

@@ -25,7 +25,7 @@ class Trajectory(ABC):
         self, horizon_s: Optional[float] = None
     ) -> Optional[Tuple[Vec3, float]]:
         """A ``(center, radius_m)`` circle provably containing
-        ``position_at(t)`` for every ``t`` in ``[0, horizon_s]``.
+        ``pose_at(t).position`` for every ``t`` in ``[0, horizon_s]``.
 
         The spatial cell index derives candidate base-station sets from
         this bound, so implementations must be *conservative*: every
@@ -36,14 +36,6 @@ class Trajectory(ABC):
         The default is ``None`` — unknown motion is never pruned.
         """
         return None
-
-    def position_at(self, time_s: float) -> Vec3:
-        """Convenience accessor for just the position."""
-        return self.pose_at(time_s).position
-
-    def heading_at(self, time_s: float) -> float:
-        """Convenience accessor for just the heading."""
-        return self.pose_at(time_s).heading
 
 
 def sample_poses(trajectories: Sequence["Trajectory"], time_s: float) -> List[Pose]:

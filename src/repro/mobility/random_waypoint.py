@@ -56,7 +56,6 @@ class RandomWaypoint(Trajectory):
         if horizon_s <= 0.0:
             raise ValueError(f"horizon must be positive, got {horizon_s!r}")
         self.area = area
-        self._speed = speed_mps
 
         def draw_point() -> Vec3:
             return Vec3(
@@ -73,15 +72,6 @@ class RandomWaypoint(Trajectory):
             waypoints.append(candidate)
             travelled_time += leg / speed_mps
         self._path = WaypointPath(waypoints, speed_mps)
-
-    @property
-    def speed_mps(self) -> float:
-        return self._speed
-
-    @property
-    def total_time_s(self) -> float:
-        """Time until the node parks at its final waypoint."""
-        return self._path.total_time_s
 
     def position_bound(self, horizon_s=None):
         # The pre-drawn waypoint path is the entire reachable set.

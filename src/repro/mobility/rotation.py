@@ -65,10 +65,6 @@ class DeviceRotation(Trajectory):
             0.0 if rng is None else float(rng.uniform(0.0, 2.0 * math.pi))
         )
 
-    @property
-    def omega_rad_per_s(self) -> float:
-        return self._omega
-
     def position_bound(self, horizon_s=None):
         # Sweep and tremor move the heading only; the device never
         # translates, so the bound is exact for any horizon.

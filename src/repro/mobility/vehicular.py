@@ -22,7 +22,6 @@ from repro.geometry.angles import wrap_to_pi
 from repro.geometry.pose import Pose
 from repro.geometry.vectors import Vec3
 from repro.mobility.base import Trajectory
-from repro.util.units import mph_to_mps
 
 
 class VehicularDriveBy(Trajectory):
@@ -36,7 +35,8 @@ class VehicularDriveBy(Trajectory):
         Direction of travel (also the device heading; the device is
         mounted in the vehicle).
     speed_mps:
-        Speed in m/s.  Use :meth:`from_mph` for the paper's 20 mph.
+        Speed in m/s; the paper's 20 mph is
+        ``repro.util.units.mph_to_mps(20.0)``.
     jitter_amplitude_rad:
         Suspension/road heading jitter.
     """
@@ -53,7 +53,6 @@ class VehicularDriveBy(Trajectory):
             raise ValueError(f"speed must be positive, got {speed_mps!r}")
         self._start = start
         self._heading = heading_rad
-        self._speed = speed_mps
         self._velocity = Vec3.from_polar_xy(speed_mps, heading_rad)
         self._jitter_amplitude = jitter_amplitude_rad
         if rng is None:
@@ -61,20 +60,6 @@ class VehicularDriveBy(Trajectory):
         else:
             phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
             self._jitter_phases = (float(phases[0]), float(phases[1]))
-
-    @property
-    def speed_mps(self) -> float:
-        return self._speed
-
-    @staticmethod
-    def from_mph(
-        start: Vec3,
-        heading_rad: float,
-        speed_mph: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> "VehicularDriveBy":
-        """Construct from a speed in miles per hour (paper: 20 mph)."""
-        return VehicularDriveBy(start, heading_rad, mph_to_mps(speed_mph), rng=rng)
 
     def position_bound(self, horizon_s=None):
         # Heading jitter never displaces the vehicle, so the bound is the

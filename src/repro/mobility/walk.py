@@ -60,7 +60,6 @@ class HumanWalk(Trajectory):
             raise ValueError("walk requires a nonzero horizontal velocity")
         self._start = start
         self._velocity = velocity
-        self._speed = speed
         self._travel_heading = velocity.azimuth()
         # Step frequency scales with speed: ~1.35 steps/s per m/s of
         # speed (normal-gait fit), i.e. ~1.9 Hz at 1.4 m/s.
@@ -78,10 +77,6 @@ class HumanWalk(Trajectory):
         self._lateral = Vec3(
             -math.sin(self._travel_heading), math.cos(self._travel_heading), 0.0
         )
-
-    @property
-    def speed_mps(self) -> float:
-        return self._speed
 
     def position_bound(self, horizon_s=None):
         # Unbounded straight-line motion: only a finite horizon yields a

@@ -41,15 +41,6 @@ class WaypointPath(Trajectory):
             self._segment_starts.append(elapsed)
         self._total_time = elapsed
 
-    @property
-    def total_time_s(self) -> float:
-        """Time to traverse the whole path."""
-        return self._total_time
-
-    @property
-    def speed_mps(self) -> float:
-        return self._speed
-
     def position_bound(self, horizon_s=None):
         # The node is always on a segment between waypoints (clamped at
         # both ends), and distance to a fixed point is convex along a

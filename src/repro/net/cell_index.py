@@ -135,10 +135,6 @@ class CellIndex:
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def bucket_m(self) -> float:
-        return self._bucket_m
-
     def _key(self, position: Vec3) -> Tuple[int, int]:
         return (
             math.floor(position.x / self._bucket_m),

@@ -76,10 +76,6 @@ class ConnectionContext:
     def connected(self) -> bool:
         return self.state is ConnectionState.CONNECTED
 
-    def age_s(self, now_s: float) -> float:
-        """Seconds since establishment."""
-        return now_s - self.established_s
-
     def silence_s(self, now_s: float) -> float:
         """Seconds since the last successful serving contact."""
         return now_s - self.last_contact_s

@@ -45,10 +45,6 @@ class HandoverRecord:
             return None
         return self.complete_s - self.trigger_s
 
-    @property
-    def is_soft(self) -> bool:
-        return self.outcome is HandoverOutcome.SOFT
-
 
 class HandoverLog:
     """Collects handover records across a run or an experiment trial."""

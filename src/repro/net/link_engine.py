@@ -10,10 +10,9 @@ meet.  Three operations cover everything the protocols need:
   — Bernoulli decode of one control message on fixed beams: the
   BeamSurfer (CABM) switch request, RACH msg1 and msg3 on the uplink,
   msg2 and msg4 on the downlink.  Both go through one message path
-  (:meth:`LinkEngine.message_rss` gives its RSS) using beam
-  reciprocity: the mobile transmits on the antenna weights of its
-  current receive beam, the base station listens on its serving or
-  detected beam.  A message is one :meth:`Channel.rss_dbm
+  using beam reciprocity: the mobile transmits on the antenna weights
+  of its current receive beam, the base station listens on its serving
+  or detected beam.  A message is one :meth:`Channel.rss_dbm
   <repro.phy.channel.Channel.rss_dbm>` dwell and one decode draw.
 
 Bursts are evaluated in one vectorized pass per link
@@ -152,7 +151,6 @@ class LinkEngine:
         rx_gain_fn,
         rx_beam: int,
         time_s: float,
-        detection_snr_db: Optional[float] = None,
     ) -> RssMeasurement:
         """Evaluate one SSB burst heard with a fixed receive beam.
 
@@ -162,8 +160,6 @@ class LinkEngine:
             ``f(rx_beam, world_azimuth) -> dBi`` — the mobile's receive
             gain toward a world-frame azimuth (accounts for device
             heading).
-        detection_snr_db:
-            Override of the station link budget's detection threshold.
 
         Returns the burst's best SSB as a measurement: the first
         ``argmax`` dwell, reported iff its SNR clears the threshold
@@ -174,14 +170,12 @@ class LinkEngine:
         telemetry = self._telemetry
         if not telemetry.enabled:
             return self._measure_burst_impl(
-                station, mobile_id, mobile_pose, rx_gain_fn, rx_beam,
-                time_s, detection_snr_db,
+                station, mobile_id, mobile_pose, rx_gain_fn, rx_beam, time_s
             )
         started = wall_clock()
         try:
             return self._measure_burst_impl(
-                station, mobile_id, mobile_pose, rx_gain_fn, rx_beam,
-                time_s, detection_snr_db,
+                station, mobile_id, mobile_pose, rx_gain_fn, rx_beam, time_s
             )
         finally:
             telemetry.record_span("phy.measure_burst", started, wall_clock())
@@ -195,12 +189,8 @@ class LinkEngine:
         rx_gain_fn,
         rx_beam: int,
         time_s: float,
-        detection_snr_db: Optional[float] = None,
     ) -> RssMeasurement:
         budget = station.link_budget
-        threshold = (
-            budget.detection_snr_db if detection_snr_db is None else detection_snr_db
-        )
         to_mobile, to_station = _link_bearings(station.pose, mobile_pose)
         rx_gain = rx_gain_fn(rx_beam, to_station)
         beams = station.burst_beams
@@ -217,18 +207,13 @@ class LinkEngine:
         best = int(rss.argmax())
         best_rss = float(rss[best])
         snr_db = budget.snr_db(best_rss)
-        if snr_db >= threshold:
+        if snr_db >= budget.detection_snr_db:
             return RssMeasurement(
                 time_s, station.cell_id, rx_beam, beams[best], best_rss, snr_db
             )
         return RssMeasurement(time_s, station.cell_id, rx_beam)
 
-    def measure_burst_multi(
-        self,
-        groups,
-        time_s: float,
-        detection_snr_db: Optional[float] = None,
-    ):
+    def measure_burst_multi(self, groups, time_s: float):
         """Evaluate several stations' same-tick bursts in one pass.
 
         ``groups`` is a sequence of ``(station, requests)`` pairs in
@@ -253,10 +238,10 @@ class LinkEngine:
         """
         telemetry = self._telemetry
         if not telemetry.enabled:
-            return self._measure_burst_multi_impl(groups, time_s, detection_snr_db)
+            return self._measure_burst_multi_impl(groups, time_s)
         started = wall_clock()
         try:
-            return self._measure_burst_multi_impl(groups, time_s, detection_snr_db)
+            return self._measure_burst_multi_impl(groups, time_s)
         finally:
             telemetry.record_span(
                 "phy.measure_burst_multi", started, wall_clock()
@@ -265,12 +250,7 @@ class LinkEngine:
                 "phy.bursts_measured", sum(len(r) for _, r in groups)
             )
 
-    def _measure_burst_multi_impl(
-        self,
-        groups,
-        time_s: float,
-        detection_snr_db: Optional[float] = None,
-    ):
+    def _measure_burst_multi_impl(self, groups, time_s: float):
         metas = []
         row_link_ids = []
         row_tx_poses = []
@@ -287,15 +267,10 @@ class LinkEngine:
                 # tick have no admitted measurements, so skip the beam /
                 # budget lookups entirely.
                 group_gains.append(None)
-                metas.append((station, requests, None, None, None))
+                metas.append((station, requests, None, None))
                 continue
             beams = station.burst_beams
             budget = station.link_budget
-            threshold = (
-                budget.detection_snr_db
-                if detection_snr_db is None
-                else detection_snr_db
-            )
             # Per-user scalar geometry: _link_bearings inlined per row;
             # only the users x dwells work batches.
             tx_pose = station.pose
@@ -326,7 +301,7 @@ class LinkEngine:
                     bearings_to_mobile, station.burst_gain_indices
                 )
             )
-            metas.append((station, requests, beams, budget, threshold))
+            metas.append((station, requests, beams, budget))
             max_dwells = max(max_dwells, len(beams))
         n_rows = len(row_link_ids)
         if n_rows == 0:
@@ -351,7 +326,7 @@ class LinkEngine:
         )
         results = []
         row = 0
-        for station, requests, beams, budget, threshold in metas:
+        for station, requests, beams, budget in metas:
             if not requests:
                 results.append([])
                 continue
@@ -364,7 +339,7 @@ class LinkEngine:
             measurements = []
             for (_, _, _, rx_beam), hit, b, rss_dbm, snr in zip(
                 requests,
-                (snr_db >= threshold).tolist(),
+                (snr_db >= budget.detection_snr_db).tolist(),
                 best.tolist(),
                 best_rss.tolist(),
                 snr_db.tolist(),
@@ -381,37 +356,6 @@ class LinkEngine:
         return results
 
     # -------------------------------------------------------------- messages
-    def message_rss(
-        self,
-        station: BaseStation,
-        mobile_id: str,
-        mobile_pose: Pose,
-        rx_gain_fn,
-        mobile_beam: int,
-        station_beam: int,
-        time_s: float,
-        uplink: bool = False,
-    ) -> float:
-        """RSS of one directed control message on fixed beams.
-
-        A downlink message (msg2, msg4) is received at the mobile; an
-        uplink message (CABM request, msg1, msg3) at the base station,
-        sent at :attr:`mobile_tx_power_dbm`.  Beam reciprocity: the
-        mobile's receive pattern doubles as its transmit pattern, and
-        likewise at the base station.  Raises :class:`ValueError` when
-        the mobile has a zero xy offset from the station.
-        """
-        return self._message_rss(
-            self.link_id(station.cell_id, mobile_id),
-            station,
-            mobile_pose,
-            rx_gain_fn,
-            mobile_beam,
-            station_beam,
-            time_s,
-            uplink,
-        )
-
     def _message_rss(
         self,
         link: str,

@@ -98,10 +98,6 @@ class RandomAccessProcedure:
     def attempts(self) -> int:
         return self._attempts
 
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
         """Begin the procedure at the next RACH occasion."""

@@ -130,10 +130,6 @@ class StallDetector:
         self._last_seen.pop(key, None)
         self._flagged.discard(key)
 
-    def watched(self) -> Tuple[int, ...]:
-        """Currently watched keys, sorted."""
-        return tuple(sorted(self._last_seen))
-
     def newly_stalled(self) -> List[Tuple[int, float]]:
         """``(key, silent_s)`` for keys that just crossed the threshold."""
         now = self._clock()

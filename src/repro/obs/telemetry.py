@@ -157,14 +157,6 @@ class Telemetry:
             else:
                 self._dropped_events += 1
 
-    def span_totals(self) -> Dict[str, float]:
-        """Accumulated seconds per span name (copy)."""
-        return dict(self._span_totals)
-
-    def span_counts(self) -> Dict[str, int]:
-        """Completed interval count per span name (copy)."""
-        return dict(self._span_counts)
-
     def span_events(self) -> List[Tuple[str, float, float]]:
         """Recorded ``(name, start_s, duration_s)`` intervals.
 
@@ -202,10 +194,6 @@ class Telemetry:
             hist = self._hists[name] = {}
         bucket = int(value)
         hist[bucket] = hist.get(bucket, 0) + 1
-
-    def histogram(self, name: str) -> Dict[int, int]:
-        """Bucket -> count for one histogram (copy; empty if unknown)."""
-        return dict(self._hists.get(name, {}))
 
     # ---------------------------------------------------------------- summary
     def summary(self) -> dict:

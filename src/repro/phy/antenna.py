@@ -134,11 +134,6 @@ class GaussianBeamPattern(AntennaPattern):
     def beamwidth_rad(self) -> float:
         return self._beamwidth
 
-    @property
-    def sidelobe_floor_dbi(self) -> float:
-        """Absolute sidelobe gain level in dBi."""
-        return self._sidelobe_floor
-
     def gain_dbi(self, offset_rad: float) -> float:
         offset = abs(wrap_to_pi(offset_rad))
         mainlobe = self._peak - self._shape * offset * offset

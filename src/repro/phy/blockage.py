@@ -32,9 +32,6 @@ class BlockageEvent:
     def duration_s(self) -> float:
         return self.end_s - self.start_s
 
-    def active_at(self, time_s: float) -> bool:
-        return self.start_s <= time_s < self.end_s
-
 
 @dataclass(frozen=True)
 class BlockageConfig:
@@ -70,11 +67,6 @@ class BlockageConfig:
             raise ValueError(
                 f"attenuation must be non-negative, got {self.mean_attenuation_db!r}"
             )
-
-    @staticmethod
-    def disabled() -> "BlockageConfig":
-        """A config that never blocks (deterministic tests)."""
-        return BlockageConfig(rate_per_s=0.0)
 
 
 class BlockageProcess:
@@ -140,16 +132,6 @@ class BlockageProcess:
         while len(events) > 8 and events[0].end_s < time_s - 10.0:
             events.pop(0)
         for event in events:
-            # BlockageEvent.active_at, inlined: one call per link-burst.
             if event.start_s <= time_s < event.end_s:
                 return event.attenuation_db
         return 0.0
-
-    def is_blocked(self, time_s: float) -> bool:
-        """Whether any blocker is active at ``time_s``."""
-        return self.attenuation_db(time_s) > 0.0
-
-    @property
-    def events_generated(self) -> int:
-        """Number of events materialized so far (diagnostic)."""
-        return len(self._events)

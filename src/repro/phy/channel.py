@@ -80,15 +80,6 @@ class ChannelConfig:
                 f"shadowing sigma must be non-negative, got {self.shadowing_sigma_db!r}"
             )
 
-    @staticmethod
-    def deterministic() -> "ChannelConfig":
-        """No randomness: pure path loss.  Used by unit tests."""
-        return ChannelConfig(
-            shadowing_sigma_db=0.0,
-            rician_k_db=None,
-            blockage=BlockageConfig.disabled(),
-        )
-
 
 def _distance_m(a: Vec3, b: Vec3) -> float:
     """``a.distance_to(b)`` with the same operation order, computed on
@@ -183,7 +174,6 @@ class Channel:
         tx_gain_dbi: float,
         rx_gain_dbi: float,
         tx_power_dbm: float,
-        include_fading: bool = True,
     ) -> float:
         """Received signal strength for one dwell.
 
@@ -194,7 +184,7 @@ class Channel:
         loss_db = self.pathloss.path_loss_db(distance)
         shadowing_db = state.shadowing.sample_db(state.traveled_m(rx_pose))
         blockage_db = state.blockage.attenuation_db(time_s)
-        fading_db = state.fading.sample_db() if include_fading else 0.0
+        fading_db = state.fading.sample_db()
         return (
             tx_power_dbm
             + tx_gain_dbi
@@ -214,7 +204,6 @@ class Channel:
         tx_gains_dbi: np.ndarray,
         rx_gain_dbi: float,
         tx_power_dbm: float,
-        include_fading: bool = True,
     ) -> np.ndarray:
         """Vectorized RSS of every dwell in one SSB burst.
 
@@ -244,9 +233,7 @@ class Channel:
             state.traveled_m(rx_pose), n_dwells
         )
         blockage_db = state.blockage.attenuation_db(time_s)
-        fading_db = (
-            state.fading.sample_db_array(n_dwells) if include_fading else 0.0
-        )
+        fading_db = state.fading.sample_db_array(n_dwells)
         # Same left-to-right operation order as the scalar rss_dbm sum,
         # so each element is bit-identical to its scalar counterpart;
         # accumulated in place in one fresh buffer.
@@ -268,7 +255,6 @@ class Channel:
         rx_gains_dbi,
         tx_powers_dbm,
         n_dwells,
-        include_fading: bool = True,
     ) -> np.ndarray:
         """Vectorized RSS over heterogeneous (station, user) link rows.
 
@@ -318,7 +304,7 @@ class Channel:
             raise ValueError(
                 f"row {r}: dwell count {counts[r]} outside [1, {max_dwells}]"
             )
-        fading = include_fading and self._rician is not None
+        fading = self._rician is not None
         # Zero padding keeps the fades of unused slots finite; their
         # -inf gain still makes the slot -inf.
         draws = np.zeros((n_rows, 2 * max_dwells)) if fading else None
@@ -372,8 +358,3 @@ class Channel:
             + rx_gain_dbi
             - self.pathloss.path_loss_db(distance)
         )
-
-    @property
-    def active_links(self) -> int:
-        """Number of links with materialized state (diagnostic)."""
-        return len(self._links)

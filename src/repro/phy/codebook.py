@@ -114,18 +114,9 @@ class Codebook:
         return self._beams[index]
 
     @property
-    def beams(self) -> Tuple[Beam, ...]:
-        return self._beams
-
-    @property
     def boresights_rad(self) -> np.ndarray:
         """Beam boresights as a read-only float64 array (index order)."""
         return self._boresights
-
-    @property
-    def is_omni(self) -> bool:
-        """True for the degenerate single-omni-beam codebook."""
-        return len(self._beams) == 1 and self._beams[0].beamwidth_rad >= 2.0 * math.pi - 1e-9
 
     @property
     def max_gain_dbi(self) -> float:
@@ -158,14 +149,6 @@ class Codebook:
         if left == right:
             return [left]
         return [left, right]
-
-    def hop_distance(self, a: int, b: int) -> int:
-        """Ring distance between two beam indices (number of adjacent hops)."""
-        self._check_index(a)
-        self._check_index(b)
-        n = len(self._beams)
-        diff = abs(a - b) % n
-        return min(diff, n - diff)
 
     # ------------------------------------------------------------- selection
     def best_beam_towards(self, body_azimuth_rad: float) -> Beam:

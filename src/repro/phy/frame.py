@@ -97,10 +97,6 @@ class RachConfig:
         k = math.ceil((now_s - self.occasion_offset_s) / self.occasion_period_s - 1e-12)
         return max(0, k) * self.occasion_period_s + self.occasion_offset_s
 
-    def minimum_completion_s(self) -> float:
-        """Floor on msg1->msg4 latency for a single successful attempt."""
-        return self.response_delay_s + self.msg3_delay_s + self.msg4_delay_s
-
 
 class SsbSchedule:
     """Concrete SSB timing for one base station sweeping ``n_beams``."""

@@ -59,14 +59,6 @@ class LinkBudget:
         """SNR of a received signal at ``rss_dbm``."""
         return rss_dbm - self.noise_floor_dbm
 
-    def rss_for_snr(self, snr_db: float) -> float:
-        """RSS needed to achieve a target SNR (inverse of :meth:`snr_db`)."""
-        return snr_db + self.noise_floor_dbm
-
-    def detects(self, rss_dbm: float) -> bool:
-        """Hard detection decision for a search dwell."""
-        return self.snr_db(rss_dbm) >= self.detection_snr_db
-
     def packet_success_probability(self, rss_dbm: float) -> float:
         """Probability a control packet at ``rss_dbm`` decodes.
 

@@ -87,11 +87,6 @@ class CloseInPathLoss(PathLossModel):
         self.min_distance_m = min_distance_m
         self._intercept_db = fspl_db(1.0, frequency_hz)
 
-    @property
-    def intercept_db(self) -> float:
-        """Free-space loss at the 1 m reference distance."""
-        return self._intercept_db
-
     def path_loss_db(self, distance_m: float) -> float:
         distance = max(distance_m, self.min_distance_m)
         return self._intercept_db + 10.0 * self.exponent * math.log10(distance)

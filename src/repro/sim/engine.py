@@ -214,11 +214,6 @@ class Simulator:
         return self._events_fired
 
     @property
-    def pending_events(self) -> int:
-        """Exact number of non-cancelled events still queued."""
-        return len(self._queue)
-
-    @property
     def stop_requested(self) -> bool:
         """Whether the last run was halted by :meth:`stop`.
 
@@ -387,10 +382,6 @@ class PeriodicTask:
         return self._period
 
     @property
-    def ticks_fired(self) -> int:
-        return self._tick
-
-    @property
     def next_fire_s(self) -> float:
         """Scheduled time of the next tick that has not fired yet.
 
@@ -446,10 +437,6 @@ class BurstMember:
     def next_fire_s(self) -> float:
         """Scheduled time of the next tick that has not delivered yet."""
         return self._grid.origin + self._grid.tick * self._grid.period
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
 
     def stop(self) -> None:
         """Withdraw this member from future ticks.  Safe mid-delivery."""
@@ -556,11 +543,6 @@ class BurstScheduler:
         self._sim = sim
         self._deliver = deliver
         self._grids: dict = {}
-
-    @property
-    def grid_count(self) -> int:
-        """Number of distinct tick grids (heap events per period)."""
-        return len(self._grids)
 
     def add(
         self,

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.geometry.angles import angular_distance
 from repro.geometry.pose import Pose
 from repro.geometry.vectors import Vec3
 from repro.net.base_station import BaseStation
@@ -36,9 +37,9 @@ class TestGeometry:
         target = 0.3
         beam_a = a.codebook[a.best_tx_beam_towards(target)].boresight_rad
         beam_b = b.codebook[b.best_tx_beam_towards(target)].boresight_rad
-        world_a = a.pose.body_to_world(beam_a)
-        world_b = b.pose.body_to_world(beam_b)
-        assert abs(world_a - world_b) <= math.radians(30.0)
+        world_a = beam_a + a.pose.heading
+        world_b = beam_b + b.pose.heading
+        assert angular_distance(world_a, world_b) <= math.radians(30.0)
 
     def test_tx_gain_peaks_on_best_beam(self):
         station = make_station()
@@ -85,8 +86,8 @@ class TestRefinement:
         start = (best + 2) % len(station.codebook)
         station.attach("ue0", start)
         refined = station.refine_tx_beam("ue0", true_azimuth)
-        assert station.codebook.hop_distance(refined, start) == 1
-        assert station.codebook.hop_distance(refined, best) == 1
+        assert refined in station.codebook.neighbors(start)
+        assert refined in station.codebook.neighbors(best)
 
     def test_refine_stays_when_already_best(self):
         station = make_station()

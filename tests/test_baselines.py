@@ -10,12 +10,14 @@ from repro.net.handover import HandoverOutcome
 from repro.phy.channel import ChannelConfig
 from repro.registry import make_protocol
 
+from channel_configs import DETERMINISTIC
+
 
 def make_run(protocol, scenario="vehicular", seed=1, deterministic=True,
              config=None):
     deployment_config = DeploymentConfig(
         master_seed=seed,
-        channel=ChannelConfig.deterministic() if deterministic else ChannelConfig(),
+        channel=DETERMINISTIC if deterministic else ChannelConfig(),
     )
     deployment, mobile = build_cell_edge_deployment(
         seed, scenario=scenario, config=deployment_config

@@ -16,19 +16,8 @@ class TestEvent:
         event = BlockageEvent(1.0, 1.5, 20.0)
         assert event.duration_s == 0.5
 
-    def test_active_interval_half_open(self):
-        event = BlockageEvent(1.0, 1.5, 20.0)
-        assert event.active_at(1.0)
-        assert event.active_at(1.49)
-        assert not event.active_at(1.5)
-        assert not event.active_at(0.99)
-
 
 class TestConfig:
-    def test_disabled(self):
-        config = BlockageConfig.disabled()
-        assert config.rate_per_s == 0.0
-
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
             BlockageConfig(rate_per_s=-1.0)
@@ -41,7 +30,7 @@ class TestConfig:
 class TestProcess:
     def test_disabled_never_blocks(self):
         process = BlockageProcess(
-            BlockageConfig.disabled(), np.random.default_rng(1)
+            BlockageConfig(rate_per_s=0.0), np.random.default_rng(1)
         )
         for t in (0.0, 1.0, 100.0):
             assert process.attenuation_db(t) == 0.0
@@ -90,15 +79,9 @@ class TestProcess:
         for t in np.arange(0.0, 50.0, 0.05):
             assert process.attenuation_db(t) >= 0.0
 
-    def test_is_blocked_consistent(self):
-        process = make(rate=2.0, seed=8)
-        for t in np.arange(0.0, 30.0, 0.1):
-            attenuation = process.attenuation_db(t)
-            assert process.is_blocked(t) == (attenuation > 0.0)
-
     def test_pruning_bounds_memory(self):
         process = make(rate=5.0, seed=2)
         for t in np.arange(0.0, 500.0, 0.5):
             process.attenuation_db(t)
         # Old events are pruned; the live list stays small.
-        assert process.events_generated < 50
+        assert len(process._events) < 50

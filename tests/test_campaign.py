@@ -18,6 +18,7 @@ from repro.campaign.progress import ProgressReporter
 from repro.campaign.runner import (
     CampaignError,
     CampaignResult,
+    decode_payload,
     run_campaign,
     resume_campaign,
 )
@@ -26,6 +27,7 @@ from repro.campaign.spec import (
     CampaignSpec,
     SpecError,
     build_config,
+    canonical_json,
     config_to_overrides,
     load_spec,
 )
@@ -121,7 +123,7 @@ class TestSpecExpansion:
     def test_spec_roundtrip_through_json_file(self, tmp_path):
         spec = small_search_spec()
         path = tmp_path / "spec.json"
-        spec.save(path)
+        path.write_text(canonical_json(spec.to_dict()), encoding="utf-8")
         loaded = load_spec(path)
         assert loaded == spec
         assert loaded.spec_hash == spec.spec_hash
@@ -197,7 +199,10 @@ class TestRunCampaign:
         from repro.experiments.fig2a import run_search_trial
 
         result = run_campaign(small_search_spec(protocols=("narrow",)))
-        campaign_trials = [trial for _, trial in result.trials_in_order()]
+        campaign_trials = [
+            decode_payload(cell.experiment, payload)
+            for cell, payload in result.results_in_order()
+        ]
         direct = [
             run_search_trial("narrow", scenario="walk", seed=100 + k)
             for k in range(2)
@@ -351,7 +356,8 @@ class TestWorkloadCampaign:
             base_seed=3,
             params={"duration_s": 0.5},
         )
-        [(_, trace)] = run_campaign(spec).trials_in_order()
+        [(cell, payload)] = run_campaign(spec).results_in_order()
+        trace = decode_payload(cell.experiment, payload)
         direct = generate_rss_trace(
             scenario="walk", seed=3, duration_s=0.5, rx_beam_policy="best"
         )
@@ -409,7 +415,8 @@ class TestCampaignCli:
 
     def test_run_from_spec_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        small_search_spec(seeds=1, protocols=("narrow",)).save(spec_path)
+        spec = small_search_spec(seeds=1, protocols=("narrow",))
+        spec_path.write_text(canonical_json(spec.to_dict()), encoding="utf-8")
         assert main(["campaign", "run", "--spec", str(spec_path), "--quiet"]) == 0
         assert "t-search" in capsys.readouterr().out
 

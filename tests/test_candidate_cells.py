@@ -23,8 +23,9 @@ from repro.experiments.hierarchical import (
 from repro.experiments.scenarios import build_cell_edge_deployment
 from repro.net.deployment import DeploymentConfig
 from repro.net.mobile import Mobile
-from repro.phy.channel import ChannelConfig
 from repro.phy.codebook import Codebook, HierarchicalCodebook
+
+from channel_configs import DETERMINISTIC
 
 STEP_S = 0.005
 #: Objects whose attributes are listener state (compared by value);
@@ -83,7 +84,7 @@ def make_protocol(name, scenario, seed, config=None, codebook="narrow"):
         mobile_codebook=codebook,
         scenario=scenario,
         config=DeploymentConfig(
-            master_seed=seed, channel=ChannelConfig.deterministic()
+            master_seed=seed, channel=DETERMINISTIC
         ),
     )
     protocol = registry.make_protocol(name, deployment, mobile, "cellA", config)

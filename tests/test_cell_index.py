@@ -97,7 +97,7 @@ class TestPositionBounds:
         center, radius = bound
         horizon = 1e4 if horizon_s is None else horizon_s
         for k in range(samples + 1):
-            position = trajectory.position_at(horizon * k / samples)
+            position = trajectory.pose_at(horizon * k / samples).position
             assert center.distance_to(position) <= radius + 1e-9
 
     def test_static_bound_is_exact(self):

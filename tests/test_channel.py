@@ -9,9 +9,11 @@ from repro.phy.channel import Channel, ChannelConfig
 from repro.phy.pathloss import CloseInPathLoss
 from repro.sim.rng import RngRegistry
 
+from channel_configs import DETERMINISTIC
+
 
 def make_channel(config=None, seed=1):
-    return Channel(config or ChannelConfig.deterministic(), RngRegistry(seed))
+    return Channel(config or DETERMINISTIC, RngRegistry(seed))
 
 
 TX = Pose(Vec3(0.0, 10.0))
@@ -62,24 +64,23 @@ class TestStochasticChannel:
         assert a != b
 
     def test_include_fading_flag(self):
-        config = ChannelConfig(
-            shadowing_sigma_db=0.0,
-            blockage=BlockageConfig.disabled(),
-            rician_k_db=5.0,
-        )
-        channel = make_channel(config, seed=2)
-        no_fading = channel.rss_dbm(
-            "l", 0.0, TX, RX, 0.0, 0.0, 0.0, include_fading=False
-        )
-        assert no_fading == pytest.approx(channel.mean_rss_dbm(TX, RX, 0.0, 0.0, 0.0))
+        """``rician_k_db=None`` switches small-scale fading off."""
+        quiet = dict(shadowing_sigma_db=0.0, blockage=BlockageConfig(rate_per_s=0.0))
+        faded = make_channel(ChannelConfig(rician_k_db=5.0, **quiet), seed=2)
+        plain = make_channel(ChannelConfig(rician_k_db=None, **quiet), seed=2)
+        mean = plain.mean_rss_dbm(TX, RX, 0.0, 0.0, 0.0)
+        assert plain.rss_dbm("l", 0.0, TX, RX, 0.0, 0.0, 0.0) == pytest.approx(mean)
+        assert faded.rss_dbm("l", 0.0, TX, RX, 0.0, 0.0, 0.0) != pytest.approx(mean)
 
     def test_link_state_created_lazily(self):
-        channel = make_channel()
-        assert channel.active_links == 0
+        # A link's state owns its shadowing and blockage streams.
+        registry = RngRegistry(1)
+        channel = Channel(DETERMINISTIC, registry)
+        assert registry.stream_names() == []
         channel.rss_dbm("l1", 0.0, TX, RX, 0.0, 0.0, 0.0)
-        assert channel.active_links == 1
+        assert registry.stream_names() == ["blockage/l1", "shadowing/l1"]
         channel.rss_dbm("l1", 0.1, TX, RX, 0.0, 0.0, 0.0)
-        assert channel.active_links == 1
+        assert registry.stream_names() == ["blockage/l1", "shadowing/l1"]
 
     def test_custom_pathloss_model(self):
         config = ChannelConfig(
@@ -87,7 +88,7 @@ class TestStochasticChannel:
             pathloss_exponent=3.0,
             shadowing_sigma_db=0.0,
             rician_k_db=None,
-            blockage=BlockageConfig.disabled(),
+            blockage=BlockageConfig(rate_per_s=0.0),
         )
         channel = Channel(config, RngRegistry(1))
         reference = CloseInPathLoss(28e9, exponent=3.0)
@@ -102,7 +103,7 @@ class TestStochasticChannel:
         """Heading change alone must advance the shadowing process."""
         channel = make_channel(ChannelConfig(shadowing_sigma_db=3.0,
                                              rician_k_db=None,
-                                             blockage=BlockageConfig.disabled()),
+                                             blockage=BlockageConfig(rate_per_s=0.0)),
                                seed=3)
         state = channel.link_state("l")
         rss_series = []
@@ -124,9 +125,3 @@ class TestConfigValidation:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             ChannelConfig(shadowing_sigma_db=-1.0)
-
-    def test_deterministic_profile(self):
-        config = ChannelConfig.deterministic()
-        assert config.shadowing_sigma_db == 0.0
-        assert config.rician_k_db is None
-        assert config.blockage.rate_per_s == 0.0

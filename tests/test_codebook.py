@@ -79,13 +79,6 @@ class TestTopology:
         assert len(codebook) == 2
         assert codebook.adjacent_indices(0) == [1]
 
-    def test_hop_distance(self):
-        codebook = Codebook.uniform_azimuth(60.0)  # 6 beams
-        assert codebook.hop_distance(0, 1) == 1
-        assert codebook.hop_distance(0, 5) == 1
-        assert codebook.hop_distance(0, 3) == 3
-        assert codebook.hop_distance(2, 2) == 0
-
     def test_out_of_range_index(self):
         codebook = Codebook.uniform_azimuth(60.0)
         with pytest.raises(IndexError):
@@ -126,10 +119,6 @@ class TestOmni:
     def test_singleton(self):
         codebook = Codebook.omni()
         assert len(codebook) == 1
-        assert codebook.is_omni
-
-    def test_narrow_not_omni(self):
-        assert not Codebook.uniform_azimuth(20.0).is_omni
 
     def test_flat_gain(self):
         codebook = Codebook.omni(gain_dbi=1.0)

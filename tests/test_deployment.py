@@ -8,13 +8,14 @@ from repro.mobility.base import StaticPose
 from repro.net.base_station import BaseStation
 from repro.net.deployment import Deployment, DeploymentConfig
 from repro.net.mobile import Mobile
-from repro.phy.channel import ChannelConfig
 from repro.phy.codebook import Codebook
+
+from channel_configs import DETERMINISTIC
 
 
 def make_deployment():
     deployment = Deployment(
-        DeploymentConfig(master_seed=1, channel=ChannelConfig.deterministic())
+        DeploymentConfig(master_seed=1, channel=DETERMINISTIC)
     )
     deployment.add_station(
         BaseStation(

@@ -7,8 +7,8 @@ SNR clears the threshold, then take the first ``argmax`` among them.
 The two agree because subtracting the noise floor is monotone and no
 RSS row holds NaN.  A stand-in channel hands both paths hypothesis RSS
 grids -- exact ties, ``-inf`` entries and pads, rows with nothing
-detected, threshold overrides -- and every measurement must match the
-oracle in hit, dwell, RSS and SNR.
+detected, per-station thresholds -- and every measurement must match
+the oracle in hit, dwell, RSS and SNR.
 """
 
 import functools
@@ -23,10 +23,12 @@ from repro.geometry.pose import Pose
 from repro.geometry.vectors import Vec3
 from repro.net.base_station import BaseStation
 from repro.net.link_engine import LinkEngine
-from repro.phy.channel import Channel, ChannelConfig
+from repro.phy.channel import Channel
 from repro.phy.codebook import Codebook
 from repro.phy.link import LinkBudget
 from repro.sim.rng import RngRegistry
+
+from channel_configs import DETERMINISTIC
 
 BUDGET = LinkBudget()
 NOISE = BUDGET.noise_floor_dbm
@@ -55,10 +57,15 @@ class GridChannel:
 
 
 @functools.lru_cache(maxsize=None)
-def station(n_beams: int, index: int) -> BaseStation:
+def station(
+    n_beams: int, index: int, threshold: float = BUDGET.detection_snr_db
+) -> BaseStation:
     codebook = Codebook.uniform_azimuth(360.0 / n_beams)
     assert len(codebook) == n_beams
-    return BaseStation(f"cell{index}", Pose(Vec3(0.0, 10.0 * index)), codebook)
+    return BaseStation(
+        f"cell{index}", Pose(Vec3(0.0, 10.0 * index)), codebook,
+        link_budget=LinkBudget(detection_snr_db=threshold),
+    )
 
 
 def mask_then_argmax(row, threshold):
@@ -86,14 +93,15 @@ RSS = st.one_of(
     st.floats(EDGE - 10.0, EDGE + 10.0, allow_nan=False),
 )
 THRESHOLD = st.one_of(
-    st.none(), st.sampled_from([-3.0, 0.0, 5.0, 12.5]),
+    st.just(BUDGET.detection_snr_db), st.sampled_from([-3.0, 0.0, 5.0, 12.5]),
     st.floats(-20.0, 20.0, allow_nan=False),
 )
 
 
 @st.composite
 def ticks(draw):
-    """Stations of distinct burst lengths, each with measured rows."""
+    """Stations of distinct burst lengths and own detection thresholds,
+    each with measured rows."""
     groups = []
     for index in range(draw(st.integers(1, 3))):
         n_beams = draw(st.integers(1, 8))
@@ -101,7 +109,7 @@ def ticks(draw):
             st.lists(RSS, min_size=n_beams, max_size=n_beams),
             min_size=1, max_size=3,
         ))
-        groups.append((station(n_beams, index), rows))
+        groups.append((station(n_beams, index, draw(THRESHOLD)), rows))
     return groups
 
 
@@ -117,22 +125,18 @@ def engine(rows):
 
 
 @settings(max_examples=200, deadline=None)
-@given(groups=ticks(), override=THRESHOLD)
-def test_both_paths_match_mask_then_argmax(groups, override):
+@given(groups=ticks())
+def test_both_paths_match_mask_then_argmax(groups):
     all_rows = [row for _, rows in groups for row in rows]
     expected = [
-        mask_then_argmax(
-            row,
-            BUDGET.detection_snr_db if override is None else override,
-        )
-        for row in all_rows
+        mask_then_argmax(row, base.link_budget.detection_snr_db)
+        for base, rows in groups
+        for row in rows
     ]
 
     single = engine(all_rows)
     got_single = [
-        outcome(single.measure_burst(
-            base, mobile_id, pose, gain, beam, 0.0, detection_snr_db=override,
-        ))
+        outcome(single.measure_burst(base, mobile_id, pose, gain, beam, 0.0))
         for base, rows in groups
         for mobile_id, pose, gain, beam in requests_for(rows)
     ]
@@ -140,9 +144,7 @@ def test_both_paths_match_mask_then_argmax(groups, override):
 
     multi = engine(all_rows)
     results = multi.measure_burst_multi(
-        [(base, requests_for(rows)) for base, rows in groups],
-        0.0,
-        detection_snr_db=override,
+        [(base, requests_for(rows)) for base, rows in groups], 0.0
     )
     got_multi = [outcome(m) for group in results for m in group]
     assert got_multi == expected
@@ -158,7 +160,7 @@ def test_tie_resolves_to_first_dwell():
 
 def test_single_link_zero_xy_offset_raises():
     registry = RngRegistry(1)
-    links = LinkEngine(Channel(ChannelConfig.deterministic(), registry), registry)
+    links = LinkEngine(Channel(DETERMINISTIC, registry), registry)
     base = station(4, 0)
     above = Pose(Vec3(base.pose.position.x, base.pose.position.y, 3.0))
     with pytest.raises(ValueError):

@@ -91,7 +91,8 @@ class TestHysteresisTrigger:
         trigger = HysteresisTrigger(3.0, 1.5)
         trigger.update(5.0)
         trigger.reset()
-        assert not trigger.asserted
+        # Between the thresholds a still-asserted trigger would hold.
+        assert not trigger.update(2.0)
 
     def test_equal_thresholds_allowed(self):
         trigger = HysteresisTrigger(3.0, 3.0)

@@ -87,7 +87,7 @@ class TestSpecValidation:
 
         spec = small_spec()
         path = tmp_path / "fleet.json"
-        spec.save(path)
+        path.write_text(canonical_json(spec.to_dict()), encoding="utf-8")
         assert load_spec(path) == spec
 
 
@@ -250,7 +250,7 @@ class TestExperimentKind:
         assert result.payload.aggregates["totals"]["users"] == 3
 
     def test_campaign_grid(self, tmp_path):
-        from repro.campaign.runner import run_campaign
+        from repro.campaign.runner import decode_payload, run_campaign
 
         spec = CampaignSpec(
             name="fleet", experiment="fleet", scenarios=("walk",),
@@ -259,7 +259,10 @@ class TestExperimentKind:
         )
         result = run_campaign(spec, out_dir=tmp_path / "campaign")
         assert len(result.payloads) == 2
-        trials = [trial for _, trial in result.trials_in_order()]
+        trials = [
+            decode_payload(cell.experiment, payload)
+            for cell, payload in result.results_in_order()
+        ]
         assert all(t.aggregates["totals"]["users"] == 3 for t in trials)
 
     def test_campaign_summary_table(self):
@@ -296,7 +299,8 @@ class TestFleetCli:
         from repro.cli import main
 
         spec_path = tmp_path / "spec.json"
-        small_spec(n_users=3, duration_s=1.0).save(spec_path)
+        spec = small_spec(n_users=3, duration_s=1.0)
+        spec_path.write_text(canonical_json(spec.to_dict()), encoding="utf-8")
         assert main(["fleet", "run", "--spec", str(spec_path)]) == 0
         assert "3 users" in capsys.readouterr().out
 

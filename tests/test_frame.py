@@ -57,12 +57,6 @@ class TestRachConfig:
         assert config.next_occasion(0.0101) == pytest.approx(0.030)
         assert config.next_occasion(1.0) == pytest.approx(1.010)
 
-    def test_minimum_completion(self):
-        config = RachConfig(
-            response_delay_s=0.003, msg3_delay_s=0.002, msg4_delay_s=0.003
-        )
-        assert config.minimum_completion_s() == pytest.approx(0.008)
-
     def test_rejects_offset_outside_period(self):
         with pytest.raises(ValueError):
             RachConfig(occasion_period_s=0.02, occasion_offset_s=0.02)

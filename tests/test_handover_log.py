@@ -12,13 +12,6 @@ class TestRecord:
         record.complete_s = 1.4
         assert record.completion_time_s == pytest.approx(0.4)
 
-    def test_is_soft(self):
-        record = HandoverRecord("ue0", "cellA", "cellB", trigger_s=1.0)
-        record.outcome = HandoverOutcome.SOFT
-        assert record.is_soft
-        record.outcome = HandoverOutcome.HARD
-        assert not record.is_soft
-
 
 class TestLog:
     def make_log(self):

@@ -22,43 +22,31 @@ class TestSnr:
         assert budget.snr_db(budget.noise_floor_dbm) == pytest.approx(0.0)
         assert budget.snr_db(budget.noise_floor_dbm + 10.0) == pytest.approx(10.0)
 
-    def test_rss_for_snr_inverse(self):
-        budget = LinkBudget()
-        for snr in (-5.0, 0.0, 12.0):
-            assert budget.snr_db(budget.rss_for_snr(snr)) == pytest.approx(snr)
-
-
-class TestDetection:
-    def test_threshold_boundary(self):
-        budget = LinkBudget(detection_snr_db=5.0)
-        at_threshold = budget.rss_for_snr(5.0)
-        assert budget.detects(at_threshold)
-        assert not budget.detects(at_threshold - 0.01)
-
 
 class TestPacketSuccess:
     def test_half_at_decode_snr(self):
         budget = LinkBudget(decode_snr_db=5.0)
-        rss = budget.rss_for_snr(5.0)
+        rss = budget.noise_floor_dbm + 5.0
         assert budget.packet_success_probability(rss) == pytest.approx(0.5)
 
     def test_monotone_in_rss(self):
         budget = LinkBudget()
         probabilities = [
-            budget.packet_success_probability(budget.rss_for_snr(snr))
+            budget.packet_success_probability(budget.noise_floor_dbm + snr)
             for snr in range(-10, 25)
         ]
         assert probabilities == sorted(probabilities)
 
     def test_saturates(self):
         budget = LinkBudget(decode_snr_db=5.0, decode_slope_db=1.0)
-        assert budget.packet_success_probability(budget.rss_for_snr(60.0)) == 1.0
-        assert budget.packet_success_probability(budget.rss_for_snr(-60.0)) == 0.0
+        noise = budget.noise_floor_dbm
+        assert budget.packet_success_probability(noise + 60.0) == 1.0
+        assert budget.packet_success_probability(noise - 60.0) == 0.0
 
     def test_slope_controls_sharpness(self):
         sharp = LinkBudget(decode_slope_db=0.5)
         soft = LinkBudget(decode_slope_db=3.0)
-        rss = sharp.rss_for_snr(sharp.decode_snr_db + 2.0)
+        rss = sharp.noise_floor_dbm + sharp.decode_snr_db + 2.0
         assert sharp.packet_success_probability(
             rss
         ) > soft.packet_success_probability(rss)

@@ -313,6 +313,27 @@ class TestCli:
         assert main(["lint", str(lint_tree), "--baseline", str(base)]) == 0
         assert "clean" in capsys.readouterr().out
 
+    def test_stale_baseline_entry_exits_one(self, lint_tree, capsys):
+        base = lint_tree / "base.json"
+        assert main(
+            ["lint", str(lint_tree), "--write-baseline", str(base)]
+        ) == 0
+        (lint_tree / "mod.py").write_text("VALUE = 2\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["lint", str(lint_tree), "--baseline", str(base)]) == 1
+        assert "stale DET001 entry for mod.py" in capsys.readouterr().out
+        assert main(
+            ["lint", str(lint_tree), "--baseline", str(base), "--json"]
+        ) == 1
+        (entry,) = json.loads(capsys.readouterr().out)["stale_baseline"]
+        assert (entry["path"], entry["count"], entry["matched"]) == (
+            "mod.py", 1, 0,
+        )
+        # An entry for a module the run did not lint is not judged.
+        assert main(
+            ["lint", str(lint_tree / "clean.py"), "--baseline", str(base)]
+        ) == 0
+
     def test_fixture_data_is_skipped_in_directory_walks(self, capsys):
         # tests/data/lint is full of deliberate violations; the tests/
         # gate must never pick them up.
@@ -327,8 +348,8 @@ class TestCli:
 class TestShippedTree:
     def test_src_is_clean(self):
         engine = LintEngine()
-        checked, findings = engine.lint_paths([SRC])
-        assert checked > 50
+        files, findings = engine.lint_paths([SRC])
+        assert len(files) > 50
         assert findings == []
 
     def test_no_unjustified_waivers_anywhere(self):

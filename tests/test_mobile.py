@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.geometry.angles import angular_distance
 from repro.geometry.pose import Pose
 from repro.geometry.vectors import Vec3
 from repro.mobility.base import StaticPose
@@ -11,8 +12,9 @@ from repro.mobility.rotation import DeviceRotation
 from repro.net.base_station import BaseStation
 from repro.net.deployment import Deployment, DeploymentConfig
 from repro.net.mobile import Mobile
-from repro.phy.channel import ChannelConfig
 from repro.phy.codebook import Codebook
+
+from channel_configs import DETERMINISTIC
 
 
 def make_mobile(trajectory=None, codebook=None):
@@ -63,9 +65,12 @@ class TestGainFunction:
         station = make_station()
         beam_at_0 = mobile.best_rx_beam_towards(station, 0.0)
         beam_at_1s = mobile.best_rx_beam_towards(station, 1.0)  # +90 deg
-        hops = mobile.codebook.hop_distance(beam_at_0, beam_at_1s)
+        turned = angular_distance(
+            mobile.codebook[beam_at_0].boresight_rad,
+            mobile.codebook[beam_at_1s].boresight_rad,
+        )
         # 90 degrees of rotation over a 20-degree codebook: ~4-5 hops.
-        assert 3 <= hops <= 6
+        assert math.radians(60.0) <= turned <= math.radians(120.0)
 
     def test_rx_gain_fn_peaks_on_best_beam(self):
         mobile = make_mobile()
@@ -108,7 +113,7 @@ class TestRadioArbitration:
         # A one-mobile deployment delivers each burst through
         # begin_burst -> measure_burst -> complete_burst.
         deployment = Deployment(
-            DeploymentConfig(channel=ChannelConfig.deterministic())
+            DeploymentConfig(channel=DETERMINISTIC)
         )
         station = deployment.add_station(make_station())
         mobile = deployment.add_mobile(make_mobile())

@@ -28,30 +28,29 @@ class TestTimeShifted:
         inner = HumanWalk(Vec3(0, 0), Vec3(1, 0), sway_amplitude_m=0.0,
                           wobble_amplitude_rad=0.0)
         shifted = TimeShifted(inner, 5.0)
-        assert shifted.position_at(7.0).x == pytest.approx(
-            inner.position_at(2.0).x
+        assert shifted.pose_at(7.0).position.x == pytest.approx(
+            inner.pose_at(2.0).position.x
         )
 
     def test_clamps_before_offset(self):
         inner = HumanWalk(Vec3(0, 0), Vec3(1, 0), sway_amplitude_m=0.0,
                           wobble_amplitude_rad=0.0)
         shifted = TimeShifted(inner, 5.0)
-        assert shifted.position_at(1.0) == inner.position_at(0.0)
+        assert shifted.pose_at(1.0).position == inner.pose_at(0.0).position
 
 
 class TestHumanWalk:
     def test_paper_speed(self):
         walk = HumanWalk(Vec3(0, 0), Vec3(1.4, 0))
-        assert walk.speed_mps == pytest.approx(1.4)
         # Net progress tracks the nominal speed (gait sway is small and
         # lateral).
-        moved = walk.position_at(10.0).distance_to(walk.position_at(0.0))
+        moved = walk.pose_at(10.0).position.distance_to(walk.pose_at(0.0).position)
         assert moved / 10.0 == pytest.approx(1.4, rel=0.05)
 
     def test_progresses_along_velocity(self):
         walk = HumanWalk(Vec3(0, 0), Vec3(1.4, 0))
-        assert walk.position_at(10.0).x == pytest.approx(14.0, abs=0.1)
-        assert abs(walk.position_at(10.0).y) < 0.1
+        assert walk.pose_at(10.0).position.x == pytest.approx(14.0, abs=0.1)
+        assert abs(walk.pose_at(10.0).position.y) < 0.1
 
     def test_pure_function_of_time(self):
         walk = HumanWalk(Vec3(0, 0), Vec3(1.4, 0),
@@ -63,7 +62,7 @@ class TestHumanWalk:
 
     def test_heading_wobbles_around_travel_direction(self):
         walk = HumanWalk(Vec3(0, 0), Vec3(0, 1.4))
-        headings = [walk.heading_at(0.1 * k) for k in range(100)]
+        headings = [walk.pose_at(0.1 * k).heading for k in range(100)]
         travel = math.pi / 2
         assert all(abs(h - travel) < math.radians(10) for h in headings)
         assert max(headings) > min(headings)  # it does wobble
@@ -71,7 +70,7 @@ class TestHumanWalk:
     def test_sway_is_lateral(self):
         walk = HumanWalk(Vec3(0, 0), Vec3(1.4, 0), sway_amplitude_m=0.05,
                          wobble_amplitude_rad=0.0)
-        ys = [walk.position_at(0.05 * k).y for k in range(200)]
+        ys = [walk.pose_at(0.05 * k).position.y for k in range(200)]
         assert max(ys) > 0.02
         assert min(ys) < -0.02
 
@@ -91,27 +90,27 @@ class TestDeviceRotation:
             Vec3(5, 0), math.radians(120), tremor_amplitude_rad=0.0
         )
         # After 1 s the heading advanced 120 degrees.
-        assert rotation.heading_at(1.0) == pytest.approx(
+        assert rotation.pose_at(1.0).heading == pytest.approx(
             math.radians(120), abs=1e-9
         )
 
     def test_position_fixed(self):
         rotation = DeviceRotation(Vec3(5, 1), math.radians(120))
-        assert rotation.position_at(0.0) == Vec3(5, 1)
-        assert rotation.position_at(7.7) == Vec3(5, 1)
+        assert rotation.pose_at(0.0).position == Vec3(5, 1)
+        assert rotation.pose_at(7.7).position == Vec3(5, 1)
 
     def test_heading_wraps(self):
         rotation = DeviceRotation(
             Vec3(0, 0), math.radians(120), tremor_amplitude_rad=0.0
         )
-        heading = rotation.heading_at(2.0)  # 240 deg -> wraps to -120
+        heading = rotation.pose_at(2.0).heading  # 240 deg -> wraps to -120
         assert heading == pytest.approx(math.radians(-120), abs=1e-9)
 
     def test_negative_rate(self):
         rotation = DeviceRotation(
             Vec3(0, 0), -math.radians(60), tremor_amplitude_rad=0.0
         )
-        assert rotation.heading_at(1.0) == pytest.approx(-math.radians(60))
+        assert rotation.pose_at(1.0).heading == pytest.approx(-math.radians(60))
 
     def test_sweep_mode_bounded(self):
         rotation = DeviceRotation(
@@ -120,7 +119,7 @@ class TestDeviceRotation:
             tremor_amplitude_rad=0.0,
             sweep_range_rad=math.radians(90),
         )
-        headings = [rotation.heading_at(0.05 * k) for k in range(400)]
+        headings = [rotation.pose_at(0.05 * k).heading for k in range(400)]
         assert max(abs(h) for h in headings) <= math.radians(46)
 
     def test_rejects_zero_rate(self):
@@ -130,14 +129,16 @@ class TestDeviceRotation:
 
 class TestVehicular:
     def test_paper_speed(self):
-        vehicle = VehicularDriveBy.from_mph(Vec3(0, 0), 0.0, 20.0)
-        assert vehicle.speed_mps == pytest.approx(8.9408)
+        vehicle = VehicularDriveBy(Vec3(0, 0), 0.0, mph_to_mps(20.0),
+                                   jitter_amplitude_rad=0.0)
+        moved = vehicle.pose_at(1.0).position.distance_to(Vec3(0, 0))
+        assert moved == pytest.approx(8.9408)
 
     def test_straight_line(self):
         vehicle = VehicularDriveBy(Vec3(0, 0), 0.0, 10.0,
                                    jitter_amplitude_rad=0.0)
-        assert vehicle.position_at(2.0) == Vec3(20.0, 0.0)
-        assert vehicle.heading_at(2.0) == pytest.approx(0.0)
+        assert vehicle.pose_at(2.0).position == Vec3(20.0, 0.0)
+        assert vehicle.pose_at(2.0).heading == pytest.approx(0.0)
 
     def test_angular_rate_peaks_at_closest_approach(self):
         """From a base station 10 m off the road, bearing changes fastest
@@ -147,8 +148,8 @@ class TestVehicular:
         station = Vec3(0.0, 10.0)
 
         def bearing_rate(t, dt=0.01):
-            b0 = (station - vehicle.position_at(t)).azimuth()
-            b1 = (station - vehicle.position_at(t + dt)).azimuth()
+            b0 = (station - vehicle.pose_at(t).position).azimuth()
+            b1 = (station - vehicle.pose_at(t + dt).position).azimuth()
             return abs(b1 - b0) / dt
 
         t_closest = 50.0 / mph_to_mps(20.0)
@@ -163,24 +164,23 @@ class TestVehicular:
 class TestWaypointPath:
     def test_visits_waypoints(self):
         path = WaypointPath([Vec3(0, 0), Vec3(10, 0), Vec3(10, 10)], 1.0)
-        assert path.total_time_s == pytest.approx(20.0)
-        assert path.position_at(0.0) == Vec3(0, 0)
-        assert path.position_at(10.0).x == pytest.approx(10.0)
-        end = path.position_at(20.0)
+        assert path.pose_at(0.0).position == Vec3(0, 0)
+        assert path.pose_at(10.0).position.x == pytest.approx(10.0)
+        end = path.pose_at(20.0).position
         assert (end.x, end.y) == (pytest.approx(10.0), pytest.approx(10.0))
 
     def test_heading_follows_segment(self):
         path = WaypointPath([Vec3(0, 0), Vec3(10, 0), Vec3(10, 10)], 1.0)
-        assert path.heading_at(5.0) == pytest.approx(0.0)
-        assert path.heading_at(15.0) == pytest.approx(math.pi / 2)
+        assert path.pose_at(5.0).heading == pytest.approx(0.0)
+        assert path.pose_at(15.0).heading == pytest.approx(math.pi / 2)
 
     def test_clamps_beyond_end(self):
         path = WaypointPath([Vec3(0, 0), Vec3(5, 0)], 1.0)
-        assert path.position_at(100.0).x == pytest.approx(5.0)
+        assert path.pose_at(100.0).position.x == pytest.approx(5.0)
 
     def test_clamps_before_start(self):
         path = WaypointPath([Vec3(0, 0), Vec3(5, 0)], 1.0)
-        assert path.position_at(-3.0) == Vec3(0, 0)
+        assert path.pose_at(-3.0).position == Vec3(0, 0)
 
     def test_rejects_single_waypoint(self):
         with pytest.raises(ValueError):

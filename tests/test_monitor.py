@@ -155,7 +155,6 @@ class TestStallDetector:
         stall = StallDetector(30.0, clock=clock)
         for key in (2, 0, 1):
             stall.watch(key)
-        assert stall.watched() == (0, 1, 2)
         stall.unwatch(1)
         clock.advance(31.0)
         assert stall.newly_stalled() == [(0, 31.0), (2, 31.0)]

@@ -111,5 +111,10 @@ class TestTwoMobiles:
 
     def test_channel_state_per_link(self, two_mobile_run):
         deployment, _, _, _, _ = two_mobile_run
-        # 3 cells x 2 mobiles = up to 6 link states, at least 4 touched.
-        assert deployment.channel.active_links >= 4
+        # 3 cells x 2 mobiles = up to 6 link states, at least 4 touched;
+        # each link state owns one shadowing stream.
+        shadowing = [
+            name for name in deployment.rng.stream_names()
+            if name.startswith("shadowing/")
+        ]
+        assert len(shadowing) >= 4

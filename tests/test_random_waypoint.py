@@ -17,17 +17,18 @@ def make(seed=1, **kwargs):
 class TestRandomWaypoint:
     def test_stays_in_area(self):
         model = make()
-        for t in np.linspace(0.0, model.total_time_s, 300):
-            position = model.position_at(float(t))
+        # Past the default 120 s horizon, so the parked end is checked too.
+        for t in np.linspace(0.0, 150.0, 300):
+            position = model.pose_at(float(t)).position
             assert AREA[0] - 1e-9 <= position.x <= AREA[2] + 1e-9
             assert AREA[1] - 1e-9 <= position.y <= AREA[3] + 1e-9
 
     def test_speed_respected(self):
         model = make()
         dt = 0.1
-        times = np.arange(0.0, min(30.0, model.total_time_s) - dt, dt)
+        times = np.arange(0.0, 30.0 - dt, dt)  # within the 120 s horizon
         speeds = [
-            model.position_at(t + dt).distance_to(model.position_at(t)) / dt
+            model.pose_at(t + dt).position.distance_to(model.pose_at(t).position) / dt
             for t in times.tolist()
         ]
         # Never faster than configured; at speed except across a turn.
@@ -47,20 +48,22 @@ class TestRandomWaypoint:
             assert a.pose_at(t) == b.pose_at(t)
 
     def test_seeds_differ(self):
-        assert make(seed=1).position_at(10.0) != make(seed=2).position_at(10.0)
+        a, b = make(seed=1), make(seed=2)
+        assert a.pose_at(10.0).position != b.pose_at(10.0).position
 
     def test_horizon_covered(self):
+        # Still moving just before the horizon: the drawn path covers it.
         model = make(horizon_s=60.0)
-        assert model.total_time_s >= 60.0
+        assert model.pose_at(59.9).position != model.pose_at(60.0).position
 
     def test_explicit_start(self):
         model = make(start=Vec3(15.0, 10.0))
-        assert model.position_at(0.0) == Vec3(15.0, 10.0)
+        assert model.pose_at(0.0).position == Vec3(15.0, 10.0)
 
     def test_parks_at_end(self):
         model = make(horizon_s=10.0)
-        end = model.position_at(model.total_time_s)
-        later = model.position_at(model.total_time_s + 100.0)
+        end = model.pose_at(1000.0).position
+        later = model.pose_at(1100.0).position
         assert end == later
 
     def test_validates_area(self):

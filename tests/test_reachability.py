@@ -1,5 +1,5 @@
-"""Every ``src/repro`` module, function and class is reachable from a real
-entry point, and no module imports a name it never uses.
+"""Every ``src/repro`` module, function, class and method is reachable
+from a real entry point, and no module imports a name it never uses.
 
 The walks are static (``ast``): they never import the modules they visit.
 
@@ -38,9 +38,24 @@ a function or class the module defines or imports):
   definitions, iterated to a fixed point: a helper that only unreached
   code calls is itself unreached.
 
+Methods (every ``def`` in a class body, properties, static and class
+methods included) are definitions too, walked in the same fixed point:
+
+* One is reached when reached code reads its name as an attribute
+  (``x.name``, ``super().name``) or as an identifier-valued string.  A
+  bare name does not count, so a local variable that shares a method's
+  name does not keep the method alive.  Dispatch is not resolved: a
+  read of ``x.name`` reaches every method called ``name``.
+* A dunder is reached, and so is a method with a decorator other than
+  ``property``, ``staticmethod``, ``classmethod`` or ``abstractmethod``
+  (such a decorator registers or wraps).
+* A method is reached only once its class is, and its body's reads
+  count only once it is reached.  A class's own reads are its bases,
+  decorators and the non-method statements of its body.
+
 Tests do not count as a use: code that only its own tests reach is
-either wired into a real path or deleted.  The same walk over class
-methods is left unpinned, since dynamic dispatch makes it approximate.
+either wired into a real path or deleted.  The one exception is a
+method in ``ALLOWED_TEST_SEAMS``, each with its reason.
 """
 
 import ast
@@ -60,9 +75,27 @@ ENTRY_POINTS = ("repro.__main__", "repro.cli", "repro.api")
 #: sweeps consume it.
 ALLOWED_UNREACHED = frozenset({"repro.experiments.ablations"})
 
+#: Methods only tests call, kept because deleting one would push the
+#: tests onto private state or break a documented user surface.  At
+#: most eight, each with its reason.
+ALLOWED_TEST_SEAMS = frozenset({
+    # Undoes a plugin registration: without it a test or plugin that
+    # registers a toy entry would tear down by popping ``_entries``.
+    "repro.registry.Registry.unregister",
+    # The stream-state equivalence tests compare every stream a run
+    # created; without it they would read ``RngRegistry._streams``.
+    "repro.sim.rng.RngRegistry.stream_names",
+})
+
 #: Trees besides ``src/`` whose code counts as a use of a ``src/repro``
 #: definition.
 CONSUMER_DIRS = ("examples", "benchmarks", "perfbench")
+
+#: Method decorators that register nothing: a method they wrap is
+#: reached only through a read of its name.
+PLAIN_DECORATORS = frozenset(
+    {"property", "staticmethod", "classmethod", "abstractmethod"}
+)
 
 
 def _index_sources(src=SRC):
@@ -194,21 +227,29 @@ def test_every_src_module_is_reached_from_an_entry_point():
     assert walk.unreached() == ALLOWED_UNREACHED
 
 
-def _reads(node):
-    """Identifiers ``node`` reads (see the module docstring)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            yield sub.attr
-        elif isinstance(sub, ast.ImportFrom):
-            yield from (alias.name for alias in sub.names)
-        elif (
-            isinstance(sub, ast.Constant)
-            and isinstance(sub.value, str)
-            and sub.value.isidentifier()
-        ):
-            yield sub.value
+def _reads(nodes):
+    """``(names, attributes)`` that ``nodes`` read (see the module docstring).
+
+    ``attributes`` holds only loaded attributes and identifier-valued
+    strings: the reads that can reach a method.  ``names`` holds the
+    loaded bare names and ``from ... import`` names.
+    """
+    names, attributes = set(), set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                attributes.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                names.update(alias.name for alias in sub.names)
+            elif (
+                isinstance(sub, ast.Constant)
+                and isinstance(sub.value, str)
+                and sub.value.isidentifier()
+            ):
+                attributes.add(sub.value)
+    return names, attributes
 
 
 def _is_all(node):
@@ -244,10 +285,39 @@ def _alias_name(node, callables):
     return None
 
 
+def _is_plain(decorator):
+    """True when ``decorator`` only changes how a method is looked up."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    if isinstance(target, ast.Attribute):
+        return target.attr in PLAIN_DECORATORS
+    return isinstance(target, ast.Name) and target.id in PLAIN_DECORATORS
+
+
+def _methods(node):
+    """``(method node, rooted)`` for each method in class ``node``'s body."""
+    for child in node.body:
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            dunder = child.name.startswith("__") and child.name.endswith("__")
+            yield child, dunder or not all(map(_is_plain, child.decorator_list))
+
+
+def _class_own_nodes(node):
+    """The parts of class ``node`` that are not method bodies."""
+    return [*node.decorator_list, *node.bases, *node.keywords] + [
+        child for child in node.body
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
 def _unreached_definitions(root):
-    """Qualified names of the unreached module-level defs under ``root/src``."""
-    definitions = {}  # qualified name -> (name, node, rooted)
-    names = set()  # identifiers read by module-level and consumer code
+    """Qualified names of the unreached definitions under ``root/src``.
+
+    Module-level functions, classes and aliases are ``module.name``;
+    methods are ``module.Class.name``.
+    """
+    definitions = {}  # qualified name -> (name, nodes, rooted)
+    owner = {}  # method qualified name -> its class's qualified name
+    module_nodes = []  # module-level code, a read from the start
     for module, (path, is_package) in _index_sources(root / "src").items():
         body = ast.parse(path.read_text(encoding="utf-8")).body
         callables = _bound_callables(body)
@@ -256,32 +326,55 @@ def _unreached_definitions(root):
                 name, decorated = node.name, bool(node.decorator_list)
             else:
                 name, decorated = _alias_name(node, callables), False
-            if name is not None:
-                rooted = decorated or (
-                    module in ENTRY_POINTS and not name.startswith("_")
-                )
-                definitions[f"{module}.{name}"] = (name, node, rooted)
-            elif not _is_all(node) and not (
-                is_package and isinstance(node, ast.ImportFrom)
-            ):
-                names.update(_reads(node))
+            if name is None:
+                if not _is_all(node) and not (
+                    is_package and isinstance(node, ast.ImportFrom)
+                ):
+                    module_nodes.append(node)
+                continue
+            rooted = decorated or (
+                module in ENTRY_POINTS and not name.startswith("_")
+            )
+            qualified = f"{module}.{name}"
+            nodes = [node]
+            if isinstance(node, ast.ClassDef):
+                nodes = _class_own_nodes(node)
+                for method, method_rooted in _methods(node):
+                    method_name = f"{qualified}.{method.name}"
+                    definitions[method_name] = (method.name, [method], method_rooted)
+                    owner[method_name] = qualified
+            definitions[qualified] = (name, nodes, rooted)
     for directory in CONSUMER_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
-            names.update(_reads(ast.parse(path.read_text(encoding="utf-8"))))
+            module_nodes.append(ast.parse(path.read_text(encoding="utf-8")))
+    names, attributes = _reads(module_nodes)
     reached = set()
     grown = True
     while grown:
         grown = False
-        for qualified, (name, node, rooted) in definitions.items():
-            if qualified not in reached and (rooted or name in names):
+        for qualified, (name, nodes, rooted) in definitions.items():
+            cls = owner.get(qualified)
+            if qualified in reached or (cls is not None and cls not in reached):
+                continue
+            if rooted or name in attributes or (cls is None and name in names):
                 reached.add(qualified)
-                names.update(_reads(node))
+                more_names, more_attributes = _reads(nodes)
+                names |= more_names
+                attributes |= more_attributes
                 grown = True
     return set(definitions) - reached
 
 
 def test_every_src_definition_is_reached():
-    assert _unreached_definitions(ROOT) == set()
+    assert len(ALLOWED_TEST_SEAMS) <= 8
+    assert _unreached_definitions(ROOT) == ALLOWED_TEST_SEAMS
+
+
+def _plant(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
 def test_definition_walk_finds_dead_code(tmp_path):
@@ -312,10 +405,7 @@ def test_definition_walk_finds_dead_code(tmp_path):
         ),
         "examples/demo.py": "import repro.lib as lib\nlib.by_example()\n",
     }
-    for name, text in files.items():
-        path = tmp_path / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+    _plant(tmp_path, files)
     assert _unreached_definitions(tmp_path) == {
         "repro.lib.dead",
         "repro.lib.dead_helper",
@@ -324,6 +414,44 @@ def test_definition_walk_finds_dead_code(tmp_path):
         "repro.lib.renamed",
         "repro.lib.used_alias",
         "repro.pkg.__getattr__",
+    }
+
+
+def test_method_walk_finds_dead_methods(tmp_path):
+    _plant(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/api.py": (
+            "from repro.shapes import Child\n"
+            "def run():\n"
+            "    child = Child()\n"
+            "    rotated = child.area\n"
+            "    return rotated, getattr(child, 'perimeter')()\n"
+        ),
+        "src/repro/shapes.py": (
+            "def register(fn):\n    return fn\n"
+            "class Base:\n"
+            "    def __init__(self):\n        self.size = 1\n"
+            "    def describe(self):\n        return 'base'\n"
+            "    def rotated(self):\n        return self\n"
+            "    @property\n    def dead_property(self):\n        return 0\n"
+            "    def dead_method(self):\n        return self.dead_helper()\n"
+            "    def dead_helper(self):\n        return 0\n"
+            "class Child(Base):\n"
+            "    @property\n"
+            "    def area(self):\n        return super().describe()\n"
+            "    def perimeter(self):\n        return 4\n"
+            "    @register\n    def hook(self):\n        pass\n"
+            "class Orphan:\n"
+            "    def __init__(self):\n        pass\n"
+        ),
+    })
+    assert _unreached_definitions(tmp_path) == {
+        "repro.shapes.Base.dead_helper",
+        "repro.shapes.Base.dead_method",
+        "repro.shapes.Base.dead_property",
+        "repro.shapes.Base.rotated",
+        "repro.shapes.Orphan",
+        "repro.shapes.Orphan.__init__",
     }
 
 

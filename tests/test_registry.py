@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.runner import run_campaign
+from repro.campaign.runner import decode_payload, run_campaign
 from repro.campaign.spec import CampaignSpec, SpecError
 from repro.registry import (
     CODEBOOKS,
@@ -150,7 +150,7 @@ class TestBuiltinRegistries:
             scenario = SCENARIOS.get(name)
             assert scenario.duration_s > 0
             trajectory = scenario.make_trajectory()
-            assert trajectory.position_at(0.0) is not None
+            assert trajectory.pose_at(0.0).position is not None
 
     def test_experiment_defs_declare_axes(self):
         for name in EXPERIMENTS.names():
@@ -245,7 +245,10 @@ class TestThirdPartyPlugins:
         )
         result = run_campaign(spec)
         assert len(result.payloads) == 4
-        trials = [trial for _, trial in result.trials_in_order()]
+        trials = [
+            decode_payload(cell.experiment, payload)
+            for cell, payload in result.results_in_order()
+        ]
         assert {t.protocol for t in trials} == {toy_protocol, "oracle"}
         # The toy protocol never hands over, by construction.
         assert all(

@@ -29,24 +29,24 @@ class TestCodebooks:
 class TestTrajectories:
     def test_walk_speed(self):
         walk = make_trajectory("walk")
-        moved = walk.position_at(5.0).distance_to(walk.position_at(0.0))
+        moved = walk.pose_at(5.0).position.distance_to(walk.pose_at(0.0).position)
         assert moved / 5.0 == pytest.approx(1.4, rel=0.05)
 
     def test_rotation_rate(self):
         rotation = make_trajectory("rotation")
         # One full 120 deg/s second: heading advances ~120 degrees
         # (modulo tremor).
-        delta = rotation.heading_at(1.0) - rotation.heading_at(0.0)
+        delta = rotation.pose_at(1.0).heading - rotation.pose_at(0.0).heading
         assert math.degrees(abs(delta)) == pytest.approx(120, abs=5)
 
     def test_vehicular_speed(self):
         vehicle = make_trajectory("vehicular")
-        moved = vehicle.position_at(2.0).distance_to(vehicle.position_at(0.0))
+        moved = vehicle.pose_at(2.0).position.distance_to(vehicle.pose_at(0.0).position)
         assert moved / 2.0 == pytest.approx(mph_to_mps(20.0), rel=0.02)
 
     def test_start_x_override(self):
         walk = make_trajectory("walk", start_x=3.0)
-        assert walk.position_at(0.0).x == pytest.approx(3.0, abs=0.1)
+        assert walk.pose_at(0.0).position.x == pytest.approx(3.0, abs=0.1)
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):

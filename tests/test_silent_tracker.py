@@ -15,12 +15,14 @@ from repro.net.deployment import DeploymentConfig
 from repro.net.handover import HandoverOutcome
 from repro.phy.channel import ChannelConfig
 
+from channel_configs import DETERMINISTIC
+
 
 def make_run(scenario="walk", seed=1, config=None, deterministic=True,
              codebook="narrow", start_x=None):
     deployment_config = DeploymentConfig(
         master_seed=seed,
-        channel=ChannelConfig.deterministic() if deterministic else ChannelConfig(),
+        channel=DETERMINISTIC if deterministic else ChannelConfig(),
     )
     deployment, mobile = build_cell_edge_deployment(
         seed,

@@ -29,6 +29,8 @@ from repro.net.mobile import Mobile
 from repro.phy.channel import ChannelConfig
 from repro.phy.codebook import Codebook
 
+from channel_configs import DETERMINISTIC
+
 CELLS = [f"c{k}" for k in range(5)]
 TX_CODEBOOK = Codebook.uniform_azimuth(30.0)
 RX_CODEBOOK = Codebook.uniform_azimuth(60.0)
@@ -211,7 +213,7 @@ class TestAgainstFullScan:
 
 def _deployment_with(listeners):
     deployment = Deployment(
-        DeploymentConfig(master_seed=3, channel=ChannelConfig.deterministic())
+        DeploymentConfig(master_seed=3, channel=DETERMINISTIC)
     )
     for k, cell in enumerate(CELLS[:3]):
         deployment.add_station(

@@ -23,6 +23,8 @@ from repro.phy.channel import Channel, ChannelConfig
 from repro.phy.shadowing import ShadowingProcess
 from repro.sim.rng import RngRegistry
 
+from channel_configs import DETERMINISTIC
+
 TX_POSES = [
     Pose(Vec3(0.0, 10.0, 5.0), heading=-math.pi / 2.0),
     Pose(Vec3(20.0, 10.0, 5.0), heading=-math.pi / 2.0),
@@ -31,7 +33,7 @@ TX_POSES = [
 
 CONFIGS = {
     "default": ChannelConfig(),
-    "deterministic": ChannelConfig.deterministic(),
+    "deterministic": DETERMINISTIC,
     "sigma0": ChannelConfig(shadowing_sigma_db=0.0),
     # Frequent blockers, so the lazy blockage draws interleave with the
     # tick's other per-link draws.
@@ -82,11 +84,10 @@ class TestRowsMatchSingleLinkLoop:
         n_links=st.integers(1, 6),
         n_warm=st.integers(0, 6),
         config=st.sampled_from(sorted(CONFIGS)),
-        include_fading=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
     def test_bit_identical_values_and_stream_states(
-        self, seed, dwells, extra_pad, n_links, n_warm, config, include_fading
+        self, seed, dwells, extra_pad, n_links, n_warm, config
     ):
         rng = np.random.default_rng(seed)
         rows = _rows(rng, len(dwells), n_links)
@@ -116,17 +117,16 @@ class TestRowsMatchSingleLinkLoop:
             [row["rx_gain"] for row in rows],
             [row["tx_power"] for row in rows],
             dwells,
-            include_fading=include_fading,
         )
         assert result.shape == grid.shape
         for r, row in enumerate(rows):
             expected = loop.burst_rss_dbm(
                 row["link"], 0.5, row["tx"], row["rx"], gains[r],
-                row["rx_gain"], row["tx_power"], include_fading=include_fading,
+                row["rx_gain"], row["tx_power"],
             )
             assert _bits(result[r, :dwells[r]]) == _bits(expected)
             assert np.all(result[r, dwells[r]:] == -np.inf)
-        assert tick.active_links == loop.active_links
+        # Equal stream names also mean the same links were created.
         assert _stream_states(tick) == _stream_states(loop)
 
     def test_duplicate_link_advances_sequentially(self):
@@ -180,7 +180,6 @@ class TestFailAtomic:
     )
     def test_bad_row_touches_no_state(self, dwells, rx_gains, match):
         channel = self._channel_with_warm_link()
-        links_before = channel.active_links
         streams_before = _stream_states(channel)
         snapshot = self._link_snapshot(channel)
         # Row 0 is the warm link, row 1 a link the channel has never seen.
@@ -190,7 +189,7 @@ class TestFailAtomic:
                 [Pose(Vec3(2.5, 0.0, 1.5)), Pose(Vec3(9.0, 1.0, 1.5))],
                 np.zeros((2, 18)), rx_gains, [0.0, 0.0], dwells,
             )
-        assert channel.active_links == links_before
+        # No new stream: the unseen link got no state either.
         assert _stream_states(channel) == streams_before
         assert self._link_snapshot(channel) == snapshot
 

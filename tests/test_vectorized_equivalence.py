@@ -28,8 +28,11 @@ from repro.phy.antenna import (
 from repro.phy.channel import Channel, ChannelConfig
 from repro.phy.codebook import Beam, Codebook
 from repro.phy.fading import NoFading, RicianFading
+from repro.phy.link import LinkBudget
 from repro.phy.shadowing import ShadowingProcess
 from repro.sim.rng import RngRegistry
+
+from channel_configs import DETERMINISTIC
 
 #: Angles that stress the ±pi seam alongside generic offsets.
 SEAM_ANGLES = [0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi,
@@ -38,7 +41,6 @@ SEAM_ANGLES = [0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi,
 
 def oracle_measure_burst(
     links, station, mobile_id, mobile_pose, rx_gain_fn, rx_beam, time_s,
-    detection_snr_db=None,
 ):
     """Per-dwell reference for :meth:`LinkEngine.measure_burst`.
 
@@ -48,9 +50,6 @@ def oracle_measure_burst(
     can patch it in for the whole simulator.
     """
     budget = station.link_budget
-    threshold = (
-        budget.detection_snr_db if detection_snr_db is None else detection_snr_db
-    )
     bearing_to_mobile = station.pose.bearing_to(mobile_pose.position)
     rx_gain = rx_gain_fn(rx_beam, mobile_pose.bearing_to(station.pose.position))
     link = links.link_id(station.cell_id, mobile_id)
@@ -61,7 +60,7 @@ def oracle_measure_burst(
             station.tx_gain_dbi(tx_beam, bearing_to_mobile), rx_gain,
             station.tx_power_dbm,
         )
-        if budget.snr_db(rss) < threshold:
+        if budget.snr_db(rss) < budget.detection_snr_db:
             continue
         if best_rss is None or rss > best_rss:
             best_rss, best_tx = rss, tx_beam
@@ -223,7 +222,7 @@ class TestStreamOrder:
 
 def _make_channel(seed, deterministic=False):
     config = (
-        ChannelConfig.deterministic() if deterministic else ChannelConfig()
+        DETERMINISTIC if deterministic else ChannelConfig()
     )
     return Channel(config, RngRegistry(seed))
 
@@ -253,31 +252,31 @@ class TestChannelBurst:
             assert list(batch_rss) == scalar_rss
 
     def test_include_fading_false(self):
-        scalar_channel = _make_channel(7)
-        batch_channel = _make_channel(7)
+        # No fading (``rician_k_db=None``) with shadowing and blockage on.
+        scalar_channel = Channel(ChannelConfig(rician_k_db=None), RngRegistry(7))
+        batch_channel = Channel(ChannelConfig(rician_k_db=None), RngRegistry(7))
         tx_pose = Pose(Vec3(0.0, 10.0))
         rx_pose = Pose(Vec3(9.0, 0.0))
         gains = np.array([1.0, 2.0, 3.0])
         scalar_rss = [
-            scalar_channel.rss_dbm(
-                "l", 0.0, tx_pose, rx_pose, float(g), 0.0, 0.0,
-                include_fading=False,
-            )
+            scalar_channel.rss_dbm("l", 0.0, tx_pose, rx_pose, float(g), 0.0, 0.0)
             for g in gains
         ]
         batch_rss = batch_channel.burst_rss_dbm(
-            "l", 0.0, tx_pose, rx_pose, gains, 0.0, 0.0, include_fading=False
+            "l", 0.0, tx_pose, rx_pose, gains, 0.0, 0.0
         )
         assert list(batch_rss) == scalar_rss
 
     def test_empty_burst_touches_no_state(self):
-        channel = _make_channel(1)
+        registry = RngRegistry(1)
+        channel = Channel(ChannelConfig(), registry)
         out = channel.burst_rss_dbm(
             "l", 0.0, Pose(Vec3(0.0, 0.0)), Pose(Vec3(1.0, 0.0)),
             np.array([]), 0.0, 0.0,
         )
         assert out.shape == (0,)
-        assert channel.active_links == 0
+        # No stream created: no link state either.
+        assert registry.stream_names() == []
 
     def test_rejects_non_vector_gains(self):
         channel = _make_channel(1)
@@ -323,11 +322,11 @@ class TestLinkEngineBurst:
     def test_detection_threshold_override(self):
         deployment, mobile = build_cell_edge_deployment(3)
         station = deployment.station("cellA")
+        station.link_budget = LinkBudget(detection_snr_db=1e9)
         pose = mobile.pose_at(0.0)
         gain_fn = mobile.rx_gain_fn(0.0, pose)
         strict = deployment.links.measure_burst(
-            station, mobile.mobile_id, pose, gain_fn, 0, 0.0,
-            detection_snr_db=1e9,
+            station, mobile.mobile_id, pose, gain_fn, 0, 0.0
         )
         assert not strict.detected
 

@@ -28,9 +28,6 @@ class TestArithmetic:
         with pytest.raises(Exception):
             v.x = 9
 
-    def test_zero_constant(self):
-        assert Vec3.ZERO == Vec3(0.0, 0.0, 0.0)
-
 
 class TestProducts:
     def test_dot(self):
@@ -50,7 +47,7 @@ class TestNorms:
 
     def test_normalize_zero_raises(self):
         with pytest.raises(ValueError):
-            Vec3.ZERO.normalized()
+            Vec3(0.0, 0.0, 0.0).normalized()
 
     def test_distance(self):
         assert distance(Vec3(0, 0), Vec3(3, 4)) == 5.0

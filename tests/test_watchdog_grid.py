@@ -21,10 +21,12 @@ import pytest
 
 from repro.campaign.spec import canonical_json
 from repro.core.arm import ProtocolArm
+from repro.core.silent_tracker import SilentTracker
 from repro.experiments.scenarios import build_cell_edge_deployment
 from repro.fleet import FleetSpec, UserProfile
 from repro.fleet.experiment import fleet_spec_for_cell
 from repro.fleet.runner import build_fleet, run_built_fleet
+from repro.obs import Telemetry, use
 from repro.registry import make_protocol
 from repro.sim.engine import PeriodicTask
 
@@ -127,7 +129,6 @@ class TestFleetEquivalence:
 
     def test_one_watchdog_event_per_tick(self, fleet_pair):
         (_, _, grid_run), (_, _, reference_run) = fleet_pair
-        assert grid_run.deployment.watchdogs.grid_count == 1
         saved = (
             reference_run.deployment.sim.events_fired
             - grid_run.deployment.sim.events_fired
@@ -179,13 +180,15 @@ def test_single_mobile_trace_identical(arm, monkeypatch):
 
 
 def test_stop_withdraws_the_watchdog_event():
-    deployment, mobile = build_cell_edge_deployment(1, scenario="walk")
-    protocol = make_protocol("silent-tracker", deployment, mobile, "cellA")
-    protocol.start()
-    deployment.run(0.05)
-    pending = deployment.sim.pending_events
-    protocol.stop()
-    assert deployment.sim.pending_events == pending - 1
-    assert deployment.watchdogs.grid_count == 1
-    deployment.run(0.05)  # the retired grid stays silent
-    assert deployment.sim.pending_events == pending - 1
+    hub = Telemetry()
+    counter = "sim.events." + SilentTracker.watchdog_label
+    with use(hub):
+        deployment, mobile = build_cell_edge_deployment(1, scenario="walk")
+        protocol = make_protocol("silent-tracker", deployment, mobile, "cellA")
+        protocol.start()
+        deployment.run(0.05)
+        ticks = hub.counter(counter)
+        assert ticks > 0
+        protocol.stop()
+        deployment.run(0.05)  # the retired grid fires no event
+    assert hub.counter(counter) == ticks
