@@ -132,10 +132,24 @@ class ProtocolArm:
         )
 
     def stop(self) -> None:
-        """Stop background activity (end of a trial)."""
+        """End the arm for good (end of a trial).  Idempotent.
+
+        Stops the watchdog, aborts an in-flight random access (its
+        handover record stays open and ``_on_rach_complete`` never
+        runs) and detaches the arm from its mobile.  After that nothing
+        the deployment holds points back at the arm, so a stopped fleet
+        holds no reference cycle and goes as soon as it is dropped.
+        The handover log, the mobile's connection and its burst counters
+        stay readable.  A stopped arm cannot be restarted.
+        """
         if self._watchdog is not None:
             self._watchdog.stop()
             self._watchdog = None
+        if self._rach is not None:
+            self._rach.abort()
+            self._rach = None
+        if self.mobile.listener is self:
+            self.mobile.attach_listener(None)
 
     # ------------------------------------------------------------ serving path
     def _on_serving_measurement(

@@ -146,19 +146,15 @@ class NeighborTracker:
             self._on_transition(old, new_state, edge, now_s)
 
     # --------------------------------------------------------------- control
-    def begin_search(self, now_s: float, around_beam: Optional[int] = None) -> None:
+    def begin_search(self, now_s: float) -> None:
         """Enter N-A/R (edge B from EO, or D-triggered re-acquisition).
 
-        ``around_beam`` seeds a spiral order; otherwise each cell is
-        swept linearly from beam 0.
+        Each cell is swept linearly from beam 0.  (Re-acquisition after
+        a loss sweeps in a spiral instead; see :meth:`declare_lost`.)
         """
         if self._state is NeighborState.TRACKING:
             raise RuntimeError("begin_search while tracking; call declare_lost first")
-        self._start_sweep(
-            spiral_order(around_beam, len(self.codebook))
-            if around_beam is not None
-            else self.codebook.sweep_order()
-        )
+        self._start_sweep(self.codebook.sweep_order())
         was_idle = self._state is NeighborState.IDLE
         self._transition(
             NeighborState.SEARCHING, Fig2bEdge.B if was_idle else Fig2bEdge.D, now_s

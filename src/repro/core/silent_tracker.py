@@ -131,6 +131,15 @@ class SilentTracker(ProtocolArm):
         super().start()
         self._maybe_begin_search()
 
+    def stop(self) -> None:
+        """End the arm for good; also unhooks the sub-machines.
+
+        Their transition hooks are bound methods of this arm.
+        """
+        super().stop()
+        self.beamsurfer._on_transition = None
+        self.tracker._on_transition = None
+
     # ------------------------------------------------------------ trace hooks
     def _on_serving_transition(self, old, new, edge: str, now_s: float) -> None:
         self._record(

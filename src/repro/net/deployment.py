@@ -584,6 +584,13 @@ class Deployment:
         records each station's next unfired burst so the restart never
         delivers a boundary burst twice.  Tasks are keyed by cell id,
         so resume times survive any registration/teardown ordering.
+
+        The simulator's queue is left alone, so a deployment still
+        resumes after ``stop()``.  The cancelled burst events release
+        their callbacks, and a stopped arm (``ProtocolArm.stop``) no
+        longer hangs off its mobile: once its arms are stopped too, the
+        deployment holds no reference cycle and is freed as soon as the
+        last reference to it goes.
         """
         for cell_id, task in self._burst_tasks.items():
             self._resume_at[cell_id] = task.next_fire_s

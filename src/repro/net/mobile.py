@@ -94,8 +94,14 @@ class Mobile:
         self._geometry: Optional[Tuple[Pose, Callable[[int, float], float]]] = None
 
     # -------------------------------------------------------------- wiring
-    def attach_listener(self, listener: BurstListener) -> None:
-        """Install the beam-management protocol driving this mobile."""
+    def attach_listener(self, listener: Optional[BurstListener]) -> None:
+        """Install the beam-management protocol driving this mobile.
+
+        ``None`` detaches the current one; bursts are then skipped
+        silently.  A protocol arm detaches itself in its ``stop()``, so
+        a finished mobile no longer points back at the arm that points
+        at it.
+        """
         self._listener = listener
         self._candidate_cells = getattr(listener, "candidate_cells", None)
 
@@ -121,9 +127,12 @@ class Mobile:
         """
         if pose is None:
             pose = self.pose_at(time_s)
+        # The codebook, not ``self``: the mobile caches this closure in
+        # ``_geometry``, and capturing ``self`` would make that a cycle.
+        codebook = self.codebook
 
         def gain(rx_beam: int, world_azimuth: float) -> float:
-            return self.codebook.gain_dbi(rx_beam, pose.world_to_body(world_azimuth))
+            return codebook.gain_dbi(rx_beam, pose.world_to_body(world_azimuth))
 
         return gain
 

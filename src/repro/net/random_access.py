@@ -106,6 +106,19 @@ class RandomAccessProcedure:
         self._start_s = self._sim.now
         self._schedule_attempt(self._config.next_occasion(self._sim.now))
 
+    def abort(self) -> None:
+        """End the procedure without a result (its arm stopped).
+
+        ``on_complete`` never runs, and a message event still in the
+        heap fires as a no-op.  Every reference the procedure holds is
+        dropped, so that pending event no longer keeps the arm, the
+        mobile or the simulator alive.
+        """
+        self._finished = True
+        self._sim = self._links = self._station = self._mobile = None
+        self._mobile_beam = self._station_beam = self._on_complete = None
+        self._trace = None
+
     def _schedule_attempt(self, occasion_s: float) -> None:
         delay = max(0.0, occasion_s - self._sim.now)
         self._sim.schedule(delay, self._send_msg1, label="rach.msg1")

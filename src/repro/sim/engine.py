@@ -9,8 +9,8 @@ Design goals, in priority order:
    in this codebase are explicit objects; they do not need generator
    processes, and plain callbacks keep stack traces readable.
 3. **Cancelability** — timers (RACH response windows, handover guards)
-   need to be cancelable without O(n) heap surgery; cancellation is a
-   lazy tombstone flag.
+   need to be cancelable without O(n) heap surgery; cancellation leaves
+   a lazy tombstone (an event without a callback) in the heap.
 
 Periodic work comes in two forms.  :class:`PeriodicTask` is one
 self-rescheduling callback.  :class:`BurstScheduler` coalesces every
@@ -48,7 +48,7 @@ class Event:
     and deterministic.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "label", "_cancelled", "_queue")
+    __slots__ = ("time", "seq", "callback", "args", "label")
 
     def __init__(
         self,
@@ -57,33 +57,29 @@ class Event:
         callback: Callable[..., None],
         args: Tuple[Any, ...],
         label: str,
-        queue: Optional["EventQueue"] = None,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.label = label
-        self._cancelled = False
-        self._queue = queue
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
 
     def cancel(self) -> None:
-        """Prevent this event from firing.  Idempotent."""
-        if self._cancelled:
-            return
-        self._cancelled = True
-        if self._queue is not None:
-            self._queue._on_cancel(self)
+        """Prevent this event from firing.  Idempotent.
+
+        A cancelled event is one whose ``callback`` is ``None``.  The
+        callback and its arguments go at once: the tombstone stays in
+        the heap until it is popped, and must not keep what the
+        callback reaches alive until then.
+        """
+        self.callback = None
+        self.args = ()
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else "pending"
+        state = "cancelled" if self.callback is None else "pending"
         return f"Event(t={self.time:.6f}, label={self.label!r}, {state})"
 
 
@@ -93,16 +89,6 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[Event] = []
         self._counter = itertools.count()
-        self._live = 0  # non-cancelled events currently in the heap
-
-    def __len__(self) -> int:
-        # Exact count of pending (non-cancelled) events; cancelled
-        # tombstones still occupying heap slots are not included.
-        return self._live
-
-    def _on_cancel(self, event: Event) -> None:
-        """Bookkeeping hook invoked exactly once per cancelled event."""
-        self._live -= 1
 
     def push(
         self,
@@ -112,20 +98,15 @@ class EventQueue:
         label: str = "",
     ) -> Event:
         """Add an event; returns its handle."""
-        event = Event(time, next(self._counter), callback, args, label, queue=self)
+        event = Event(time, next(self._counter), callback, args, label)
         heapq.heappush(self._heap, event)
-        self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event, or ``None``."""
         while self._heap:
             event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                self._live -= 1
-                # Detach so a later cancel() of the fired handle is a
-                # no-op for the count (the event has left the heap).
-                event._queue = None
+            if event.callback is not None:
                 return event
         return None
 
@@ -145,11 +126,8 @@ class EventQueue:
         heap = self._heap
         while heap and heap[0].time == first.time:
             event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            self._live -= 1
-            event._queue = None
-            batch.append(event)
+            if event.callback is not None:
+                batch.append(event)
         return batch
 
     def requeue(self, events: List[Event]) -> None:
@@ -158,19 +136,15 @@ class EventQueue:
         Used by the batched run loop when a stop request or
         ``max_events`` exhaustion lands mid-batch: the remaining events
         must look exactly as if they had never been popped.  Events
-        cancelled after the pop are dropped (their live count was
-        already settled when they left the heap).
+        cancelled after the pop are dropped.
         """
         for event in events:
-            if event.cancelled:
-                continue
-            event._queue = self
-            heapq.heappush(self._heap, event)
-            self._live += 1
+            if event.callback is not None:
+                heapq.heappush(self._heap, event)
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the earliest pending event, or ``None`` when empty."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0].callback is None:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
@@ -300,7 +274,7 @@ class Simulator:
                     if self._stop_requested:
                         self._queue.requeue(batch[index:])
                         break
-                    if event.cancelled:
+                    if event.callback is None:
                         # Cancelled after the pop by an earlier event in
                         # this batch; the single-pop loop would never
                         # have popped it.

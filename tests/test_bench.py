@@ -123,7 +123,8 @@ class TestCompare:
         assert incomparable_cases(current, baseline) == ["case.a"]
 
     def test_baseline_without_cpu_count_still_compares(self):
-        # BENCH_phy.json predates the PHY suite's cpu_count field.
+        # Baselines recorded before the PHY suite's cpu_count field
+        # (BENCH_phy.json until it was re-recorded) must still compare.
         from pathlib import Path
 
         from repro.bench.harness import (
@@ -136,7 +137,7 @@ class TestCompare:
         baseline = load_bench_json(
             Path(__file__).resolve().parents[1] / "BENCH_phy.json"
         )
-        assert "cpu_count" not in baseline
+        baseline.pop("cpu_count", None)
         current = dict(baseline, cpu_count=usable_cores())
         comparisons = compare_payloads(current, baseline)
         assert len(comparisons) == len(baseline["results"])
@@ -146,17 +147,19 @@ class TestCompare:
         self, tmp_path, capsys, monkeypatch
     ):
         # The PHY suite records cpu_count; `repro bench --compare` must
-        # still gate it against the committed BENCH_phy.json, which has
-        # no such field.
+        # still gate it against a baseline recorded before that field.
         from pathlib import Path
 
         import repro.bench
-        from repro.bench.harness import load_bench_json
+        from repro.bench.harness import load_bench_json, write_bench_json
         from repro.cli import main
 
-        baseline_path = Path(__file__).resolve().parents[1] / "BENCH_phy.json"
-        baseline = load_bench_json(baseline_path)
-        assert "cpu_count" not in baseline
+        baseline = load_bench_json(
+            Path(__file__).resolve().parents[1] / "BENCH_phy.json"
+        )
+        baseline.pop("cpu_count", None)
+        baseline_path = tmp_path / "BENCH_phy_old.json"
+        write_bench_json(baseline, baseline_path)
         payload = dict(baseline, cpu_count=usable_cores())
         monkeypatch.setattr(repro.bench, "run_bench", lambda **kwargs: payload)
         monkeypatch.chdir(tmp_path)
@@ -345,18 +348,23 @@ class TestFleetSuite:
     def test_cli_marks_oversubscribed_points_against_old_baseline(
         self, tmp_path, capsys, monkeypatch
     ):
-        # The committed BENCH_fleet.json predates oversubscribed_workers;
-        # a payload carrying it must still --compare against it, and the
-        # printed scaling line marks the points above cpu_count.
+        # A baseline recorded before oversubscribed_workers (as
+        # BENCH_fleet.json was until it was re-recorded): a payload
+        # carrying it must still --compare against it, and the printed
+        # scaling line marks the points above cpu_count.
         from pathlib import Path
 
         import repro.bench
-        from repro.bench.harness import load_bench_json
+        from repro.bench.harness import load_bench_json, write_bench_json
         from repro.cli import main
 
-        baseline_path = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
-        baseline = load_bench_json(baseline_path)
-        assert "oversubscribed_workers" not in baseline["derived"]
+        baseline = load_bench_json(
+            Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
+        )
+        baseline["derived"].pop("oversubscribed_workers", None)
+        baseline_path = tmp_path / "BENCH_fleet_old.json"
+        write_bench_json(baseline, baseline_path)
+        scaling = baseline["derived"]["worker_scaling"]
         payload = dict(
             baseline,
             cpu_count=2,
@@ -371,8 +379,8 @@ class TestFleetSuite:
         )
         assert status == 0
         out = capsys.readouterr().out
-        assert "w4 36.05s (oversubscribed)" in out
-        assert "w2 30.15s," in out
+        assert f"w4 {scaling['4']:.2f}s (oversubscribed)" in out
+        assert f"w2 {scaling['2']:.2f}s," in out
         assert "no regressions" in out
 
 

@@ -45,43 +45,35 @@ class TestEventQueue:
         assert EventQueue().pop() is None
         assert EventQueue().peek_time() is None
 
-    def test_len_excludes_cancelled(self):
-        queue = EventQueue()
-        events = [queue.push(float(k), lambda: None) for k in range(4)]
-        assert len(queue) == 4
-        events[1].cancel()
-        events[2].cancel()
-        assert len(queue) == 2
-
-    def test_cancel_idempotent_for_count(self):
+    def test_cancel_is_idempotent(self):
         queue = EventQueue()
         event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
+        keeper = queue.push(2.0, lambda: None)
         event.cancel()
         event.cancel()
-        assert len(queue) == 1
-
-    def test_len_tracks_pops(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        cancelled = queue.push(2.0, lambda: None)
-        queue.push(3.0, lambda: None)
-        cancelled.cancel()
-        queue.pop()
-        assert len(queue) == 1
-        queue.pop()
-        assert len(queue) == 0
+        assert queue.pop() is keeper
         assert queue.pop() is None
-        assert len(queue) == 0
 
-    def test_cancel_after_pop_does_not_corrupt_count(self):
+    def test_cancel_releases_callback_and_args(self):
+        # A tombstone waits in the heap until it is popped; it must not
+        # keep its callback's owner alive until then.
+        queue = EventQueue()
+        payload = object()
+        event = queue.push(1.0, lambda _: None, (payload,))
+        event.cancel()
+        assert event.callback is None
+        assert event.args == ()
+        assert queue.pop() is None
+
+    def test_cancel_after_pop_leaves_queue_intact(self):
         queue = EventQueue()
         event = queue.push(1.0, lambda: None)
         remaining = queue.push(2.0, lambda: None)
         assert queue.pop() is event
-        event.cancel()  # fired handle; must not double-decrement
-        assert len(queue) == 1
+        event.cancel()  # the fired handle has left the heap
+        assert queue.peek_time() == 2.0
         assert queue.pop() is remaining
+        assert queue.pop() is None
 
 
 class TestSimulator:
@@ -273,7 +265,7 @@ class TestPopBatch:
         b = queue.push(1.0, lambda: None, label="b")
         batch = queue.pop_batch()
         assert batch == [a, b]
-        assert len(queue) == 1
+        assert queue.peek_time() == 2.0
 
     def test_skips_cancelled_members(self):
         queue = EventQueue()
@@ -292,8 +284,8 @@ class TestPopBatch:
         queue.push(1.0, lambda: None)
         batch = queue.pop_batch()
         queue.requeue(batch[1:])
-        assert len(queue) == 1
         assert queue.pop() is batch[1]
+        assert queue.pop() is None
 
     def test_requeue_drops_events_cancelled_after_pop(self):
         queue = EventQueue()
@@ -302,7 +294,7 @@ class TestPopBatch:
         batch = queue.pop_batch()
         batch[1].cancel()
         queue.requeue(batch[1:])
-        assert len(queue) == 0
+        assert queue.peek_time() is None
         assert queue.pop() is None
 
 

@@ -236,15 +236,14 @@ class TestSweepState:
         return NeighborTracker(Codebook.uniform_azimuth(360.0 / 64), cells,
                                ewma_alpha=1.0)
 
-    @pytest.mark.parametrize("around_beam", [None, 17])
-    def test_begin_search_footprint(self, around_beam):
+    def test_begin_search_footprint(self):
         tracker = self._tracker(self.CELLS)
         assert len(tracker.codebook) == 64
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            tracker.begin_search(0.0, around_beam=around_beam)
+            tracker.begin_search(0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
