@@ -12,6 +12,10 @@ from typing import List, Sequence
 #: Eighth-block characters for sparklines, lowest to highest.
 _SPARK_LEVELS = " ▁▂▃▄▅▆▇█"
 
+#: Character columns and rows of a CDF plot's grid.
+_CDF_WIDTH = 60
+_CDF_HEIGHT = 12
+
 
 def sparkline(values: Sequence[float]) -> str:
     """One-line sparkline of a numeric series.
@@ -36,15 +40,14 @@ def sparkline(values: Sequence[float]) -> str:
 
 def ascii_cdf_plot(
     series: dict,
-    width: int = 60,
-    height: int = 12,
     x_label: str = "x",
 ) -> str:
-    """Multi-series CDF plot on a character grid.
+    """Multi-series CDF plot on a 60 x 12 character grid.
 
     ``series`` maps label -> sorted sample list.  Each series gets a
     distinct marker; the grid spans the pooled sample range.
     """
+    width, height = _CDF_WIDTH, _CDF_HEIGHT
     if not series:
         raise ValueError("no series")
     markers = "*o+x#@"

@@ -8,8 +8,6 @@ script and EXPERIMENTS.md are produced from this.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 from repro.analysis.stats import empirical_cdf
 from repro.analysis.tables import format_markdown_table
 from repro.campaign.aggregate import headline_table
@@ -108,29 +106,10 @@ def comparison_section(n_trials: int, base_seed: int = 5200) -> str:
     )
 
 
-def generate_report(
-    n_trials: int = 20,
-    sections: Optional[List[str]] = None,
-    base_seed: int = 5000,
-) -> str:
-    """The full markdown report.
-
-    ``sections`` selects from ``{"fig2a", "fig2c", "comparison"}``
-    (all by default).
-    """
+def generate_report(n_trials: int = 20, base_seed: int = 5000) -> str:
+    """The full markdown report: Fig. 2a, Fig. 2c and the comparison."""
     if n_trials < 1:
         raise ValueError(f"need >= 1 trial, got {n_trials!r}")
-    wanted = sections or ["fig2a", "fig2c", "comparison"]
-    builders: Dict[str, callable] = {
-        "fig2a": lambda: fig2a_section(n_trials, base_seed),
-        "fig2c": lambda: fig2c_section(n_trials, base_seed + 100),
-        "comparison": lambda: comparison_section(
-            max(6, n_trials // 2), base_seed + 200
-        ),
-    }
-    unknown = [s for s in wanted if s not in builders]
-    if unknown:
-        raise ValueError(f"unknown sections {unknown!r}")
     parts = [
         "# Silent Tracker reproduction report",
         "",
@@ -138,7 +117,11 @@ def generate_report(
         "deterministically from the seeds in the experiment modules.",
         "",
     ]
-    for section in wanted:
-        parts.append(builders[section]())
+    for section in (
+        fig2a_section(n_trials, base_seed),
+        fig2c_section(n_trials, base_seed + 100),
+        comparison_section(max(6, n_trials // 2), base_seed + 200),
+    ):
+        parts.append(section)
         parts.append("")
     return "\n".join(parts)

@@ -343,14 +343,13 @@ def success_rate(successes: int, trials: int) -> float:
     return successes / trials
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = 1.96
-) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Better behaved than the normal approximation at the extreme success
     rates the Fig. 2a panels produce (narrow ~1.0, omni ~0.1).
     """
+    z = 1.96
     p = success_rate(successes, trials)
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -257,17 +257,18 @@ class Session:
         return self._ran_s
 
     def close(self) -> None:
-        """Stop the protocol (if started) and all burst tasks.
+        """Stop the attached protocol and all burst tasks.
 
         Idempotent; called automatically on ``with`` exit.  The
-        protocol's ``stop()`` runs even when the deployment teardown
-        would fail, and vice versa.
+        protocol's ``stop()`` runs even when no :meth:`run` started it,
+        so an attached arm never outlives its session, and it runs even
+        when the deployment teardown would fail, and vice versa.
         """
         if self._closed:
             return
         self._closed = True
         try:
-            if self.protocol is not None and self._protocol_started:
+            if self.protocol is not None:
                 self.protocol.stop()
         finally:
             self.deployment.stop()

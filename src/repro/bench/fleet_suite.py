@@ -261,7 +261,6 @@ def run_fleet_bench(
     quick: bool = False,
     out_path: Optional[str] = None,
     repeats: Optional[int] = None,
-    warmup: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run the fleet suite; write ``BENCH_fleet.json`` when requested.
 
@@ -277,7 +276,7 @@ def run_fleet_bench(
     the committed full-mode artifact with ``--compare``.
     """
     n_repeats = repeats if repeats is not None else (2 if quick else 3)
-    n_warmup = warmup if warmup is not None else (0 if quick else 1)
+    n_warmup = 0 if quick else 1
     duration_s = 1.0
     user_counts = USER_COUNTS_QUICK if quick else USER_COUNTS
     sharded_cases = SHARDED_CASES_QUICK if quick else SHARDED_CASES

@@ -39,7 +39,6 @@ def run_overhead_gate(
     baseline_path: PathLike,
     tolerance: float = DEFAULT_TOLERANCE,
     repeats: Optional[int] = None,
-    warmup: Optional[int] = None,
 ) -> Dict[str, object]:
     """Measure disabled-telemetry overhead against a committed baseline.
 
@@ -65,7 +64,7 @@ def run_overhead_gate(
     ssb_per_burst = int(meta.get("ssb_per_burst", 36))
     beamwidth_deg = 360.0 / ssb_per_burst
     n_repeats = repeats if repeats is not None else int(record.get("repeats", 5))
-    n_warmup = warmup if warmup is not None else int(record.get("warmup", 2))
+    n_warmup = int(record.get("warmup", 2))
 
     def run() -> None:
         # Telemetry explicitly disabled: the gate times the hooks'

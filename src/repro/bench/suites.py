@@ -397,7 +397,6 @@ def run_bench(
     quick: bool = False,
     out_path: Optional[str] = None,
     repeats: Optional[int] = None,
-    warmup: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run the PHY suite; write ``BENCH_phy.json`` when ``out_path`` is set.
 
@@ -407,7 +406,7 @@ def run_bench(
     has one), not the host's count.
     """
     n_repeats = repeats if repeats is not None else (2 if quick else 5)
-    n_warmup = warmup if warmup is not None else (1 if quick else 2)
+    n_warmup = 1 if quick else 2
     results: List[TimingResult] = []
     _bench_antenna(results, n_repeats, n_warmup)
     _bench_codebook(results, n_repeats, n_warmup)

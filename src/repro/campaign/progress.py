@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import IO, Optional
+from typing import Optional
 
 from repro.campaign.spec import CampaignCell
 
@@ -38,8 +38,8 @@ NullProgress = ProgressReporter
 class ConsoleProgress(ProgressReporter):
     """Line-per-cell progress with a running count and rough ETA."""
 
-    def __init__(self, stream: Optional[IO[str]] = None) -> None:
-        self._stream = stream if stream is not None else sys.stderr
+    def __init__(self) -> None:
+        self._stream = sys.stderr
         self._total = 0
         self._done = 0
         self._started_at = 0.0

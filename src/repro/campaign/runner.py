@@ -77,9 +77,9 @@ class CampaignError(RuntimeError):
     raised during execution (empty for usage errors).
     """
 
-    def __init__(self, message: str, failures: Optional[Dict[str, str]] = None) -> None:
+    def __init__(self, message: str, failures: Dict[str, str]) -> None:
         super().__init__(message)
-        self.failures = dict(failures or {})
+        self.failures = dict(failures)
 
 
 # --------------------------------------------------------------- experiments
@@ -444,7 +444,7 @@ def run_campaign(
         byte-identical either way.
     """
     if workers < 1:
-        raise CampaignError(f"workers must be >= 1, got {workers!r}")
+        raise CampaignError(f"workers must be >= 1, got {workers!r}", {})
     reporter = progress if progress is not None else NullProgress()
     cells = spec.expand()
     by_id = {cell.cell_id: cell for cell in cells}

@@ -389,10 +389,10 @@ def _resolve_summary(path_or_id: str, ledger_path) -> dict:
     return load_telemetry(path_or_id)
 
 
-def _print_telemetry_top(summary, limit: int = 10) -> None:
+def _print_telemetry_top(summary) -> None:
     from repro.obs import top_rows
 
-    headers, rows = top_rows(summary, limit)
+    headers, rows = top_rows(summary, 10)
     print(format_table(headers, rows, title="hottest telemetry spans"))
 
 

@@ -31,6 +31,10 @@ from repro.net.handover import HandoverOutcome, HandoverRecord
 from repro.net.mobile import Mobile
 from repro.registry import register_protocol
 
+#: How far (dB) a neighbour's mean RSS must beat the serving cell's
+#: before the genie hands over.
+ORACLE_HANDOVER_MARGIN_DB = 3.0
+
 
 class ReactiveHandover(ProtocolArm):
     """Reactive hard-handover baseline (no neighbor tracking).
@@ -142,18 +146,10 @@ class OracleTracker(ProtocolArm):
     measured on the geometrically optimal receive beam; the handover
     trigger compares true mean RSS (no noise, no staleness); random
     access always uses the instantaneously optimal beams.  The genie
-    runs no watchdog: its serving link never needs one.
+    runs no watchdog: its serving link never needs one.  It hands over
+    once a neighbour's mean RSS beats the serving cell's by more than
+    :data:`ORACLE_HANDOVER_MARGIN_DB`.
     """
-
-    def __init__(
-        self,
-        deployment: Deployment,
-        mobile: Mobile,
-        serving_cell: str,
-        handover_margin_db: float = 3.0,
-    ) -> None:
-        super().__init__(deployment, mobile, serving_cell)
-        self.handover_margin_db = handover_margin_db
 
     # ----------------------------------------------------- BurstListener API
     def choose_rx_beam(self, cell_id: str, now_s: float) -> Optional[int]:
@@ -199,7 +195,7 @@ class OracleTracker(ProtocolArm):
         neighbor_rss = [self._mean_rss(self._stations[c], now_s) for c in neighbors]
         best = max(range(len(neighbors)), key=neighbor_rss.__getitem__)
         best_cell, best_rss = neighbors[best], neighbor_rss[best]
-        if best_rss <= serving_rss + self.handover_margin_db:
+        if best_rss <= serving_rss + ORACLE_HANDOVER_MARGIN_DB:
             return
         station = self._stations[best_cell]
         self._start_access(

@@ -20,20 +20,19 @@ from repro.core.config import SilentTrackerConfig
 from repro.experiments.fig2c import TrackingTrialResult
 
 
-def sweep_spec(
+def _run_sweep(
     configs: Dict[str, SilentTrackerConfig],
     scenario: str,
     n_trials: int,
     base_seed: int,
-    codebook: str = "narrow",
-    name: str = "ablation",
-) -> CampaignSpec:
-    """An ablation sweep as a campaign grid (override-label x seed)."""
-    return CampaignSpec(
-        name=name,
+    workers: int,
+) -> Dict[str, List[TrackingTrialResult]]:
+    """Run the narrow codebook over an override-label x seed grid."""
+    spec = CampaignSpec(
+        name="ablation",
         experiment="tracking",
         scenarios=(scenario,),
-        protocols=(codebook,),
+        protocols=("narrow",),
         seeds=n_trials,
         base_seed=base_seed,
         overrides={
@@ -41,29 +40,17 @@ def sweep_spec(
             for label, config in configs.items()
         },
     )
-
-
-def _run_sweep(
-    configs: Dict[str, SilentTrackerConfig],
-    scenario: str,
-    n_trials: int,
-    base_seed: int,
-    codebook: str = "narrow",
-    workers: int = 1,
-) -> Dict[str, List[TrackingTrialResult]]:
-    spec = sweep_spec(configs, scenario, n_trials, base_seed, codebook)
     result = run_campaign(spec, workers=workers)
     return group_trials(result.results_in_order(), "override_label")
 
 
 def sweep_handover_margin(
     margins_db: Sequence[float] = (0.0, 3.0, 6.0, 9.0),
-    scenario: str = "walk",
     n_trials: int = 20,
     base_seed: int = 300,
     workers: int = 1,
 ) -> Dict[str, List[TrackingTrialResult]]:
-    """Sweep the margin T of edge E.
+    """Sweep the margin T of edge E on the walk scenario.
 
     Small T hands over early (risking ping-pong and weak-target RACH);
     large T delays until the serving link is nearly dead.
@@ -74,17 +61,16 @@ def sweep_handover_margin(
         configs[f"T={margin:g}dB"] = SilentTrackerConfig(
             handover_margin_db=margin, handover_hysteresis_db=hysteresis
         )
-    return _run_sweep(configs, scenario, n_trials, base_seed, workers=workers)
+    return _run_sweep(configs, "walk", n_trials, base_seed, workers)
 
 
 def sweep_adapt_threshold(
     thresholds_db: Sequence[float] = (1.0, 3.0, 6.0),
-    scenario: str = "rotation",
     n_trials: int = 20,
     base_seed: int = 400,
     workers: int = 1,
 ) -> Dict[str, List[TrackingTrialResult]]:
-    """Sweep the 3 dB adaptation threshold (edges A/G/H).
+    """Sweep the 3 dB adaptation threshold (edges A/G/H) on rotation.
 
     Tight thresholds switch beams eagerly (more dwells burnt probing);
     loose ones let alignment decay toward the 10 dB loss edge.
@@ -95,16 +81,15 @@ def sweep_adapt_threshold(
             adapt_threshold_db=threshold,
             beamsurfer=BeamSurferConfig(adapt_threshold_db=threshold),
         )
-    return _run_sweep(configs, scenario, n_trials, base_seed, workers=workers)
+    return _run_sweep(configs, "rotation", n_trials, base_seed, workers)
 
 
 def sweep_codebook_beamwidth(
-    scenario: str = "walk",
     n_trials: int = 20,
     base_seed: int = 500,
     workers: int = 1,
 ) -> Dict[str, List[TrackingTrialResult]]:
-    """Sweep the mobile codebook granularity (narrow vs wide vs omni).
+    """Sweep the mobile codebook granularity (narrow vs wide vs omni) on walk.
 
     The codebook is the campaign's protocol axis, so the grouping here
     is by protocol rather than by override label.
@@ -112,7 +97,7 @@ def sweep_codebook_beamwidth(
     spec = CampaignSpec(
         name="ablation-codebook",
         experiment="tracking",
-        scenarios=(scenario,),
+        scenarios=("walk",),
         protocols=("narrow", "wide", "omni"),
         seeds=n_trials,
         base_seed=base_seed,

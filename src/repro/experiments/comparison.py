@@ -173,15 +173,16 @@ def comparison_spec(
     scenario: str = "vehicular",
     n_trials: int = 20,
     base_seed: int = 700,
-    protocols: tuple = ("silent-tracker", "reactive", "oracle"),
-    name: str = "comparison",
 ) -> CampaignSpec:
-    """The baseline comparison as a campaign grid (protocol x seed)."""
+    """The baseline comparison as a campaign grid (protocol x seed).
+
+    The arms are Silent Tracker, the reactive baseline and the oracle.
+    """
     return CampaignSpec(
-        name=name,
+        name="comparison",
         experiment="comparison",
         scenarios=(scenario,),
-        protocols=tuple(protocols),
+        protocols=("silent-tracker", "reactive", "oracle"),
         seeds=n_trials,
         base_seed=base_seed,
     )
@@ -191,10 +192,9 @@ def run_comparison(
     scenario: str = "vehicular",
     n_trials: int = 20,
     base_seed: int = 700,
-    protocols: tuple = ("silent-tracker", "reactive", "oracle"),
     workers: int = 1,
 ) -> Dict[str, List[ComparisonTrialResult]]:
-    """All protocol arms over the same seeds (paired comparison).
+    """All three protocol arms over the same seeds (paired comparison).
 
     Thin wrapper over :func:`repro.campaign.runner.run_campaign` on the
     :func:`comparison_spec` grid.  Returns ``{protocol: [trial, ...]}``
@@ -204,7 +204,6 @@ def run_comparison(
         scenario=scenario,
         n_trials=n_trials,
         base_seed=base_seed,
-        protocols=protocols,
     )
     result = run_campaign(spec, workers=workers)
     return group_trials(result.results_in_order(), "protocol")

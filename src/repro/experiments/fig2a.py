@@ -188,27 +188,27 @@ def _run_search_cell(cell) -> dict:
 def fig2a_spec(
     n_trials: int = 40,
     scenario: str = "walk",
-    deadline_s: float = 1.0,
     base_seed: int = 100,
     codebooks: tuple = ("narrow", "wide", "omni"),
-    name: str = "fig2a",
 ) -> CampaignSpec:
-    """The Fig. 2a sweep as a campaign grid (codebook x seed)."""
+    """The Fig. 2a sweep as a campaign grid (codebook x seed).
+
+    Every search trial has a 1 s deadline.
+    """
     return CampaignSpec(
-        name=name,
+        name="fig2a",
         experiment="search",
         scenarios=(scenario,),
         protocols=tuple(codebooks),
         seeds=n_trials,
         base_seed=base_seed,
-        params={"deadline_s": deadline_s},
+        params={"deadline_s": 1.0},
     )
 
 
 def run_fig2a(
     n_trials: int = 40,
     scenario: str = "walk",
-    deadline_s: float = 1.0,
     base_seed: int = 100,
     codebooks: tuple = ("narrow", "wide", "omni"),
     workers: int = 1,
@@ -227,7 +227,6 @@ def run_fig2a(
     spec = fig2a_spec(
         n_trials=n_trials,
         scenario=scenario,
-        deadline_s=deadline_s,
         base_seed=base_seed,
         codebooks=codebooks,
     )

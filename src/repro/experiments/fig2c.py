@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.api import Session, TrialSpec
 from repro.campaign.aggregate import group_trials
 from repro.campaign.runner import run_campaign
-from repro.campaign.spec import CampaignSpec, build_config, config_to_overrides
+from repro.campaign.spec import CampaignSpec, build_config
 from repro.core.config import SilentTrackerConfig
 from repro.core.silent_tracker import HandoverTimeline, SilentTracker
 from repro.experiments.scenarios import SCENARIO_NAMES
@@ -215,31 +215,29 @@ def _run_tracking_cell(cell) -> dict:
 
 
 def fig2c_spec(
-    scenarios: Sequence[str] = SCENARIO_NAMES,
     n_trials: int = 40,
     base_seed: int = 200,
-    config: Optional[SilentTrackerConfig] = None,
-    codebook: str = "narrow",
     name: str = "fig2c",
 ) -> CampaignSpec:
-    """The Fig. 2c sweep as a campaign grid (scenario x seed)."""
+    """The Fig. 2c sweep as a campaign grid (scenario x seed).
+
+    The narrow codebook runs Silent Tracker's default configuration on
+    the walk, rotation and vehicular scenarios.
+    """
     return CampaignSpec(
         name=name,
         experiment="tracking",
-        scenarios=tuple(scenarios),
-        protocols=(codebook,),
+        scenarios=SCENARIO_NAMES,
+        protocols=("narrow",),
         seeds=n_trials,
         base_seed=base_seed,
-        overrides={"default": config_to_overrides(config)},
+        overrides={"default": {}},
     )
 
 
 def run_fig2c(
-    scenarios: Sequence[str] = SCENARIO_NAMES,
     n_trials: int = 40,
     base_seed: int = 200,
-    config: Optional[SilentTrackerConfig] = None,
-    codebook: str = "narrow",
     workers: int = 1,
 ) -> Dict[str, dict]:
     """The Fig. 2c data: per scenario, completion-time samples + stats.
@@ -253,13 +251,7 @@ def run_fig2c(
          "trials": [TrackingTrialResult, ...],
          "headline": dict}              # see tracking_headline
     """
-    spec = fig2c_spec(
-        scenarios=scenarios,
-        n_trials=n_trials,
-        base_seed=base_seed,
-        config=config,
-        codebook=codebook,
-    )
+    spec = fig2c_spec(n_trials=n_trials, base_seed=base_seed)
     result = run_campaign(spec, workers=workers)
     results = {}
     for scenario, trials in group_trials(

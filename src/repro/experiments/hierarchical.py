@@ -228,29 +228,24 @@ def _run_strategy_cell(cell) -> dict:
     return dataclasses.asdict(result)
 
 
-def strategy_spec(
-    n_trials: int = 20,
-    scenario: str = "walk",
-    deadline_s: float = 1.0,
-    base_seed: int = 3000,
-    name: str = "hierarchical",
-) -> CampaignSpec:
-    """Exhaustive-vs-hierarchical as a campaign grid (strategy x seed)."""
+def strategy_spec(n_trials: int = 20, base_seed: int = 3000) -> CampaignSpec:
+    """Exhaustive-vs-hierarchical as a campaign grid (strategy x seed).
+
+    Every trial searches on the walk scenario with a 1 s deadline.
+    """
     return CampaignSpec(
-        name=name,
+        name="hierarchical",
         experiment="hierarchical",
-        scenarios=(scenario,),
+        scenarios=("walk",),
         protocols=SEARCH_STRATEGIES,
         seeds=n_trials,
         base_seed=base_seed,
-        params={"deadline_s": deadline_s},
+        params={"deadline_s": 1.0},
     )
 
 
 def compare_search_strategies(
     n_trials: int = 20,
-    scenario: str = "walk",
-    deadline_s: float = 1.0,
     base_seed: int = 3000,
     workers: int = 1,
 ) -> Dict[str, dict]:
@@ -263,11 +258,6 @@ def compare_search_strategies(
     ``latency``, ``trials``), whose ``headline`` is the
     :func:`strategy_headline`.
     """
-    spec = strategy_spec(
-        n_trials=n_trials,
-        scenario=scenario,
-        deadline_s=deadline_s,
-        base_seed=base_seed,
-    )
+    spec = strategy_spec(n_trials=n_trials, base_seed=base_seed)
     result = run_campaign(spec, workers=workers)
     return search_arms(result.results_in_order(), strategy_headline)

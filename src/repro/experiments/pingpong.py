@@ -149,28 +149,27 @@ def pingpong_spec(
     ttt_s_values: Sequence[float] = (0.0, 0.16, 0.48),
     n_trials: int = 10,
     base_seed: int = 8000,
-    margin_db: float = 3.0,
-    duration_s: float = PINGPONG_DURATION_S,
-    name: str = "pingpong",
 ) -> CampaignSpec:
-    """The TTT churn sweep as a campaign grid (override-label x seed)."""
+    """The TTT churn sweep as a campaign grid (override-label x seed).
+
+    Every arm keeps the 3 dB handover margin and loiters for
+    :data:`PINGPONG_DURATION_S`.
+    """
     overrides = {
         _ttt_label(value): config_to_overrides(
-            SilentTrackerConfig(
-                handover_margin_db=margin_db, time_to_trigger_s=value
-            )
+            SilentTrackerConfig(handover_margin_db=3.0, time_to_trigger_s=value)
         )
         for value in ttt_s_values
     }
     return CampaignSpec(
-        name=name,
+        name="pingpong",
         experiment="pingpong",
         scenarios=(PINGPONG_SCENARIO,),
         protocols=("narrow",),
         seeds=n_trials,
         base_seed=base_seed,
         overrides=overrides,
-        params={"duration_s": duration_s, "start_x": PINGPONG_START_X},
+        params={"duration_s": PINGPONG_DURATION_S, "start_x": PINGPONG_START_X},
     )
 
 

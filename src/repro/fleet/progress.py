@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import IO, Optional
+from typing import Optional
 
 
 class FleetProgress:
@@ -57,10 +57,8 @@ class ConsoleFleetProgress(FleetProgress):
     their own full line, in either mode.
     """
 
-    def __init__(
-        self, stream: Optional[IO[str]] = None, watch: bool = False
-    ) -> None:
-        self._stream = stream if stream is not None else sys.stderr
+    def __init__(self, watch: bool = False) -> None:
+        self._stream = sys.stderr
         self._watch = watch
         self._started_at = 0.0
         self._last_build_line = 0

@@ -491,7 +491,7 @@ def _merge_shard_payloads(
                     for record in payload["users"]
                 )
     if accumulator is None:  # pragma: no cover - partition_fleet forbids K=0
-        raise FleetError("cannot merge an empty shard set")
+        raise FleetError("cannot merge an empty shard set", {})
     if users is not None:
         users.sort(key=lambda user: int(user.user_id[2:]))
     return FleetTrialResult(
@@ -507,11 +507,9 @@ def run_fleet_sharded(
     n_shards: int,
     out_dir: Optional[PathLike] = None,
     workers: int = 1,
-    resume: bool = True,
     progress: Optional[FleetProgress] = None,
     telemetry: bool = False,
     stream: Optional[bool] = None,
-    capacity: Optional[int] = None,
     mp_context: Optional[str] = None,
     monitor: bool = False,
 ) -> ShardedFleetResult:
@@ -521,7 +519,8 @@ def run_fleet_sharded(
     (order-independent), each shard synthesizes exactly its own users,
     and shards execute like campaign cells: on the shared worker pool,
     one artifact per shard named by the shard's content hash, manifest
-    + resume semantics, failures collected and raised at the end.  The
+    + resume semantics (shards already in ``out_dir`` are not rerun),
+    failures collected and raised at the end.  The
     driver merges completed shards (in shard-index order) into the same
     :class:`FleetTrialResult` the unsharded runner produces — and in
     retained mode (``stream=False``) the merged artifact is
@@ -533,9 +532,9 @@ def run_fleet_sharded(
         ``True`` drops per-user results in favour of streaming
         reservoirs (memory flat in N); ``False`` retains them; ``None``
         (default) streams when ``spec.n_users > STREAM_THRESHOLD``.
-    ``capacity``
-        Per-metric quantile reservoir capacity for streaming runs
-        (default :data:`~repro.analysis.stats.QuantileReservoir.DEFAULT_CAPACITY`).
+        Streaming reservoirs hold
+        :data:`~repro.analysis.stats.QuantileReservoir.DEFAULT_CAPACITY`
+        samples per metric.
     ``monitor``
         Enable live monitoring: workers post throttled heartbeats
         (events/s, RSS/CPU) over the progress pipe and the driver
@@ -545,14 +544,11 @@ def run_fleet_sharded(
         observational — artifacts are byte-identical either way.
     """
     if workers < 1:
-        raise FleetError(f"workers must be >= 1, got {workers!r}")
+        raise FleetError(f"workers must be >= 1, got {workers!r}", {})
     shards = partition_fleet(spec, n_shards)  # validates n_shards
     if stream is None:
         stream = spec.n_users > STREAM_THRESHOLD
-    if stream and capacity is None:
-        capacity = QuantileReservoir.DEFAULT_CAPACITY
-    if not stream:
-        capacity = None
+    capacity = QuantileReservoir.DEFAULT_CAPACITY if stream else None
     by_hash = {shard.shard_hash: shard for shard in shards}
 
     store: Optional[TaskStore] = None
@@ -591,7 +587,7 @@ def run_fleet_sharded(
     run = TaskRun(store, on_done)
     reporter.on_start(spec.n_users, spec.duration_s)
     started_wall = wall_clock()
-    done_hashes = run.resume(by_hash, telemetry) if resume else set()
+    done_hashes = run.resume(by_hash, telemetry)
     _log.info(
         "fleet %r: %d users in %d shards (%d already done), workers=%d, "
         "stream=%s",

@@ -75,9 +75,9 @@ class Vec3(NamedTuple):
         return math.atan2(self.y, self.x)
 
     @staticmethod
-    def from_polar_xy(radius: float, azimuth: float, z: float = 0.0) -> "Vec3":
-        """Build a vector from horizontal polar coordinates."""
-        return Vec3(radius * math.cos(azimuth), radius * math.sin(azimuth), z)
+    def from_polar_xy(radius: float, azimuth: float) -> "Vec3":
+        """Build a horizontal vector (``z = 0``) from polar coordinates."""
+        return Vec3(radius * math.cos(azimuth), radius * math.sin(azimuth), 0.0)
 
 
 def distance(a: Vec3, b: Vec3) -> float:

@@ -27,7 +27,7 @@ import re
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.config import DEFAULT_CONFIG, LintConfig, module_key
+from repro.lint.config import DEFAULT_CONFIG, module_key
 from repro.lint.findings import Finding, LintError
 
 #: Inline waiver syntax: ``# repro: lint-waive[DET001,DET005]: reason``.
@@ -181,15 +181,11 @@ def _apply_waivers(
 class LintEngine:
     """Runs a rule set over sources, directories, or whole trees."""
 
-    def __init__(
-        self,
-        config: Optional[LintConfig] = None,
-        rules: Optional[Sequence[object]] = None,
-    ) -> None:
+    def __init__(self) -> None:
         from repro.lint.rules import default_rules
 
-        self.config = config or DEFAULT_CONFIG
-        self.rules = list(rules) if rules is not None else default_rules()
+        self.config = DEFAULT_CONFIG
+        self.rules = default_rules()
 
     # ------------------------------------------------------------- sources
     def lint_source(

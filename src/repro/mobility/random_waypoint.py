@@ -46,7 +46,6 @@ class RandomWaypoint(Trajectory):
         speed_mps: float,
         rng: np.random.Generator,
         horizon_s: float = 120.0,
-        start: Vec3 = None,
     ) -> None:
         x0, y0, x1, y1 = area
         if x1 <= x0 or y1 <= y0:
@@ -62,7 +61,7 @@ class RandomWaypoint(Trajectory):
                 float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1))
             )
 
-        waypoints: List[Vec3] = [start if start is not None else draw_point()]
+        waypoints: List[Vec3] = [draw_point()]
         travelled_time = 0.0
         while travelled_time < horizon_s:
             candidate = draw_point()

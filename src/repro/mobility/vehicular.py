@@ -23,6 +23,9 @@ from repro.geometry.pose import Pose
 from repro.geometry.vectors import Vec3
 from repro.mobility.base import Trajectory
 
+#: Peak suspension/road heading jitter.
+JITTER_AMPLITUDE_RAD = math.radians(0.5)
+
 
 class VehicularDriveBy(Trajectory):
     """Straight-line drive at constant speed, heading locked to travel.
@@ -37,8 +40,8 @@ class VehicularDriveBy(Trajectory):
     speed_mps:
         Speed in m/s; the paper's 20 mph is
         ``repro.util.units.mph_to_mps(20.0)``.
-    jitter_amplitude_rad:
-        Suspension/road heading jitter.
+    rng:
+        Source for the jitter phases; ``None`` uses zero phases.
     """
 
     def __init__(
@@ -46,7 +49,6 @@ class VehicularDriveBy(Trajectory):
         start: Vec3,
         heading_rad: float,
         speed_mps: float,
-        jitter_amplitude_rad: float = math.radians(0.5),
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         if speed_mps <= 0.0:
@@ -54,7 +56,6 @@ class VehicularDriveBy(Trajectory):
         self._start = start
         self._heading = heading_rad
         self._velocity = Vec3.from_polar_xy(speed_mps, heading_rad)
-        self._jitter_amplitude = jitter_amplitude_rad
         if rng is None:
             self._jitter_phases = (0.0, 0.0)
         else:
@@ -81,7 +82,7 @@ class VehicularDriveBy(Trajectory):
             start.y + velocity.y * time_s,
             start.z + velocity.z * time_s,
         )
-        jitter = self._jitter_amplitude * (
+        jitter = JITTER_AMPLITUDE_RAD * (
             0.6 * math.sin(2.0 * math.pi * 1.7 * time_s + self._jitter_phases[0])
             + 0.4 * math.sin(2.0 * math.pi * 4.3 * time_s + self._jitter_phases[1])
         )

@@ -27,6 +27,12 @@ from repro.geometry.pose import Pose
 from repro.geometry.vectors import Vec3
 from repro.mobility.base import Trajectory
 
+#: Lateral gait-sway amplitude (meters).
+SWAY_AMPLITUDE_M = 0.03
+
+#: Peak device-heading oscillation about the travel direction.
+WOBBLE_AMPLITUDE_RAD = math.radians(4.0)
+
 
 class HumanWalk(Trajectory):
     """Constant-velocity walk with gait sway and heading wobble.
@@ -38,10 +44,6 @@ class HumanWalk(Trajectory):
     velocity:
         Constant velocity vector; its magnitude is the walking speed
         (paper: 1.4 m/s) and its direction the path direction.
-    sway_amplitude_m:
-        Lateral sway amplitude (0 disables).
-    wobble_amplitude_rad:
-        Peak device-heading oscillation about the travel direction.
     rng:
         Source for the fixed phases; ``None`` uses zero phases
         (deterministic canonical gait).
@@ -51,8 +53,6 @@ class HumanWalk(Trajectory):
         self,
         start: Vec3,
         velocity: Vec3,
-        sway_amplitude_m: float = 0.03,
-        wobble_amplitude_rad: float = math.radians(4.0),
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         speed = velocity.norm_xy()
@@ -64,8 +64,6 @@ class HumanWalk(Trajectory):
         # Step frequency scales with speed: ~1.35 steps/s per m/s of
         # speed (normal-gait fit), i.e. ~1.9 Hz at 1.4 m/s.
         self._gait_hz = 1.35 * speed
-        self._sway_amplitude = sway_amplitude_m
-        self._wobble_amplitude = wobble_amplitude_rad
         if rng is None:
             phases = np.zeros(3)
         else:
@@ -88,10 +86,10 @@ class HumanWalk(Trajectory):
         end = self._start + self._velocity * horizon_s
         center = (self._start + end) * 0.5
         half = max(center.distance_to(self._start), center.distance_to(end))
-        return (center, half + abs(self._sway_amplitude))
+        return (center, half + SWAY_AMPLITUDE_M)
 
     def pose_at(self, time_s: float) -> Pose:
-        sway = self._sway_amplitude * math.sin(
+        sway = SWAY_AMPLITUDE_M * math.sin(
             2.0 * math.pi * self._gait_hz * time_s + self._sway_phase
         )
         # start + velocity * t + lateral * sway, component by component
@@ -104,7 +102,7 @@ class HumanWalk(Trajectory):
             start.y + velocity.y * time_s + lateral.y * sway,
             start.z + velocity.z * time_s + lateral.z * sway,
         )
-        wobble = self._wobble_amplitude * (
+        wobble = WOBBLE_AMPLITUDE_RAD * (
             0.7
             * math.sin(2.0 * math.pi * self._gait_hz * time_s + self._wobble_phase)
             # Slow wander: the user drifting the device over seconds.

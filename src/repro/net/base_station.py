@@ -43,6 +43,9 @@ class BaseStation:
         This cell's burst phase within the SSB period.  Neighboring
         cells are not burst-aligned; staggering also lets a one-RF-chain
         mobile measure several cells in one period.
+
+    Every station detects against the default :class:`LinkBudget`,
+    held as ``link_budget``.
     """
 
     def __init__(
@@ -53,7 +56,6 @@ class BaseStation:
         tx_power_dbm: float = 10.0,
         frame: Optional[FrameConfig] = None,
         ssb_phase_s: float = 0.0,
-        link_budget: Optional[LinkBudget] = None,
     ) -> None:
         if not cell_id:
             raise ValueError("cell_id must be non-empty")
@@ -73,7 +75,7 @@ class BaseStation:
             if self.burst_beams == tuple(range(len(codebook)))
             else self.burst_beams
         )
-        self.link_budget = link_budget or LinkBudget()
+        self.link_budget = LinkBudget()
         #: Serving transmit beam per connected mobile id.
         self._serving_tx_beam: Dict[str, int] = {}
 

@@ -13,9 +13,10 @@ The pruning is conservative by construction:
 * the transmit side is bounded by the loudest station's EIRP
   (``tx_power_dbm`` + its codebook's peak gain);
 * the receive side by the largest peak gain of any mobile codebook;
-* shadowing and small-scale fading are bounded at ``tail_sigma``
-  standard normal deviations (default 12 — a per-draw violation
-  probability of ~4e-33, i.e. never over any simulable run);
+* shadowing and small-scale fading are bounded at
+  :data:`TAIL_SIGMA` = 12 standard normal deviations (a
+  per-draw violation probability of ~4e-33, i.e. never over any
+  simulable run);
 * blockage only ever attenuates, so it is bounded by zero;
 * the path-loss inverse (:meth:`PathLossModel.max_distance_for_loss`)
   is itself conservative, and models without an inverse disable
@@ -36,11 +37,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from repro.geometry.vectors import Vec3
 from repro.phy.channel import Channel
 
-#: Default tail bound, in standard normal deviations, applied to the
+#: Tail bound, in standard normal deviations, applied to the
 #: shadowing and fading draws when deriving the guard radius.  The
 #: two-sided exceedance probability of a single draw is ~3.6e-33; a
 #: run of a billion dwells stays under 1e-23.
-DEFAULT_TAIL_SIGMA = 12.0
+TAIL_SIGMA = 12.0
 
 
 def fading_gain_bound_db(rician_k_db: Optional[float], tail_sigma: float) -> float:
@@ -66,28 +67,23 @@ def guard_radius_m(
     channel: Channel,
     stations: Iterable,
     mobiles: Iterable,
-    tail_sigma: float = DEFAULT_TAIL_SIGMA,
 ) -> Optional[float]:
     """Distance beyond which no (station, mobile) dwell can detect.
 
     One global radius over the whole population: the loudest possible
     transmit side, the most sensitive receive side, and a
-    ``tail_sigma``-bounded allowance for every random channel term.
-    Returns ``None`` when pruning cannot be proven safe — no stations
-    or mobiles, a path-loss model without a conservative inverse, or a
-    station without a link budget.
+    :data:`TAIL_SIGMA`-bounded allowance for every random
+    channel term.  Returns ``None`` when pruning cannot be proven safe:
+    no stations or mobiles, or a path-loss model without a conservative
+    inverse.
 
     The bound assumes detection is decided against each station's own
-    ``link_budget.detection_snr_db`` (what the deployment burst paths
-    use); callers overriding the threshold per call must not prune.
+    ``link_budget.detection_snr_db``, as every burst path does.
     """
     stations = list(stations)
     mobiles = list(mobiles)
     if not stations or not mobiles:
         return None
-    for station in stations:
-        if station.link_budget is None:
-            return None
     max_eirp_dbm = max(
         station.tx_power_dbm + station.codebook.max_gain_dbi
         for station in stations
@@ -98,8 +94,8 @@ def guard_radius_m(
         for station in stations
     )
     margin_db = (
-        tail_sigma * channel.config.shadowing_sigma_db
-        + fading_gain_bound_db(channel.config.rician_k_db, tail_sigma)
+        TAIL_SIGMA * channel.config.shadowing_sigma_db
+        + fading_gain_bound_db(channel.config.rician_k_db, TAIL_SIGMA)
     )
     loss_needed_db = max_eirp_dbm + max_rx_gain_dbi + margin_db - min_required_dbm
     if loss_needed_db <= 0.0:

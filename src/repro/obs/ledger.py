@@ -270,30 +270,34 @@ def record_run(
             _log.warning("run ledger write failed (%s); run not recorded", err)
 
 
+#: Spans shorter than this on both sides are timing noise, not
+#: regressions (seconds).
+MIN_REGRESS_SPAN_S = 0.005
+
+
 def regress_failures(
     entry_a: Dict[str, object],
     entry_b: Dict[str, object],
     tolerance: float,
-    min_span_s: float = 0.005,
 ) -> List[str]:
     """Names where entry B regressed beyond ``tolerance`` vs entry A.
 
     Gates the end-to-end ``duration_s`` plus every telemetry span both
-    entries recorded, ignoring spans under ``min_span_s`` on both sides
-    (sub-5ms spans are timing noise, not regressions).  A span ratio of
+    entries recorded, ignoring spans under :data:`MIN_REGRESS_SPAN_S`
+    on both sides.  A span ratio of
     ``B/A > 1 + tolerance`` fails; faster is never a failure.
     """
     failures: List[str] = []
     dur_a = float(entry_a.get("duration_s") or 0.0)
     dur_b = float(entry_b.get("duration_s") or 0.0)
-    if dur_a >= min_span_s and dur_b > dur_a * (1.0 + tolerance):
+    if dur_a >= MIN_REGRESS_SPAN_S and dur_b > dur_a * (1.0 + tolerance):
         failures.append("run.duration")
     spans_a = (entry_a.get("telemetry") or {}).get("spans", {})
     spans_b = (entry_b.get("telemetry") or {}).get("spans", {})
     for name in sorted(set(spans_a) & set(spans_b)):
         total_a = float(spans_a[name].get("total_s", 0.0))
         total_b = float(spans_b[name].get("total_s", 0.0))
-        if max(total_a, total_b) < min_span_s:
+        if max(total_a, total_b) < MIN_REGRESS_SPAN_S:
             continue
         if total_a > 0 and total_b > total_a * (1.0 + tolerance):
             failures.append(name)

@@ -25,30 +25,32 @@ from repro.geometry.angles import wrap_to_pi, wrap_to_pi_array
 #: ln(2), used by the Gaussian mainlobe shape constant.
 _LN2 = math.log(2.0)
 
-#: Default sidelobe level relative to the beam peak, dB.  Phased-array
+#: Sidelobe level relative to the beam peak, dB.  Phased-array
 #: prototypes of the class used in the paper's testbed have first
 #: sidelobes 10-15 dB below peak; we use a conservative flat floor.
-DEFAULT_SIDELOBE_REL_DB = -12.0
+SIDELOBE_REL_DB = -12.0
+
+#: Aperture efficiency of the directivity approximation.
+APERTURE_EFFICIENCY = 0.8
 
 #: Gain of the idealized omni (single patch) element, dBi.
 OMNI_GAIN_DBI = 0.0
 
 
-def peak_gain_dbi_for_beamwidth(beamwidth_rad: float, efficiency: float = 0.8) -> float:
+def peak_gain_dbi_for_beamwidth(beamwidth_rad: float) -> float:
     """Peak gain (dBi) of a sector beam with the given azimuth HPBW.
 
     Uses the elliptical-aperture directivity approximation
-    ``D = eta * 16 / (theta_az * theta_el)`` with the elevation beamwidth
+    ``D = eta * 16 / (theta_az * theta_el)``, with ``eta`` the
+    :data:`APERTURE_EFFICIENCY` and the elevation beamwidth
     fixed at a phone-array-typical 60° (the paper's arrays steer only in
     azimuth).  For a 20° azimuth beam this yields ~19 dBi and for 60°
     ~14 dBi, consistent with 8- and 3-element 60 GHz modules.
     """
     if beamwidth_rad <= 0.0 or beamwidth_rad > 2.0 * math.pi:
         raise ValueError(f"beamwidth must be in (0, 2*pi], got {beamwidth_rad!r}")
-    if not 0.0 < efficiency <= 1.0:
-        raise ValueError(f"efficiency must be in (0, 1], got {efficiency!r}")
     theta_el = math.radians(60.0)
-    directivity = efficiency * 16.0 / (beamwidth_rad * theta_el)
+    directivity = APERTURE_EFFICIENCY * 16.0 / (beamwidth_rad * theta_el)
     # Never report less than omni: a beam covering the full circle is
     # just an omni element.
     return max(OMNI_GAIN_DBI, 10.0 * math.log10(directivity))
@@ -98,30 +100,20 @@ class GaussianBeamPattern(AntennaPattern):
     The mainlobe obeys ``G(d) = G0 - 12 * (d / bw)^2 * ... `` — concretely
     a Gaussian in the dB domain calibrated so that
     ``G(bw/2) = G0 - 3 dB`` exactly.  Outside the mainlobe region the
-    pattern sits at ``G0 + sidelobe_rel_db`` (but never below an
+    pattern sits at ``G0 + SIDELOBE_REL_DB`` (but never below an
     isotropic back-lobe floor of -10 dBi, matching measured 60 GHz
-    module patterns).
+    module patterns).  The peak ``G0`` is
+    :func:`peak_gain_dbi_for_beamwidth` of the beamwidth.
     """
 
-    def __init__(
-        self,
-        beamwidth_rad: float,
-        peak_gain_dbi: float = None,
-        sidelobe_rel_db: float = DEFAULT_SIDELOBE_REL_DB,
-    ) -> None:
+    def __init__(self, beamwidth_rad: float) -> None:
         if beamwidth_rad <= 0.0 or beamwidth_rad > 2.0 * math.pi:
             raise ValueError(
                 f"beamwidth must be in (0, 2*pi], got {beamwidth_rad!r}"
             )
-        if sidelobe_rel_db >= 0.0:
-            raise ValueError(
-                f"sidelobe level must be below peak (negative), got {sidelobe_rel_db!r}"
-            )
         self._beamwidth = beamwidth_rad
-        if peak_gain_dbi is None:
-            peak_gain_dbi = peak_gain_dbi_for_beamwidth(beamwidth_rad)
-        self._peak = peak_gain_dbi
-        self._sidelobe_floor = max(self._peak + sidelobe_rel_db, -10.0)
+        self._peak = peak_gain_dbi_for_beamwidth(beamwidth_rad)
+        self._sidelobe_floor = max(self._peak + SIDELOBE_REL_DB, -10.0)
         # dB-domain Gaussian: G(d) = G0 - 3 * (2d/bw)^2 gives exactly
         # -3 dB at d = bw/2.
         self._shape = 3.0 * (2.0 / beamwidth_rad) ** 2
@@ -157,25 +149,22 @@ class GaussianBeamPattern(AntennaPattern):
 
 
 class OmniPattern(AntennaPattern):
-    """Idealized omnidirectional element (flat gain over azimuth)."""
-
-    def __init__(self, gain_dbi: float = OMNI_GAIN_DBI) -> None:
-        self._gain = gain_dbi
+    """Idealized omnidirectional element: a flat :data:`OMNI_GAIN_DBI`."""
 
     @property
     def peak_gain_dbi(self) -> float:
-        return self._gain
+        return OMNI_GAIN_DBI
 
     @property
     def beamwidth_rad(self) -> float:
         return 2.0 * math.pi
 
     def gain_dbi(self, offset_rad: float) -> float:
-        return self._gain
+        return OMNI_GAIN_DBI
 
     def gain_dbi_array(self, offsets_rad: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(offsets_rad), self._gain, dtype=float)
+        return np.full(np.shape(offsets_rad), OMNI_GAIN_DBI, dtype=float)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OmniPattern(gain={self._gain:.1f}dBi)"
+        return f"OmniPattern(gain={OMNI_GAIN_DBI:.1f}dBi)"
 

@@ -245,16 +245,13 @@ class Codebook:
                 gains[:, mask] = pattern.gain_dbi_array(offsets[:, mask])
         return gains
 
-    def sweep_order(self, start: int = 0) -> List[int]:
-        """Exhaustive-search visiting order starting from ``start``.
+    def sweep_order(self) -> List[int]:
+        """Exhaustive-search visiting order: every beam, in index order.
 
-        A plain ring walk; base stations sweep SSB beams in this order and
-        mobiles walk their receive codebook the same way during initial
-        search.
+        Base stations sweep SSB beams in this order and mobiles walk
+        their receive codebook the same way during initial search.
         """
-        self._check_index(start)
-        n = len(self._beams)
-        return [(start + k) % n for k in range(n)]
+        return list(range(len(self._beams)))
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < len(self._beams):
@@ -265,13 +262,9 @@ class Codebook:
     # ----------------------------------------------------------- constructors
     @staticmethod
     def uniform_azimuth(
-        beamwidth_deg: float,
-        coverage_deg: float = 360.0,
-        center_deg: float = 0.0,
-        peak_gain_dbi: Optional[float] = None,
-        name: Optional[str] = None,
+        beamwidth_deg: float, name: Optional[str] = None
     ) -> "Codebook":
-        """Uniform codebook of Gaussian beams covering an azimuth sector.
+        """Uniform ring of Gaussian beams covering the full azimuth circle.
 
         Beam spacing equals the beamwidth, so adjacent beams cross over at
         their -3 dB points — the design the 3 dB adaptation rule exploits:
@@ -281,28 +274,18 @@ class Codebook:
         Parameters
         ----------
         beamwidth_deg:
-            Half-power beamwidth of every beam.
-        coverage_deg:
-            Total azimuth sector to cover (360 for a mobile, often less
-            for a wall-mounted base station).
-        center_deg:
-            Center of the coverage sector in the body frame.
+            Half-power beamwidth of every beam; the peak gain follows
+            from it (:func:`~repro.phy.antenna.peak_gain_dbi_for_beamwidth`).
+        name:
+            Codebook label (default ``uniform-<beamwidth>deg``).
         """
         if beamwidth_deg <= 0.0 or beamwidth_deg > 360.0:
             raise ValueError(f"beamwidth_deg must be in (0, 360], got {beamwidth_deg!r}")
-        if coverage_deg <= 0.0 or coverage_deg > 360.0:
-            raise ValueError(f"coverage_deg must be in (0, 360], got {coverage_deg!r}")
-        n_beams = max(1, int(round(coverage_deg / beamwidth_deg)))
-        beamwidth_rad = math.radians(beamwidth_deg)
-        pattern = GaussianBeamPattern(beamwidth_rad, peak_gain_dbi)
-        full_circle = coverage_deg >= 360.0 - 1e-9
-        if full_circle:
-            # Evenly spaced around the ring.
-            step = 2.0 * math.pi / n_beams
-            start = math.radians(center_deg) - math.pi + 0.5 * step
-        else:
-            step = math.radians(coverage_deg) / n_beams
-            start = math.radians(center_deg) - math.radians(coverage_deg) / 2.0 + 0.5 * step
+        n_beams = max(1, int(round(360.0 / beamwidth_deg)))
+        pattern = GaussianBeamPattern(math.radians(beamwidth_deg))
+        # Evenly spaced around the ring.
+        step = 2.0 * math.pi / n_beams
+        start = -math.pi + 0.5 * step
         boresights = sorted(wrap_to_pi(start + k * step) for k in range(n_beams))
         beams = [
             Beam(i, boresight, pattern) for i, boresight in enumerate(boresights)
@@ -311,12 +294,12 @@ class Codebook:
         return Codebook(beams, name=label)
 
     @staticmethod
-    def omni(gain_dbi: float = 0.0) -> "Codebook":
-        """The degenerate omni 'codebook': one isotropic beam.
+    def omni() -> "Codebook":
+        """The degenerate omni 'codebook': one isotropic 0 dBi beam.
 
         This models the paper's omnidirectional/single-antenna baseline.
         """
-        return Codebook([Beam(0, 0.0, OmniPattern(gain_dbi))], name="omni")
+        return Codebook([Beam(0, 0.0, OmniPattern())], name="omni")
 
 
 class HierarchicalCodebook:

@@ -56,6 +56,11 @@ class PathLossModel(ABC):
         return None
 
 
+#: The CI model's reference distance (meters): shorter distances clamp
+#: to it.
+MIN_DISTANCE_M = 1.0
+
+
 class CloseInPathLoss(PathLossModel):
     """CI model: 1 m free-space intercept plus a fitted distance exponent.
 
@@ -66,29 +71,25 @@ class CloseInPathLoss(PathLossModel):
     exponent:
         Path-loss exponent ``n``.  2.0 = free space; 60 GHz LoS campaigns
         report 2.0-2.1, NLoS ~3.2.
-    min_distance_m:
-        Distances below this are clamped; the CI model is not defined
-        inside the reference distance and nodes never get that close in
-        the paper's scenarios.
+
+    Distances below :data:`MIN_DISTANCE_M` are clamped: the CI model is
+    not defined inside the reference distance and nodes never get that
+    close in the paper's scenarios.
     """
 
     def __init__(
         self,
         frequency_hz: float = 60.0e9,
         exponent: float = 2.1,
-        min_distance_m: float = 1.0,
     ) -> None:
         if exponent <= 0.0:
             raise ValueError(f"exponent must be positive, got {exponent!r}")
-        if min_distance_m <= 0.0:
-            raise ValueError(f"min_distance must be positive, got {min_distance_m!r}")
         self.frequency_hz = frequency_hz
         self.exponent = exponent
-        self.min_distance_m = min_distance_m
         self._intercept_db = fspl_db(1.0, frequency_hz)
 
     def path_loss_db(self, distance_m: float) -> float:
-        distance = max(distance_m, self.min_distance_m)
+        distance = max(distance_m, MIN_DISTANCE_M)
         return self._intercept_db + 10.0 * self.exponent * math.log10(distance)
 
     def max_distance_for_loss(self, loss_db: float) -> Optional[float]:
@@ -97,5 +98,5 @@ class CloseInPathLoss(PathLossModel):
         # valid conservative bound; below-intercept budgets collapse to
         # the clamp distance.
         distance = 10.0 ** ((loss_db - self._intercept_db) / (10.0 * self.exponent))
-        return max(distance, self.min_distance_m)
+        return max(distance, MIN_DISTANCE_M)
 

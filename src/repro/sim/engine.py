@@ -133,8 +133,8 @@ class EventQueue:
     def requeue(self, events: List[Event]) -> None:
         """Return popped-but-unfired events to the heap.
 
-        Used by the batched run loop when a stop request or
-        ``max_events`` exhaustion lands mid-batch: the remaining events
+        Used by the batched run loop when a stop request lands
+        mid-batch: the remaining events
         must look exactly as if they had never been popped.  Events
         cancelled after the pop are dropped.
         """
@@ -164,8 +164,8 @@ class Simulator:
     the wall clock.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue = EventQueue()
         self._running = False
         self._events_fired = 0
@@ -216,37 +216,32 @@ class Simulator:
         return self._queue.push(self._now + delay, callback, args, label)
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "",
+        self, time: float, callback: Callable[..., None], *args: Any
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
+        """Schedule unlabeled ``callback(*args)`` at absolute ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, now is {self._now!r}"
             )
-        return self._queue.push(time, callback, args, label)
+        return self._queue.push(time, callback, args, "")
 
     def stop(self) -> None:
         """Request the run loop to stop after the current event returns."""
         self._stop_requested = True
 
-    def _run_loop(self, end_time: float, max_events: Optional[int]) -> None:
+    def _run_loop(self, end_time: float) -> None:
         """The event loop behind :meth:`run_until`.
 
         Fires events in ``(time, seq)`` order until the queue drains,
         simulated time would pass ``end_time``, or :meth:`stop` is
-        called from a callback.  ``max_events`` bounds the number of
-        callbacks fired in this invocation.
+        called from a callback.
 
         Dispatch is batched: all events sharing the head timestamp are
         popped together (:meth:`EventQueue.pop_batch`), so a dense
         deployment whose stations coalesce on a few tick grids pays one
         heap scan per tick instead of one per event.  Observable
         semantics are unchanged — events still fire one at a time in
-        ``(time, seq)`` order, a stop/exhaustion mid-batch requeues the
+        ``(time, seq)`` order, a stop mid-batch requeues the
         unfired remainder, and an event cancelled by an earlier event in
         its own batch does not fire.
         """
@@ -254,7 +249,6 @@ class Simulator:
             raise SimulationError("run loop is not reentrant")
         self._running = True
         self._stop_requested = False
-        fired_this_run = 0
         # Satellite fix: re-resolve the ambient hub here, not only at
         # __init__ — a hub installed after the simulator was constructed
         # must see engine spans.
@@ -295,28 +289,21 @@ class Simulator:
                     else:
                         event.callback(*event.args)
                     self._events_fired += 1
-                    fired_this_run += 1
-                    if max_events is not None and fired_this_run >= max_events:
-                        self._queue.requeue(batch[index + 1:])
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} before {end_time}s"
-                        )
         finally:
             self._running = False
 
-    def run_until(self, end_time: float, max_events: Optional[int] = None) -> None:
+    def run_until(self, end_time: float) -> None:
         """Run events in order until simulated time reaches ``end_time``.
 
         The clock is left exactly at ``end_time`` even when the queue
         drains early, so periodic post-run bookkeeping sees a consistent
-        time base.  ``max_events`` guards against runaway self-scheduling
-        loops in tests.
+        time base.
         """
         if end_time < self._now:
             raise SimulationError(
                 f"end_time {end_time!r} is before current time {self._now!r}"
             )
-        self._run_loop(end_time, max_events)
+        self._run_loop(end_time)
         if not self._stop_requested:
             self._now = max(self._now, end_time)
 
@@ -325,8 +312,8 @@ class PeriodicTask:
     """Self-rescheduling periodic callback with drift-free timing.
 
     Fires at ``start + k * period`` for k = 0, 1, 2, ... until
-    :meth:`stop` is called.  Used for SSB burst schedules and measurement
-    ticks.  Firing times are computed from the initial phase rather than
+    :meth:`stop` is called; every tick is an event labeled ``periodic``.
+    Firing times are computed from the initial phase rather than
     accumulated, so long runs do not drift.
     """
 
@@ -336,19 +323,17 @@ class PeriodicTask:
         period: float,
         callback: Callable[[], None],
         start_delay: float = 0.0,
-        label: str = "periodic",
     ) -> None:
         if period <= 0.0:
             raise SimulationError(f"period must be positive, got {period!r}")
         self._sim = sim
         self._period = period
         self._callback = callback
-        self._label = label
         self._tick = 0
         self._origin = sim.now + start_delay
         self._stopped = False
         self._pending: Optional[Event] = sim.schedule(
-            start_delay, self._fire, label=label
+            start_delay, self._fire, label="periodic"
         )
 
     @property
@@ -380,7 +365,7 @@ class PeriodicTask:
         # Guard against callbacks that consumed simulated time themselves
         # (they should not, but a clamped reschedule beats a crash).
         delay = max(0.0, next_time - self._sim.now)
-        self._pending = self._sim.schedule(delay, self._fire, label=self._label)
+        self._pending = self._sim.schedule(delay, self._fire, label="periodic")
 
     def stop(self) -> None:
         """Stop firing.  Safe to call from within the callback."""

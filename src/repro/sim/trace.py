@@ -76,14 +76,8 @@ class TraceRecorder:
         """All recorded events in emission order."""
         return list(self._events)
 
-    def iter_filter(
-        self,
-        category: Optional[str] = None,
-        node: Optional[str] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> Iterator[TraceEvent]:
-        """Events matching all given criteria, lazily.
+    def iter_filter(self, category: Optional[str] = None) -> Iterator[TraceEvent]:
+        """Events of ``category`` (every event when ``None``), lazily.
 
         ``category`` matches exact name or any dotted descendant, so
         ``iter_filter(category="fsm")`` yields ``fsm.transition`` events
@@ -96,24 +90,16 @@ class TraceRecorder:
                     prefix
                 ):
                     continue
-            if node is not None and event.node != node:
-                continue
-            if since is not None and event.time < since:
-                continue
-            if until is not None and event.time > until:
-                continue
             yield event
 
-    def count(self, category: Optional[str] = None, node: Optional[str] = None) -> int:
-        """Number of events matching the criteria."""
-        return sum(1 for _ in self.iter_filter(category=category, node=node))
+    def count(self, category: Optional[str] = None) -> int:
+        """Number of events of ``category`` (see :meth:`iter_filter`)."""
+        return sum(1 for _ in self.iter_filter(category=category))
 
-    def last(
-        self, category: Optional[str] = None, node: Optional[str] = None
-    ) -> Optional[TraceEvent]:
-        """Most recent matching event, or ``None``."""
+    def last(self, category: Optional[str] = None) -> Optional[TraceEvent]:
+        """Most recent event of ``category``, or ``None``."""
         result = None
-        for event in self.iter_filter(category=category, node=node):
+        for event in self.iter_filter(category=category):
             result = event
         return result
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.phy.antenna import (
+    OMNI_GAIN_DBI,
     GaussianBeamPattern,
     OmniPattern,
     peak_gain_dbi_for_beamwidth,
@@ -32,14 +33,10 @@ class TestPeakGain:
         with pytest.raises(ValueError):
             peak_gain_dbi_for_beamwidth(0.0)
 
-    def test_rejects_bad_efficiency(self):
-        with pytest.raises(ValueError):
-            peak_gain_dbi_for_beamwidth(1.0, efficiency=0.0)
-
 
 class TestGaussianBeam:
-    def make(self, bw_deg=20.0, **kwargs):
-        return GaussianBeamPattern(math.radians(bw_deg), **kwargs)
+    def make(self, bw_deg=20.0):
+        return GaussianBeamPattern(math.radians(bw_deg))
 
     def test_boresight_is_peak(self):
         beam = self.make()
@@ -81,14 +78,6 @@ class TestGaussianBeam:
         scalar = [beam.gain_dbi(float(o)) for o in offsets]
         np.testing.assert_allclose(vectorized, scalar)
 
-    def test_explicit_peak_gain(self):
-        beam = self.make(20.0, peak_gain_dbi=25.0)
-        assert beam.peak_gain_dbi == 25.0
-
-    def test_rejects_positive_sidelobe(self):
-        with pytest.raises(ValueError):
-            self.make(20.0, sidelobe_rel_db=1.0)
-
     def test_rejects_bad_beamwidth(self):
         with pytest.raises(ValueError):
             GaussianBeamPattern(0.0)
@@ -96,16 +85,17 @@ class TestGaussianBeam:
 
 class TestOmni:
     def test_flat(self):
-        omni = OmniPattern(2.0)
+        omni = OmniPattern()
         for offset in (-3.0, 0.0, 1.0, 3.14):
-            assert omni.gain_dbi(offset) == 2.0
+            assert omni.gain_dbi(offset) == OMNI_GAIN_DBI
 
     def test_beamwidth_full_circle(self):
         assert OmniPattern().beamwidth_rad == 2 * math.pi
 
     def test_array(self):
-        omni = OmniPattern(1.5)
+        omni = OmniPattern()
         np.testing.assert_allclose(
-            omni.gain_dbi_array(np.array([0.0, 1.0])), [1.5, 1.5]
+            omni.gain_dbi_array(np.array([0.0, 1.0])),
+            [OMNI_GAIN_DBI, OMNI_GAIN_DBI],
         )
 

@@ -106,7 +106,7 @@ class TestSessionLifecycle:
         finally:
             PROTOCOLS.unregister("recorder")
 
-    def test_unstarted_protocol_not_stopped(self):
+    def test_unstarted_protocol_stopped_not_started(self):
         calls = []
 
         class Recorder:
@@ -126,8 +126,8 @@ class TestSessionLifecycle:
         try:
             with Session(TrialSpec(protocol="recorder2")) as session:
                 session.attach_protocol()
-                # never run: stop() must not fire on close
-            assert calls == []
+                # never run: close() stops the arm once, never starts it
+            assert calls == ["stop"]
         finally:
             PROTOCOLS.unregister("recorder2")
 

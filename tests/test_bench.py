@@ -172,7 +172,7 @@ class TestCompare:
         from repro.bench.harness import write_bench_json
         from repro.cli import main
 
-        payload = run_fleet_bench(quick=True, repeats=1, warmup=0)
+        payload = run_fleet_bench(quick=True, repeats=1)
         # Same case names, different workload meta (a "full-mode"
         # baseline): every case is skipped, the gate would be vacuous.
         mismatched = {
@@ -201,7 +201,7 @@ class TestCompare:
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)
-        payload = run_fleet_bench(quick=True, repeats=1, warmup=0)
+        payload = run_fleet_bench(quick=True, repeats=1)
         slow = {
             "results": [{**r, "median_s": 3600.0} for r in payload["results"]]
         }
@@ -268,7 +268,7 @@ class TestCompare:
                      "--out", ""]
         from repro.bench import run_fleet_bench
 
-        payload = run_fleet_bench(quick=True, repeats=1, warmup=0)
+        payload = run_fleet_bench(quick=True, repeats=1)
         slow = {
             "results": [
                 {**r, "median_s": 3600.0} for r in payload["results"]
@@ -297,7 +297,7 @@ class TestCompare:
         from repro.bench.harness import write_bench_json
         from repro.cli import main
 
-        payload = run_fleet_bench(quick=True, repeats=1, warmup=0)
+        payload = run_fleet_bench(quick=True, repeats=1)
         instant = {
             "results": [{**r, "median_s": 1e-12} for r in payload["results"]]
         }
@@ -317,7 +317,7 @@ class TestFleetSuite:
 
         out = tmp_path / "BENCH_fleet.json"
         payload = run_fleet_bench(
-            quick=True, out_path=str(out), repeats=1, warmup=0
+            quick=True, out_path=str(out), repeats=1
         )
         assert out.exists()
         assert payload["suite"] == "fleet"
@@ -389,7 +389,7 @@ class TestSuite:
         from repro.bench.suites import run_bench
 
         out = tmp_path / "BENCH_phy.json"
-        payload = run_bench(quick=True, out_path=str(out), repeats=1, warmup=0)
+        payload = run_bench(quick=True, out_path=str(out), repeats=1)
         assert out.exists()
         assert payload["format"] == 1
         names = {r["name"] for r in payload["results"]}

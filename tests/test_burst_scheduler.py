@@ -254,7 +254,7 @@ class TestCallbackGrid:
             return log
 
         periodic = trace(lambda sim, cb: PeriodicTask(
-            sim, 0.01, cb, start_delay=0.01, label="w"))
+            sim, 0.01, cb, start_delay=0.01))
         grid = trace(lambda sim, cb: BurstScheduler(sim).add(
             0.01, cb, start_delay=0.01, label="w"))
         assert grid == periodic

@@ -212,7 +212,7 @@ class TestRunCampaign:
     def test_tracking_payload_roundtrips_outcome(self):
         from repro.experiments.fig2c import run_fig2c, run_tracking_trial
 
-        results = run_fig2c(scenarios=("vehicular",), n_trials=2, base_seed=200)
+        results = run_fig2c(n_trials=2, base_seed=200)
         direct = [
             run_tracking_trial("vehicular", seed=200 + k) for k in range(2)
         ]

@@ -21,7 +21,7 @@ from repro.mobility.rotation import DeviceRotation
 from repro.mobility.vehicular import VehicularDriveBy
 from repro.mobility.walk import HumanWalk
 from repro.net.cell_index import (
-    DEFAULT_TAIL_SIGMA,
+    TAIL_SIGMA,
     CellIndex,
     fading_gain_bound_db,
     guard_radius_m,
@@ -47,12 +47,12 @@ class _Sweep:
 
 class TestFadingBound:
     def test_disabled_fading_bounds_at_zero(self):
-        assert fading_gain_bound_db(None, DEFAULT_TAIL_SIGMA) == 0.0
+        assert fading_gain_bound_db(None, TAIL_SIGMA) == 0.0
 
     def test_bound_dominates_sampled_gains(self):
         # Empirical check: 10^6 draws never exceed the 12-sigma bound,
         # and a modest 3-sigma bound already covers nearly all of them.
-        bound = fading_gain_bound_db(10.0, DEFAULT_TAIL_SIGMA)
+        bound = fading_gain_bound_db(10.0, TAIL_SIGMA)
         fading = RicianFading(10.0, np.random.default_rng(5))
         draws = fading.sample_db_array(1_000_000)
         assert float(draws.max()) < bound
@@ -183,13 +183,6 @@ class TestGuardRadius:
 
         deployment, stations, mobiles = self._population()
         deployment.channel.pathloss = Opaque()
-        assert (
-            guard_radius_m(deployment.channel, stations, mobiles) is None
-        )
-
-    def test_missing_link_budget_disables(self):
-        deployment, stations, mobiles = self._population()
-        stations[3].link_budget = None
         assert (
             guard_radius_m(deployment.channel, stations, mobiles) is None
         )

@@ -30,13 +30,10 @@ class TestComparisonTrial:
 class TestComparisonAggregate:
     @pytest.fixture(scope="class")
     def results(self):
-        return run_comparison(
-            scenario="vehicular", n_trials=4, base_seed=7600,
-            protocols=("silent-tracker", "reactive"),
-        )
+        return run_comparison(scenario="vehicular", n_trials=4, base_seed=7600)
 
     def test_protocol_arms(self, results):
-        assert set(results) == {"silent-tracker", "reactive"}
+        assert set(results) == {"silent-tracker", "reactive", "oracle"}
 
     @pytest.fixture(scope="class")
     def summary(self, results):

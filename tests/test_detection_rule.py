@@ -62,10 +62,9 @@ def station(
 ) -> BaseStation:
     codebook = Codebook.uniform_azimuth(360.0 / n_beams)
     assert len(codebook) == n_beams
-    return BaseStation(
-        f"cell{index}", Pose(Vec3(0.0, 10.0 * index)), codebook,
-        link_budget=LinkBudget(detection_snr_db=threshold),
-    )
+    built = BaseStation(f"cell{index}", Pose(Vec3(0.0, 10.0 * index)), codebook)
+    built.link_budget = LinkBudget(detection_snr_db=threshold)
+    return built
 
 
 def mask_then_argmax(row, threshold):

@@ -147,16 +147,6 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.run_until(4.0)
 
-    def test_max_events_guard(self):
-        sim = Simulator()
-
-        def storm():
-            sim.schedule(0.0, storm)
-
-        sim.schedule(0.0, storm)
-        with pytest.raises(SimulationError):
-            sim.run_until(1.0, max_events=100)
-
     def test_stop_halts_loop(self):
         sim = Simulator()
         fired = []
@@ -333,13 +323,18 @@ class TestBatchedRunLoop:
         sim.run_until(2.0)
         assert fired == ["first", "second"]
 
-    def test_max_events_mid_batch_leaves_queue_consistent(self):
+    def test_stop_from_earlier_event_leaves_queue_consistent(self):
         sim = Simulator()
         fired = []
-        for name in ("a", "b", "c"):
-            sim.schedule(1.0, lambda n=name: fired.append(n))
-        with pytest.raises(SimulationError):
-            sim.run_until(2.0, max_events=2)
+
+        def stopping(name):
+            fired.append(name)
+            sim.stop()
+
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(1.0, stopping, "b")
+        sim.schedule(1.0, fired.append, "c")
+        sim.run_until(2.0)
         assert fired == ["a", "b"]
         assert sim.now == pytest.approx(1.0)
         sim.run_until(2.0)
@@ -359,9 +354,11 @@ class TestPeriodicClampedReschedule:
             times.append(sim.now)
             if len(times) == 1:
                 sim._now = 2.7  # jump past ticks at 1.0 and 2.0
+            if len(times) == 10:
+                sim.stop()  # a runaway catch-up loop ends here
 
         PeriodicTask(sim, 1.0, greedy_tick)
-        sim.run_until(3.5, max_events=10)
+        sim.run_until(3.5)
         # The overrun grid points (1.0, 2.0) fire as immediate clamped
         # catch-up ticks at the advanced clock, then the drift-free
         # grid resumes at origin + k * period.

@@ -449,7 +449,7 @@ class TestShardStore:
         # Same arithmetic is the resume path.
         assert run_fleet_sharded(spec, 2, out_dir=tmp_path).executed == 0
         with pytest.raises(StoreError):
-            run_fleet_sharded(spec, 2, out_dir=tmp_path, stream=True, capacity=64)
+            run_fleet_sharded(spec, 2, out_dir=tmp_path, stream=True)
         with pytest.raises(StoreError):
             run_fleet_sharded(spec, 3, out_dir=tmp_path)
 
@@ -498,9 +498,7 @@ class TestShardedRunner:
         from repro.fleet import load_sharded_fleet, run_fleet_sharded
 
         spec = small_spec(n_users=6, duration_s=1.0)
-        result = run_fleet_sharded(
-            spec, 2, out_dir=tmp_path, stream=True, capacity=8
-        )
+        result = run_fleet_sharded(spec, 2, out_dir=tmp_path, stream=True)
         assert result.stream is True
         assert result.merged.users is None
         record = json.loads((tmp_path / "fleet.json").read_text())

@@ -26,7 +26,6 @@ def make_station(tx_power=10.0, cell_id="cellA"):
         Pose(Vec3(0.0, 10.0)),
         Codebook.uniform_azimuth(20.0),
         tx_power_dbm=tx_power,
-        link_budget=LinkBudget(),
     )
 
 

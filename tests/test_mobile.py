@@ -58,9 +58,7 @@ class TestGainFunction:
     def test_heading_rotates_gains(self):
         """A rotated device sees the same world target on a different beam."""
         mobile = make_mobile(
-            trajectory=DeviceRotation(
-                Vec3(10.0, 0.0), math.radians(90), tremor_amplitude_rad=0.0
-            )
+            trajectory=DeviceRotation(Vec3(10.0, 0.0), math.radians(90))
         )
         station = make_station()
         beam_at_0 = mobile.best_rx_beam_towards(station, 0.0)

@@ -15,17 +15,21 @@ from hypothesis import strategies as st
 from repro.geometry.angles import wrap_to_pi
 from repro.geometry.pose import Pose
 from repro.geometry.vectors import Vec3
-from repro.mobility.vehicular import VehicularDriveBy
-from repro.mobility.walk import HumanWalk
+from repro.mobility.vehicular import JITTER_AMPLITUDE_RAD, VehicularDriveBy
+from repro.mobility.walk import (
+    SWAY_AMPLITUDE_M,
+    WOBBLE_AMPLITUDE_RAD,
+    HumanWalk,
+)
 
 
 def walk_pose_oracle(walk: HumanWalk, time_s: float) -> Pose:
     along = walk._start + walk._velocity * time_s
-    sway = walk._sway_amplitude * math.sin(
+    sway = SWAY_AMPLITUDE_M * math.sin(
         2.0 * math.pi * walk._gait_hz * time_s + walk._sway_phase
     )
     position = along + walk._lateral * sway
-    wobble = walk._wobble_amplitude * (
+    wobble = WOBBLE_AMPLITUDE_RAD * (
         0.7 * math.sin(2.0 * math.pi * walk._gait_hz * time_s + walk._wobble_phase)
         + 0.3 * math.sin(2.0 * math.pi * 0.2 * time_s + walk._wander_phase)
     )
@@ -34,7 +38,7 @@ def walk_pose_oracle(walk: HumanWalk, time_s: float) -> Pose:
 
 def drive_pose_oracle(drive: VehicularDriveBy, time_s: float) -> Pose:
     position = drive._start + drive._velocity * time_s
-    jitter = drive._jitter_amplitude * (
+    jitter = JITTER_AMPLITUDE_RAD * (
         0.6 * math.sin(2.0 * math.pi * 1.7 * time_s + drive._jitter_phases[0])
         + 0.4 * math.sin(2.0 * math.pi * 4.3 * time_s + drive._jitter_phases[1])
     )
@@ -62,7 +66,6 @@ class TestWalkPose:
             Vec3(x, y, z),
             Vec3(speed * math.cos(heading), speed * math.sin(heading),
                  float(rng.choice([0.0, -0.0, 0.05]))),
-            sway_amplitude_m=float(rng.uniform(0.0, 0.1)),
             rng=rng,
         )
         for t in ts:

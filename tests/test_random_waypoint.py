@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.geometry.vectors import Vec3
 from repro.mobility.random_waypoint import RandomWaypoint
 
 AREA = (0.0, 0.0, 30.0, 20.0)
@@ -55,10 +54,6 @@ class TestRandomWaypoint:
         # Still moving just before the horizon: the drawn path covers it.
         model = make(horizon_s=60.0)
         assert model.pose_at(59.9).position != model.pose_at(60.0).position
-
-    def test_explicit_start(self):
-        model = make(start=Vec3(15.0, 10.0))
-        assert model.pose_at(0.0).position == Vec3(15.0, 10.0)
 
     def test_parks_at_end(self):
         model = make(horizon_s=10.0)

@@ -1,5 +1,6 @@
-"""Every ``src/repro`` module, function, class and method is reachable
-from a real entry point, and no module imports a name it never uses.
+"""Every ``src/repro`` module, function, class, method and keyword option
+is reachable from a real entry point, and no module imports a name it
+never uses.
 
 The walks are static (``ast``): they never import the modules they visit.
 
@@ -53,9 +54,27 @@ methods included) are definitions too, walked in the same fixed point:
   count only once it is reached.  A class's own reads are its bases,
   decorators and the non-method statements of its body.
 
+Parameters with a default (keyword options) of every reached
+module-level function and method:
+
+* One is reached when reached code calls a function of its name and
+  passes it by keyword, by position (past ``self``/``cls`` for a
+  method) or through a ``*``/``**`` splat.  A class name calls the
+  class's ``__init__``, inherited ones included.  A local bound to a
+  function name (``runner = a if quick else b``) calls that function.
+* Every option of a public signature of ``repro.api`` or ``repro.cli``,
+  of the ``register_*`` decorators of ``repro.registry`` and of a
+  definition with a ``register*`` decorator is reached: users and
+  registry lookups call them, not the tree.
+* ``DEPLOYMENT_SETTINGS`` (where and how wide a run executes) may stay
+  at their defaults everywhere.
+* Dataclass and ``NamedTuple`` fields are not parameters here: they
+  are the model's configuration surface.
+
 Tests do not count as a use: code that only its own tests reach is
-either wired into a real path or deleted.  The one exception is a
-method in ``ALLOWED_TEST_SEAMS``, each with its reason.
+either wired into a real path or deleted.  The exceptions are a method
+in ``ALLOWED_TEST_SEAMS`` and an option in ``ALLOWED_TEST_OPTIONS``,
+each with its reason.
 """
 
 import ast
@@ -86,6 +105,35 @@ ALLOWED_TEST_SEAMS = frozenset({
     # created; without it they would read ``RngRegistry._streams``.
     "repro.sim.rng.RngRegistry.stream_names",
 })
+
+#: Keyword options only tests set, kept because each lets a test
+#: substitute a fake for a real resource.  At most eight, each with its
+#: reason; entries are ``module.function(parameter)``.
+ALLOWED_TEST_OPTIONS = frozenset({
+    # The heartbeat and stall tests drive time by hand; without a clock
+    # they would sleep through real heartbeat and stall intervals.
+    "repro.obs.monitor.HeartbeatEmitter.__init__(clock)",
+    "repro.obs.monitor.StallDetector.__init__(clock)",
+    # A canned resource sample keeps the heartbeat payload test
+    # independent of the host's RSS and CPU readings.
+    "repro.obs.monitor.HeartbeatEmitter.__init__(sampler)",
+    # The logging tests capture records in a buffer instead of stderr.
+    "repro.obs.log.configure_logging(stream)",
+    # The rotation tests shrink the 4096-line bound to a few lines; at
+    # the default they would append thousands of locked lines each.
+    "repro.obs.ledger.RunLedger.__init__(max_entries)",
+    # The phase the burst-grid and watchdog-grid equivalence tests pin
+    # ``BurstScheduler`` against: a one-task-per-arm reference needs an
+    # offset first tick.
+    "repro.sim.engine.PeriodicTask.__init__(start_delay)",
+})
+
+#: Parameters that choose where or how wide a run executes, not what it
+#: computes: every caller may leave them at their defaults.
+DEPLOYMENT_SETTINGS = frozenset({"workers", "mp_context", "out_dir", "out_path"})
+
+#: The module whose ``register_*`` decorators are the plugin surface.
+REGISTRY_MODULE = "repro.registry"
 
 #: Trees besides ``src/`` whose code counts as a use of a ``src/repro``
 #: definition.
@@ -309,15 +357,21 @@ def _class_own_nodes(node):
     ]
 
 
-def _unreached_definitions(root):
-    """Qualified names of the unreached definitions under ``root/src``.
+def _definitions(root):
+    """Every definition under ``root/src`` and the code that reads them.
 
-    Module-level functions, classes and aliases are ``module.name``;
-    methods are ``module.Class.name``.
+    Returns ``(definitions, owner, classes, module_nodes)``:
+    ``definitions`` maps a qualified name to ``(name, nodes, rooted)``
+    (module-level functions, classes and aliases are ``module.name``;
+    methods are ``module.Class.name``), ``owner`` maps a method to its
+    class's qualified name, ``classes`` maps a class's qualified name to
+    its ``ClassDef``, and ``module_nodes`` is the module-level code of
+    ``src/`` and the consumer trees, which is read from the start.
     """
-    definitions = {}  # qualified name -> (name, nodes, rooted)
-    owner = {}  # method qualified name -> its class's qualified name
-    module_nodes = []  # module-level code, a read from the start
+    definitions = {}
+    owner = {}
+    classes = {}
+    module_nodes = []
     for module, (path, is_package) in _index_sources(root / "src").items():
         body = ast.parse(path.read_text(encoding="utf-8")).body
         callables = _bound_callables(body)
@@ -338,6 +392,7 @@ def _unreached_definitions(root):
             qualified = f"{module}.{name}"
             nodes = [node]
             if isinstance(node, ast.ClassDef):
+                classes[qualified] = node
                 nodes = _class_own_nodes(node)
                 for method, method_rooted in _methods(node):
                     method_name = f"{qualified}.{method.name}"
@@ -347,6 +402,11 @@ def _unreached_definitions(root):
     for directory in CONSUMER_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
             module_nodes.append(ast.parse(path.read_text(encoding="utf-8")))
+    return definitions, owner, classes, module_nodes
+
+
+def _reached(definitions, owner, module_nodes):
+    """Qualified names of the reached definitions, to a fixed point."""
     names, attributes = _reads(module_nodes)
     reached = set()
     grown = True
@@ -362,7 +422,13 @@ def _unreached_definitions(root):
                 names |= more_names
                 attributes |= more_attributes
                 grown = True
-    return set(definitions) - reached
+    return reached
+
+
+def _unreached_definitions(root):
+    """Qualified names of the unreached definitions under ``root/src``."""
+    definitions, owner, _, module_nodes = _definitions(root)
+    return set(definitions) - _reached(definitions, owner, module_nodes)
 
 
 def test_every_src_definition_is_reached():
@@ -452,6 +518,251 @@ def test_method_walk_finds_dead_methods(tmp_path):
         "repro.shapes.Base.rotated",
         "repro.shapes.Orphan",
         "repro.shapes.Orphan.__init__",
+    }
+
+
+def _defaulted(function):
+    """Names of the parameters of ``function`` that have a default."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    names = [arg.arg for arg in positional[len(positional) - len(args.defaults):]]
+    return names + [
+        arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def _is_registering(decorator):
+    """True when ``decorator`` is a ``register*`` call or name."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = getattr(target, "attr", None) or getattr(target, "id", "")
+    return name.startswith("register")
+
+
+def _options_rooted(qualified, function, cls_node):
+    """True when every caller of ``function`` is outside the tree.
+
+    Public signatures of the root modules, the ``register_*`` decorators
+    of ``repro.registry`` and definitions a registering decorator hands
+    to a registry are called by users or through a registry lookup.
+    """
+    module = qualified.rsplit(".", 2 if cls_node is not None else 1)[0]
+    if any(map(_is_registering, function.decorator_list)):
+        return True
+    if module == REGISTRY_MODULE and function.name.startswith("register_"):
+        return True
+    if module not in ENTRY_POINTS:
+        return False
+    public = not function.name.startswith("_") or function.name == "__init__"
+    return public and (cls_node is None or not cls_node.name.startswith("_"))
+
+
+def _local_aliases(node):
+    """``{local: names}`` for ``local = name`` or ``local = a if c else b``."""
+    aliases = {}
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Assign)
+            and len(sub.targets) == 1
+            and isinstance(sub.targets[0], ast.Name)
+        ):
+            value = sub.value
+            choices = (
+                [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
+            )
+            names = [c.id for c in choices if isinstance(c, ast.Name)]
+            if names:
+                aliases.setdefault(sub.targets[0].id, []).extend(names)
+    return aliases
+
+
+def _unset_options(root):
+    """``function(parameter)`` per defaulted parameter no reached call sets.
+
+    Parameters are those of every reached module-level function and
+    method under ``root/src``.  A call sets a parameter of every
+    function of the called name (a bare name calls module-level
+    functions and classes; an attribute also calls methods): by
+    keyword, by position (past ``self``/``cls`` for a method), or
+    through a ``*``/``**`` splat.  A class name calls its ``__init__``,
+    inherited ones included, and so do ``cls(...)`` and
+    ``type(self)(...)`` inside its body; ``super().__init__(...)`` calls
+    the ``__init__`` of the enclosing class's bases.
+    """
+    definitions, owner, classes, module_nodes = _definitions(root)
+    reached = _reached(definitions, owner, module_nodes)
+    classes_by_name = {}
+    for qualified, node in classes.items():
+        classes_by_name.setdefault(node.name, []).append(qualified)
+
+    def inits(qualified, seen=()):
+        """The ``__init__`` that class ``qualified`` resolves to."""
+        if f"{qualified}.__init__" in definitions:
+            return [f"{qualified}.__init__"]
+        found = []
+        for base in classes[qualified].bases:
+            name = getattr(base, "id", None) or getattr(base, "attr", None)
+            for candidate in classes_by_name.get(name, ()):
+                if candidate not in seen:
+                    found += inits(candidate, (*seen, qualified))
+        return found
+
+    functions = {}  # name -> [(qualified, function node, offset, is_method)]
+    options = {}  # qualified -> names of its defaulted parameters
+    for qualified, (name, nodes, _) in definitions.items():
+        if qualified in classes or qualified not in reached:
+            continue
+        node = nodes[0]
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # an alias
+        cls = owner.get(qualified)
+        static = any(
+            getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
+        )
+        offset = 1 if cls is not None and not static else 0
+        functions.setdefault(name, []).append(
+            (qualified, node, offset, cls is not None)
+        )
+        cls_node = classes[cls] if cls is not None else None
+        if not _options_rooted(qualified, node, cls_node):
+            options[qualified] = _defaulted(node)
+    by_qualified = {
+        qualified: (node, offset)
+        for entries in functions.values()
+        for qualified, node, offset, _ in entries
+    }
+
+    def class_targets(class_names):
+        return [
+            (init, *by_qualified[init])
+            for name in class_names
+            for cls in classes_by_name.get(name, ())
+            for init in inits(cls)
+            if init in by_qualified
+        ]
+
+    def targets(func, context):
+        """``(qualified, node, offset)`` per function a call of ``func`` runs."""
+        if context is not None and (
+            (isinstance(func, ast.Name) and func.id == "cls")
+            or (
+                isinstance(func, ast.Call)
+                and getattr(func.func, "id", None) == "type"
+            )
+        ):
+            return class_targets([classes[context].name])
+        if isinstance(func, ast.Name):
+            return [
+                (qualified, node, offset)
+                for qualified, node, offset, is_method in functions.get(func.id, ())
+                if not is_method
+            ] + class_targets([func.id])
+        if not isinstance(func, ast.Attribute):
+            return []
+        if func.attr == "__init__" and context is not None:
+            return class_targets([
+                getattr(base, "id", None) or getattr(base, "attr", None)
+                for base in classes[context].bases
+            ])
+        return [
+            (qualified, node, offset)
+            for qualified, node, offset, _ in functions.get(func.attr, ())
+        ] + class_targets([func.attr])
+
+    set_params = set()
+
+    def visit(nodes, context):
+        for top in nodes:
+            aliases = _local_aliases(top)
+            for call in ast.walk(top):
+                if not isinstance(call, ast.Call):
+                    continue
+                found = targets(call.func, context)
+                for name in aliases.get(getattr(call.func, "id", None), ()):
+                    found += targets(ast.Name(id=name), context)
+                for qualified, node, offset in found:
+                    positional = [*node.args.posonlyargs, *node.args.args]
+                    for index, arg in enumerate(call.args, offset):
+                        if isinstance(arg, ast.Starred):
+                            set_params.update(
+                                (qualified, p.arg) for p in positional[index:]
+                            )
+                        elif index < len(positional):
+                            set_params.add((qualified, positional[index].arg))
+                    for keyword in call.keywords:
+                        if keyword.arg is None:
+                            set_params.update(
+                                (qualified, name) for name in _defaulted(node)
+                            )
+                        else:
+                            set_params.add((qualified, keyword.arg))
+
+    visit(module_nodes, None)
+    for qualified in reached:
+        name, nodes, _ = definitions[qualified]
+        context = owner.get(qualified) or (
+            qualified if qualified in classes else None
+        )
+        visit(nodes, context)
+    return {
+        f"{qualified}({name})"
+        for qualified, names in options.items()
+        for name in names
+        if (qualified, name) not in set_params
+        and name not in DEPLOYMENT_SETTINGS
+    }
+
+
+def test_every_src_option_is_set_by_reached_code():
+    assert len(ALLOWED_TEST_OPTIONS) <= 8
+    assert _unset_options(ROOT) == ALLOWED_TEST_OPTIONS
+
+
+def test_option_walk_finds_test_only_options(tmp_path):
+    _plant(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/registry.py": (
+            "def register_protocol(name, *, override=False):\n"
+            "    return lambda build: build\n"
+        ),
+        "src/repro/lib.py": (
+            "from repro.registry import register_protocol\n"
+            "def by_test(x, scale=1.0):\n    return x * scale\n"
+            "def by_keyword(x, scale=1.0):\n    return x * scale\n"
+            "def by_position(x, scale=1.0):\n    return x * scale\n"
+            "def by_splat(x, scale=1.0):\n    return x * scale\n"
+            "def fan_out(x, workers=1):\n    return x\n"
+            "class Widget:\n"
+            "    def __init__(self, size=1, color='red'):\n"
+            "        self.size = size\n"
+            "    def resize(self, size=1, dead=False):\n"
+            "        return type(self)(size)\n"
+            "class Gadget(Widget):\n    pass\n"
+            "@register_protocol('p')\n"
+            "def _build(x, scale=1.0):\n    return x * scale\n"
+        ),
+        "src/repro/api.py": (
+            "from repro.lib import Gadget, Widget, by_keyword, by_position\n"
+            "from repro.lib import by_splat, by_test, fan_out\n"
+            "def run(options, mode='fast'):\n"
+            "    by_test(1)\n"
+            "    by_keyword(1, scale=2.0)\n"
+            "    by_position(1, 2.0)\n"
+            "    by_splat(1, **options)\n"
+            "    fan_out(1)\n"
+            "    Widget().resize(3)\n"
+            "    return Gadget(color='blue')\n"
+        ),
+        "tests/test_lib.py": (
+            "from repro.lib import Widget, by_test\n"
+            "by_test(1, scale=3.0)\n"
+            "Widget().resize(dead=True)\n"
+        ),
+    })
+    assert _unset_options(tmp_path) == {
+        "repro.lib.by_test(scale)",
+        "repro.lib.Widget.resize(dead)",
     }
 
 

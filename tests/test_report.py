@@ -37,15 +37,6 @@ class TestGenerateReport:
         assert "## Fig. 2c" in text
         assert "## Baseline comparison" in text
 
-    def test_section_selection(self):
-        text = generate_report(n_trials=2, sections=["fig2a"], base_seed=6400)
-        assert "## Fig. 2a" in text
-        assert "## Fig. 2c" not in text
-
-    def test_unknown_section_rejected(self):
-        with pytest.raises(ValueError):
-            generate_report(n_trials=2, sections=["fig9"])
-
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             generate_report(n_trials=0)

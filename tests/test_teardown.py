@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from repro.api import Session, TrialSpec
 from repro.core.silent_tracker import SilentTracker
 from repro.experiments.fig2c import run_tracking_trial
 from repro.experiments.scenarios import build_cell_edge_deployment
@@ -87,6 +88,14 @@ class TestNoCycleAfterStop:
     def test_tracking_trial(self):
         def body():
             run_tracking_trial("walk", seed=3)
+
+        assert cyclic_garbage(body) == Counter()
+
+    @pytest.mark.parametrize("protocol", ARMS)
+    def test_session_closed_without_running(self, protocol):
+        def body():
+            with Session(TrialSpec(scenario="walk", protocol=protocol, seed=3)) as s:
+                s.attach_protocol()
 
         assert cyclic_garbage(body) == Counter()
 

@@ -86,16 +86,6 @@ class TestFilter:
         trace.emit(0.0, "fsmx", "n")
         assert list(trace.iter_filter(category="fsm")) == []
 
-    def test_by_node(self):
-        assert len(list(make_recorder().iter_filter(node="ue1"))) == 1
-
-    def test_time_window(self):
-        assert len(list(make_recorder().iter_filter(since=0.2, until=0.3))) == 2
-
-    def test_combined(self):
-        events = list(make_recorder().iter_filter(category="fsm", node="ue0"))
-        assert [e.time for e in events] == [0.1, 0.4]
-
     def test_count(self):
         assert make_recorder().count(category="fsm.transition") == 2
 

@@ -29,11 +29,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden_campaign_tracking.js
 
 def golden_spec():
     """Walk, rotation and vehicular x 2 seeds of the Fig. 2c sweep."""
-    return fig2c_spec(
-        scenarios=("walk", "rotation", "vehicular"),
-        n_trials=2,
-        name="golden-tracking",
-    )
+    return fig2c_spec(n_trials=2, name="golden-tracking")
 
 
 def campaign_bytes(out_dir, workers: int) -> bytes:

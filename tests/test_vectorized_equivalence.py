@@ -97,8 +97,8 @@ def _stream_states(registry):
 def _patterns():
     return [
         GaussianBeamPattern(math.radians(20.0)),
-        GaussianBeamPattern(math.radians(60.0), peak_gain_dbi=14.0),
-        OmniPattern(1.5),
+        GaussianBeamPattern(math.radians(60.0)),
+        OmniPattern(),
     ]
 
 
@@ -344,10 +344,7 @@ class TestTraceLevelArtifacts:
         from repro.campaign.runner import run_campaign
         from repro.experiments.fig2a import fig2a_spec
 
-        spec = fig2a_spec(
-            n_trials=2, scenario="walk", deadline_s=0.5,
-            codebooks=("narrow",), name="equivalence",
-        )
+        spec = fig2a_spec(n_trials=2, scenario="walk", codebooks=("narrow",))
 
         def cell_bytes(out_dir):
             run_campaign(spec, out_dir=out_dir)

@@ -43,7 +43,6 @@ def _per_arm_start(self):
         self.config.monitor_period_s,
         self._watchdog_tick,
         start_delay=self.config.monitor_period_s,
-        label=self.watchdog_label,
     )
 
 
