@@ -7,23 +7,24 @@ loss edge and forces re-acquisitions.
 """
 
 from repro.analysis.tables import format_table
-from repro.experiments.ablations import sweep_adapt_threshold
-from repro.experiments.fig2c import tracking_headline
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
+from repro.experiments.ablations import adapt_threshold_spec
 
 
 def reproduce(n_trials):
-    return sweep_adapt_threshold(
+    spec = adapt_threshold_spec(
         thresholds_db=(1.0, 3.0, 6.0), n_trials=n_trials, base_seed=1400
+    )
+    return arm_headlines(
+        spec, run_campaign(spec).results_in_order(), "override_label"
     )
 
 
 def test_ablation_adapt_threshold(benchmark, trial_count):
-    sweep = benchmark.pedantic(
+    summary = benchmark.pedantic(
         reproduce, args=(max(10, trial_count // 2),), iterations=1, rounds=1
     )
-    summary = {
-        label: tracking_headline(trials) for label, trials in sweep.items()
-    }
     rows = [
         [
             label,

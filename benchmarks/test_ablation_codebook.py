@@ -7,21 +7,20 @@ beams trade search speed against link margin.
 """
 
 from repro.analysis.tables import format_table
-from repro.experiments.ablations import sweep_codebook_beamwidth
-from repro.experiments.fig2c import tracking_headline
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
+from repro.experiments.ablations import codebook_beamwidth_spec
 
 
 def reproduce(n_trials):
-    return sweep_codebook_beamwidth(n_trials=n_trials, base_seed=1500)
+    spec = codebook_beamwidth_spec(n_trials=n_trials, base_seed=1500)
+    return arm_headlines(spec, run_campaign(spec).results_in_order(), "protocol")
 
 
 def test_ablation_codebook(benchmark, trial_count):
-    sweep = benchmark.pedantic(
+    summary = benchmark.pedantic(
         reproduce, args=(max(10, trial_count // 2),), iterations=1, rounds=1
     )
-    summary = {
-        label: tracking_headline(trials) for label, trials in sweep.items()
-    }
     rows = [
         [
             label,

@@ -6,23 +6,24 @@ until the target dominates, lengthening the tracked period.
 """
 
 from repro.analysis.tables import format_table
-from repro.experiments.ablations import sweep_handover_margin
-from repro.experiments.fig2c import tracking_headline
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
+from repro.experiments.ablations import handover_margin_spec
 
 
 def reproduce(n_trials):
-    return sweep_handover_margin(
+    spec = handover_margin_spec(
         margins_db=(0.0, 3.0, 6.0, 9.0), n_trials=n_trials, base_seed=1300
+    )
+    return arm_headlines(
+        spec, run_campaign(spec).results_in_order(), "override_label"
     )
 
 
 def test_ablation_handover_margin(benchmark, trial_count):
-    sweep = benchmark.pedantic(
+    summary = benchmark.pedantic(
         reproduce, args=(max(10, trial_count // 2),), iterations=1, rounds=1
     )
-    summary = {
-        label: tracking_headline(trials) for label, trials in sweep.items()
-    }
     rows = [
         [
             label,

@@ -8,22 +8,24 @@ equal-loss point and counts churn per NR-style time-to-trigger setting
 """
 
 from repro.analysis.tables import format_table
-from repro.experiments.pingpong import pingpong_headline, sweep_time_to_trigger
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
+from repro.experiments.pingpong import pingpong_spec
 
 
 def reproduce(n_trials):
-    return sweep_time_to_trigger(
+    spec = pingpong_spec(
         ttt_s_values=(0.0, 0.16, 0.48), n_trials=n_trials, base_seed=1900
+    )
+    return arm_headlines(
+        spec, run_campaign(spec).results_in_order(), "override_label"
     )
 
 
 def test_ablation_pingpong(benchmark, trial_count):
-    sweep = benchmark.pedantic(
+    summary = benchmark.pedantic(
         reproduce, args=(max(6, trial_count // 3),), iterations=1, rounds=1
     )
-    summary = {
-        label: pingpong_headline(trials) for label, trials in sweep.items()
-    }
     rows = [
         [
             label,

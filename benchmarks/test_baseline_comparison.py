@@ -8,23 +8,22 @@ make-before-break.
 """
 
 from repro.analysis.tables import format_table
-from repro.experiments.comparison import comparison_headline, run_comparison
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
+from repro.experiments.comparison import comparison_spec
 
 
 def reproduce(n_trials):
-    return run_comparison(
+    spec = comparison_spec(
         scenario="vehicular", n_trials=n_trials, base_seed=1600
     )
+    return arm_headlines(spec, run_campaign(spec).results_in_order(), "protocol")
 
 
 def test_baseline_comparison(benchmark, trial_count):
-    results = benchmark.pedantic(
+    summary = benchmark.pedantic(
         reproduce, args=(max(8, trial_count // 2),), iterations=1, rounds=1
     )
-    summary = {
-        protocol: comparison_headline(trials)
-        for protocol, trials in results.items()
-    }
     rows = [
         [
             protocol,

@@ -8,11 +8,14 @@ beam still aligned, with completion times concentrated in the
 
 from repro.analysis.stats import cdf_at, empirical_cdf, summarize
 from repro.analysis.tables import format_cdf_series, format_table
-from repro.experiments.fig2c import run_fig2c
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
+from repro.experiments.fig2c import fig2c_spec
 
 
 def reproduce(n_trials):
-    return run_fig2c(n_trials=n_trials, base_seed=1200)
+    spec = fig2c_spec(n_trials=n_trials, base_seed=1200)
+    return arm_headlines(spec, run_campaign(spec).results_in_order(), "scenario")
 
 
 def test_fig2c_tracking_cdf(benchmark, trial_count):
@@ -28,8 +31,8 @@ def test_fig2c_tracking_cdf(benchmark, trial_count):
         rows.append(
             [
                 scenario,
-                data["completion_rate"],
-                data["soft_rate"],
+                data["completed_per_trial"],
+                data["soft_per_completed"],
                 summary["p50"],
                 summary["p90"],
                 cdf_at(times, 1.8),
@@ -70,8 +73,8 @@ def test_fig2c_tracking_cdf(benchmark, trial_count):
     for scenario in ("walk", "rotation", "vehicular"):
         data = results[scenario]
         # Silent Tracker succeeds in all three scenarios...
-        assert data["completion_rate"] >= 0.8, scenario
+        assert data["completed_per_trial"] >= 0.8, scenario
         # ...softly (the whole point of the protocol)...
-        assert data["soft_rate"] >= 0.6, scenario
+        assert data["soft_per_completed"] >= 0.6, scenario
         # ...on the sub-second-to-seconds timescale of the figure.
         assert summarize(data["completion_times_s"])["p50"] < 2.5, scenario

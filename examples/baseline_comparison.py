@@ -11,18 +11,22 @@ Run:  python examples/baseline_comparison.py [n_trials]
 import sys
 
 from repro.analysis.tables import format_table
-from repro.experiments.comparison import comparison_headline, run_comparison
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
+from repro.experiments.comparison import comparison_spec
 
 
 def main() -> None:
     n_trials = int(sys.argv[1]) if len(sys.argv) > 1 else 8
     for scenario in ("walk", "rotation", "vehicular"):
-        results = run_comparison(
+        spec = comparison_spec(
             scenario=scenario, n_trials=n_trials, base_seed=4200
         )
+        headlines = arm_headlines(
+            spec, run_campaign(spec).results_in_order(), "protocol"
+        )
         rows = []
-        for protocol, trials in results.items():
-            headline = comparison_headline(trials)
+        for protocol, headline in headlines.items():
             rows.append(
                 [
                     protocol,

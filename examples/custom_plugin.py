@@ -20,7 +20,7 @@ from repro import register_protocol, register_scenario
 from repro.api import Session, TrialSpec
 from repro.campaign import (
     CampaignSpec,
-    group_trials,
+    arm_headlines,
     run_campaign,
     summarize_campaign,
 )
@@ -99,7 +99,7 @@ def build_jog(rng, start_x):
 
 def main() -> None:
     # 1. The plugin arms show up next to the built-ins.
-    from repro.registry import EXPERIMENTS, PROTOCOLS, SCENARIOS
+    from repro.registry import PROTOCOLS, SCENARIOS
 
     print("registered protocols:", ", ".join(PROTOCOLS.names()))
     print("registered scenarios:", ", ".join(SCENARIOS.names()))
@@ -133,9 +133,9 @@ def main() -> None:
 
     # Every arm, plugin or built-in, is summarized by its experiment
     # kind's one headline definition.
-    sticky = EXPERIMENTS.get("comparison").headline(
-        group_trials(result.results_in_order(), "protocol")["sticky"]
-    )
+    sticky = arm_headlines(spec, result.results_in_order(), "protocol")[
+        "sticky"
+    ]
     assert sticky["trials"] == spec.seeds and sticky["completed_any"] == 0, (
         "sticky camper must never hand over"
     )

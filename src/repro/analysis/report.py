@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from repro.analysis.stats import empirical_cdf
 from repro.analysis.tables import format_markdown_table
-from repro.campaign.aggregate import headline_table
-from repro.experiments.comparison import comparison_headline, run_comparison
-from repro.experiments.fig2a import run_fig2a
-from repro.experiments.fig2c import run_fig2c
+from repro.campaign.aggregate import arm_headlines, headline_table
+from repro.campaign.runner import run_campaign
+from repro.experiments.comparison import comparison_spec
+from repro.experiments.fig2a import fig2a_spec
+from repro.experiments.fig2c import fig2c_spec
 
 
 def _percent(name: str):
@@ -24,10 +25,10 @@ def _percent(name: str):
 
 def fig2a_section(n_trials: int, base_seed: int = 5000) -> str:
     """Markdown for both Fig. 2a panels."""
-    results = run_fig2a(n_trials=n_trials, base_seed=base_seed)
-    headlines = {
-        kind: results[kind]["headline"] for kind in ("narrow", "wide", "omni")
-    }
+    spec = fig2a_spec(n_trials=n_trials, base_seed=base_seed)
+    headlines = arm_headlines(
+        spec, run_campaign(spec).results_in_order(), "protocol"
+    )
     columns = (
         ("search success", _percent("successes_per_trial")),
         ("mean dwells", "mean_dwells"),
@@ -46,11 +47,10 @@ def fig2a_section(n_trials: int, base_seed: int = 5000) -> str:
 
 def fig2c_section(n_trials: int, base_seed: int = 5100) -> str:
     """Markdown for the Fig. 2c CDFs."""
-    results = run_fig2c(n_trials=n_trials, base_seed=base_seed)
-    headlines = {
-        scenario: results[scenario]["headline"]
-        for scenario in ("walk", "rotation", "vehicular")
-    }
+    spec = fig2c_spec(n_trials=n_trials, base_seed=base_seed)
+    headlines = arm_headlines(
+        spec, run_campaign(spec).results_in_order(), "scenario"
+    )
     columns = (
         ("completion", _percent("completed_per_trial")),
         ("soft", _percent("soft_per_completed")),
@@ -82,13 +82,12 @@ def fig2c_section(n_trials: int, base_seed: int = 5100) -> str:
 
 def comparison_section(n_trials: int, base_seed: int = 5200) -> str:
     """Markdown for the Silent Tracker vs baselines comparison."""
-    results = run_comparison(
+    spec = comparison_spec(
         scenario="vehicular", n_trials=n_trials, base_seed=base_seed
     )
-    headlines = {
-        protocol: comparison_headline(trials)
-        for protocol, trials in results.items()
-    }
+    headlines = arm_headlines(
+        spec, run_campaign(spec).results_in_order(), "protocol"
+    )
     columns = (
         ("completed", "completed_any"),
         ("soft ratio", "soft_per_resolved"),

@@ -283,19 +283,6 @@ class Session:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # ---------------------------------------------------------------- results
-    def result(self, experiment: str, payload) -> TrialResult:
-        """Wrap a per-experiment payload in the common envelope."""
-        return TrialResult(
-            experiment=experiment,
-            scenario=self.spec.scenario,
-            protocol=self.protocol_name or self.spec.protocol,
-            codebook=self.spec.codebook,
-            seed=self.spec.seed,
-            duration_s=self._ran_s if self._ran_s else None,
-            payload=payload,
-        )
-
 
 def run_trial(
     experiment: str,

@@ -32,7 +32,7 @@ Interrupt it, run it again: completed cells are skipped.
 """
 
 from repro.campaign.aggregate import (
-    group_trials,
+    arm_headlines,
     headline_table,
     load_campaign,
     summarize_campaign,
@@ -67,11 +67,11 @@ __all__ = [
     "ProgressReporter",
     "SpecError",
     "StoreError",
+    "arm_headlines",
     "build_config",
     "config_to_overrides",
     "decode_payload",
     "execute_cell",
-    "group_trials",
     "headline_table",
     "load_campaign",
     "load_spec",

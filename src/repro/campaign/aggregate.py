@@ -5,15 +5,24 @@ Every experiment kind registers one ``headline(trials)`` (see
 its per-arm statistics.  A headline is a dict of named rates and counts
 (``None`` where there is nothing to average) and named sample vectors
 (tuples); a rate's name says what it divides by, as in
-``soft_per_completed``.  This module groups decoded trials into arms and
-lays their headlines out as tables, whether the ``(cell, payload)``
-pairs come from an in-memory
+``soft_per_completed``.  :func:`arm_headlines` is the one result shape
+of an experiment run, ``{arm: headline}``, whether the ``(cell,
+payload)`` pairs come from an in-memory
 :class:`~repro.campaign.runner.CampaignResult` or were loaded back from
-a campaign directory written last week.
+a campaign directory written last week::
+
+    spec = fig2a_spec(n_trials=40)
+    headlines = arm_headlines(
+        spec, run_campaign(spec, workers=4).results_in_order(), "protocol"
+    )
+    headlines["narrow"]["successes_per_trial"]
+
+:func:`headline_table` lays such a dict out as a table.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
@@ -47,6 +56,22 @@ def group_trials(pairs: ResultPairs, *fields: str) -> Dict[object, list]:
     return grouped
 
 
+def arm_headlines(
+    spec: CampaignSpec, pairs: ResultPairs, *fields: str
+) -> Dict[object, dict]:
+    """``{arm: headline}``: each arm's headline under ``spec``'s kind.
+
+    Arms are keyed by cell ``fields`` in grid order, as
+    :func:`group_trials` keys them; each maps to the registered
+    ``headline(trials)`` of ``spec.experiment`` over its trials.
+    """
+    headline = EXPERIMENTS.get(spec.experiment).headline
+    return {
+        arm: headline(trials)
+        for arm, trials in group_trials(pairs, *fields).items()
+    }
+
+
 def headline_table(
     labels: Tuple[str, ...], headlines: Mapping[object, dict], columns
 ) -> Tuple[List[str], List[list]]:
@@ -75,14 +100,16 @@ def summarize_campaign(
     name for a kind that declares none).  Feed straight into
     :func:`repro.analysis.tables.format_table`.
     """
-    kind = EXPERIMENTS.get(spec.experiment)
+    fields = ("scenario", "protocol", "override_label")
+    pairs = list(pairs)
+    cells = Counter(
+        tuple(getattr(cell, name) for name in fields) for cell, _ in pairs
+    )
     headlines = {
-        (*arm, len(trials)): kind.headline(trials)
-        for arm, trials in group_trials(
-            pairs, "scenario", "protocol", "override_label"
-        ).items()
+        (*arm, cells[arm]): headline
+        for arm, headline in arm_headlines(spec, pairs, *fields).items()
     }
-    columns = kind.columns
+    columns = EXPERIMENTS.get(spec.experiment).columns
     if not columns and headlines:
         first = next(iter(headlines.values()))
         columns = [(k, k) for k, v in first.items() if not isinstance(v, tuple)]

@@ -113,16 +113,17 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig2a(args: argparse.Namespace) -> int:
-    from repro.campaign.aggregate import headline_table
-    from repro.experiments.fig2a import run_fig2a
+    from repro.campaign.aggregate import arm_headlines, headline_table
+    from repro.campaign.runner import run_campaign
+    from repro.experiments.fig2a import fig2a_spec
 
-    results = run_fig2a(
-        n_trials=args.trials, scenario=args.scenario, base_seed=args.seed,
-        workers=args.workers,
+    spec = fig2a_spec(
+        n_trials=args.trials, scenario=args.scenario, base_seed=args.seed
     )
-    headlines = {
-        kind: results[kind]["headline"] for kind in ("narrow", "wide", "omni")
-    }
+    headlines = arm_headlines(
+        spec, run_campaign(spec, workers=args.workers).results_in_order(),
+        "protocol",
+    )
     print(
         format_table(
             *headline_table(
@@ -135,16 +136,15 @@ def _cmd_fig2a(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig2c(args: argparse.Namespace) -> int:
-    from repro.campaign.aggregate import headline_table
-    from repro.experiments.fig2c import run_fig2c
+    from repro.campaign.aggregate import arm_headlines, headline_table
+    from repro.campaign.runner import run_campaign
+    from repro.experiments.fig2c import fig2c_spec
 
-    results = run_fig2c(
-        n_trials=args.trials, base_seed=args.seed, workers=args.workers
+    spec = fig2c_spec(n_trials=args.trials, base_seed=args.seed)
+    headlines = arm_headlines(
+        spec, run_campaign(spec, workers=args.workers).results_in_order(),
+        "scenario",
     )
-    headlines = {
-        scenario: results[scenario]["headline"]
-        for scenario in ("walk", "rotation", "vehicular")
-    }
     print(
         format_table(
             *headline_table(
@@ -172,17 +172,17 @@ def _cmd_fig2c(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.campaign.aggregate import headline_table
-    from repro.experiments.comparison import comparison_headline, run_comparison
+    from repro.campaign.aggregate import arm_headlines, headline_table
+    from repro.campaign.runner import run_campaign
+    from repro.experiments.comparison import comparison_spec
 
-    results = run_comparison(
-        scenario=args.scenario, n_trials=args.trials, base_seed=args.seed,
-        workers=args.workers,
+    spec = comparison_spec(
+        scenario=args.scenario, n_trials=args.trials, base_seed=args.seed
     )
-    headlines = {
-        protocol: comparison_headline(trials)
-        for protocol, trials in results.items()
-    }
+    headlines = arm_headlines(
+        spec, run_campaign(spec, workers=args.workers).results_in_order(),
+        "protocol",
+    )
     columns = (
         ("completed", "completed_any"),
         ("soft ratio", "soft_per_resolved"),

@@ -1,4 +1,4 @@
-"""Experiment builders and runners for every figure in the paper.
+"""Experiment kinds and campaign specs for every figure in the paper.
 
 * :mod:`repro.experiments.scenarios` — the cell-edge deployment (three
   base stations, one mobile) and the three mobility scenarios.
@@ -16,7 +16,11 @@
 
 Each module registers its scenario/codebook/experiment arms in
 :mod:`repro.registry`; trials run through the
-:class:`repro.api.Session` lifecycle.
+:class:`repro.api.Session` lifecycle.  An experiment is a ``*_spec``
+builder returning a :class:`~repro.campaign.spec.CampaignSpec`: run it
+with :func:`~repro.campaign.runner.run_campaign` and read the result as
+``{arm: headline}`` with :func:`~repro.campaign.aggregate.arm_headlines`
+(example in :mod:`repro.campaign.aggregate`).
 """
 
 from repro.experiments.scenarios import (
@@ -28,13 +32,11 @@ from repro.experiments.scenarios import (
 from repro.experiments.fig2a import (
     SearchTrialResult,
     fig2a_spec,
-    run_fig2a,
     run_search_trial,
 )
 from repro.experiments.fig2c import (
     TrackingTrialResult,
     fig2c_spec,
-    run_fig2c,
     run_tracking_trial,
 )
 
@@ -47,8 +49,6 @@ __all__ = [
     "fig2c_spec",
     "make_mobile_codebook",
     "make_trajectory",
-    "run_fig2a",
-    "run_fig2c",
     "run_search_trial",
     "run_tracking_trial",
 ]

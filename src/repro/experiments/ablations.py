@@ -3,32 +3,31 @@
 The paper fixes the 3 dB adaptation threshold, the handover margin T
 and the receive codebook; these sweeps quantify how sensitive the
 headline behaviour is to each — the analysis a full-paper evaluation
-would include.  Every sweep runs the ``tracking`` experiment kind and
-returns ``{arm: [trial, ...]}``;
-:func:`repro.experiments.fig2c.tracking_headline` summarizes an arm.
+would include.  Every sweep is a ``tracking`` campaign grid built by a
+``*_spec`` function; run it and read each arm's
+:func:`repro.experiments.fig2c.tracking_headline` with
+:func:`repro.campaign.aggregate.arm_headlines`, keyed by
+``"override_label"`` for the margin and threshold sweeps and by
+``"protocol"`` for the codebook sweep.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.campaign.aggregate import group_trials
-from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, config_to_overrides
 from repro.core.beamsurfer import BeamSurferConfig
 from repro.core.config import SilentTrackerConfig
-from repro.experiments.fig2c import TrackingTrialResult
 
 
-def _run_sweep(
+def _sweep_spec(
     configs: Dict[str, SilentTrackerConfig],
     scenario: str,
     n_trials: int,
     base_seed: int,
-    workers: int,
-) -> Dict[str, List[TrackingTrialResult]]:
-    """Run the narrow codebook over an override-label x seed grid."""
-    spec = CampaignSpec(
+) -> CampaignSpec:
+    """The narrow codebook over an override-label x seed grid."""
+    return CampaignSpec(
         name="ablation",
         experiment="tracking",
         scenarios=(scenario,),
@@ -40,16 +39,13 @@ def _run_sweep(
             for label, config in configs.items()
         },
     )
-    result = run_campaign(spec, workers=workers)
-    return group_trials(result.results_in_order(), "override_label")
 
 
-def sweep_handover_margin(
+def handover_margin_spec(
     margins_db: Sequence[float] = (0.0, 3.0, 6.0, 9.0),
     n_trials: int = 20,
     base_seed: int = 300,
-    workers: int = 1,
-) -> Dict[str, List[TrackingTrialResult]]:
+) -> CampaignSpec:
     """Sweep the margin T of edge E on the walk scenario.
 
     Small T hands over early (risking ping-pong and weak-target RACH);
@@ -61,15 +57,14 @@ def sweep_handover_margin(
         configs[f"T={margin:g}dB"] = SilentTrackerConfig(
             handover_margin_db=margin, handover_hysteresis_db=hysteresis
         )
-    return _run_sweep(configs, "walk", n_trials, base_seed, workers)
+    return _sweep_spec(configs, "walk", n_trials, base_seed)
 
 
-def sweep_adapt_threshold(
+def adapt_threshold_spec(
     thresholds_db: Sequence[float] = (1.0, 3.0, 6.0),
     n_trials: int = 20,
     base_seed: int = 400,
-    workers: int = 1,
-) -> Dict[str, List[TrackingTrialResult]]:
+) -> CampaignSpec:
     """Sweep the 3 dB adaptation threshold (edges A/G/H) on rotation.
 
     Tight thresholds switch beams eagerly (more dwells burnt probing);
@@ -81,20 +76,19 @@ def sweep_adapt_threshold(
             adapt_threshold_db=threshold,
             beamsurfer=BeamSurferConfig(adapt_threshold_db=threshold),
         )
-    return _run_sweep(configs, "rotation", n_trials, base_seed, workers)
+    return _sweep_spec(configs, "rotation", n_trials, base_seed)
 
 
-def sweep_codebook_beamwidth(
+def codebook_beamwidth_spec(
     n_trials: int = 20,
     base_seed: int = 500,
-    workers: int = 1,
-) -> Dict[str, List[TrackingTrialResult]]:
+) -> CampaignSpec:
     """Sweep the mobile codebook granularity (narrow vs wide vs omni) on walk.
 
-    The codebook is the campaign's protocol axis, so the grouping here
-    is by protocol rather than by override label.
+    The codebook is the campaign's protocol axis, so this sweep's arms
+    are keyed by protocol rather than by override label.
     """
-    spec = CampaignSpec(
+    return CampaignSpec(
         name="ablation-codebook",
         experiment="tracking",
         scenarios=("walk",),
@@ -103,6 +97,3 @@ def sweep_codebook_beamwidth(
         base_seed=base_seed,
         overrides={"default": config_to_overrides(SilentTrackerConfig())},
     )
-    result = run_campaign(spec, workers=workers)
-    return group_trials(result.results_in_order(), "protocol")
-

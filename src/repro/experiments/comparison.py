@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.api import Session, TrialSpec
-from repro.campaign.aggregate import group_trials
-from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, build_config
 from repro.core.config import SilentTrackerConfig
 from repro.net.handover import HandoverOutcome
@@ -186,24 +184,3 @@ def comparison_spec(
         seeds=n_trials,
         base_seed=base_seed,
     )
-
-
-def run_comparison(
-    scenario: str = "vehicular",
-    n_trials: int = 20,
-    base_seed: int = 700,
-    workers: int = 1,
-) -> Dict[str, List[ComparisonTrialResult]]:
-    """All three protocol arms over the same seeds (paired comparison).
-
-    Thin wrapper over :func:`repro.campaign.runner.run_campaign` on the
-    :func:`comparison_spec` grid.  Returns ``{protocol: [trial, ...]}``
-    in grid order; :func:`comparison_headline` summarizes an arm.
-    """
-    spec = comparison_spec(
-        scenario=scenario,
-        n_trials=n_trials,
-        base_seed=base_seed,
-    )
-    result = run_campaign(spec, workers=workers)
-    return group_trials(result.results_in_order(), "protocol")

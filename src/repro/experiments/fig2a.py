@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.api import Session, TrialSpec
-from repro.campaign.aggregate import group_trials
-from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.core.events import NeighborState
 from repro.core.neighbor_tracker import NeighborTracker
@@ -147,22 +145,6 @@ SEARCH_COLUMNS = (
 )
 
 
-def search_arms(pairs, headline=search_headline) -> Dict[str, dict]:
-    """:func:`run_fig2a`'s per-codebook dicts, one per protocol arm."""
-    from repro.analysis.stats import summarize
-
-    arms = {}
-    for arm, trials in group_trials(pairs, "protocol").items():
-        summary = headline(trials)
-        arms[arm] = {
-            "success_rate": summary["successes_per_trial"],
-            "latency": summarize(summary["dwells"]),
-            "trials": trials,
-            "headline": summary,
-        }
-    return arms
-
-
 @register_experiment(
     "search",
     decode=_decode_search,
@@ -204,30 +186,3 @@ def fig2a_spec(
         base_seed=base_seed,
         params={"deadline_s": 1.0},
     )
-
-
-def run_fig2a(
-    n_trials: int = 40,
-    scenario: str = "walk",
-    base_seed: int = 100,
-    codebooks: tuple = ("narrow", "wide", "omni"),
-    workers: int = 1,
-) -> Dict[str, dict]:
-    """Both Fig. 2a panels for the given mobility scenario.
-
-    Thin wrapper over :func:`repro.campaign.runner.run_campaign` on the
-    :func:`fig2a_spec` grid (in-memory; pass ``workers`` to fan the
-    trials out over processes).  Returns, per codebook kind::
-
-        {"success_rate": float,         # successes / trials
-         "latency": summary-dict over dwell counts of successful trials,
-         "trials": [SearchTrialResult, ...],
-         "headline": dict}              # see search_headline
-    """
-    spec = fig2a_spec(
-        n_trials=n_trials,
-        scenario=scenario,
-        base_seed=base_seed,
-        codebooks=codebooks,
-    )
-    return search_arms(run_campaign(spec, workers=workers).results_in_order())

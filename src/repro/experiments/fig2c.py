@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.api import Session, TrialSpec
-from repro.campaign.aggregate import group_trials
-from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, build_config
 from repro.core.config import SilentTrackerConfig
 from repro.core.silent_tracker import HandoverTimeline, SilentTracker
@@ -233,36 +231,3 @@ def fig2c_spec(
         base_seed=base_seed,
         overrides={"default": {}},
     )
-
-
-def run_fig2c(
-    n_trials: int = 40,
-    base_seed: int = 200,
-    workers: int = 1,
-) -> Dict[str, dict]:
-    """The Fig. 2c data: per scenario, completion-time samples + stats.
-
-    Thin wrapper over :func:`repro.campaign.runner.run_campaign` on the
-    :func:`fig2c_spec` grid.  Returns, per scenario::
-
-        {"completion_times_s": [...],   # successful episodes only
-         "completion_rate": float,      # episodes completed / trials
-         "soft_rate": float or None,    # soft / completed
-         "trials": [TrackingTrialResult, ...],
-         "headline": dict}              # see tracking_headline
-    """
-    spec = fig2c_spec(n_trials=n_trials, base_seed=base_seed)
-    result = run_campaign(spec, workers=workers)
-    results = {}
-    for scenario, trials in group_trials(
-        result.results_in_order(), "scenario"
-    ).items():
-        headline = tracking_headline(trials)
-        results[scenario] = {
-            "completion_times_s": list(headline["completion_times_s"]),
-            "completion_rate": headline["completed_per_trial"],
-            "soft_rate": headline["soft_per_completed"],
-            "trials": trials,
-            "headline": headline,
-        }
-    return results

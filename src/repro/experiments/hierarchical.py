@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.api import Session, TrialSpec
-from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.fig2a import (
     SEARCH_COLUMNS,
     TARGET_CELL,
     run_search_trial,
-    search_arms,
     search_headline,
 )
 from repro.measure.report import RssMeasurement
@@ -242,22 +240,3 @@ def strategy_spec(n_trials: int = 20, base_seed: int = 3000) -> CampaignSpec:
         base_seed=base_seed,
         params={"deadline_s": 1.0},
     )
-
-
-def compare_search_strategies(
-    n_trials: int = 20,
-    base_seed: int = 3000,
-    workers: int = 1,
-) -> Dict[str, dict]:
-    """Exhaustive vs hierarchical: success rate and dwell counts.
-
-    Thin wrapper over :func:`repro.campaign.runner.run_campaign` on the
-    :func:`strategy_spec` grid (paired seeds across the two arms).  Each
-    strategy maps to an arm shaped like one of
-    :func:`~repro.experiments.fig2a.run_fig2a` (``success_rate``,
-    ``latency``, ``trials``), whose ``headline`` is the
-    :func:`strategy_headline`.
-    """
-    spec = strategy_spec(n_trials=n_trials, base_seed=base_seed)
-    result = run_campaign(spec, workers=workers)
-    return search_arms(result.results_in_order(), strategy_headline)

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.api import Session, TrialSpec
-from repro.campaign.aggregate import group_trials
-from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, build_config, config_to_overrides
 from repro.core.config import SilentTrackerConfig
 from repro.registry import CODEBOOKS, register_experiment
@@ -171,24 +169,3 @@ def pingpong_spec(
         overrides=overrides,
         params={"duration_s": PINGPONG_DURATION_S, "start_x": PINGPONG_START_X},
     )
-
-
-def sweep_time_to_trigger(
-    ttt_s_values: Sequence[float] = (0.0, 0.16, 0.48),
-    n_trials: int = 10,
-    base_seed: int = 8000,
-    workers: int = 1,
-) -> Dict[str, List[PingPongTrialResult]]:
-    """Churn vs time-to-trigger, same seeds across arms (paired).
-
-    The default values bracket NR's standardized TTT set (0, 160 ms,
-    480 ms).  Thin wrapper over
-    :func:`repro.campaign.runner.run_campaign` on the
-    :func:`pingpong_spec` grid; :func:`pingpong_headline` summarizes an
-    arm.
-    """
-    spec = pingpong_spec(
-        ttt_s_values=ttt_s_values, n_trials=n_trials, base_seed=base_seed
-    )
-    result = run_campaign(spec, workers=workers)
-    return group_trials(result.results_in_order(), "override_label")

@@ -66,6 +66,3 @@ class HandoverLog:
     @property
     def records(self) -> List[HandoverRecord]:
         return list(self._records)
-
-    def count(self, outcome: HandoverOutcome) -> int:
-        return sum(1 for r in self._records if r.outcome is outcome)

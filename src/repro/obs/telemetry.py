@@ -242,16 +242,6 @@ class Telemetry:
                 mine[int(bucket)] = mine.get(int(bucket), 0) + int(count)
         self._dropped_events += int(summary.get("dropped_events", 0))
 
-    def clear(self) -> None:
-        """Drop everything recorded; the hub stays enabled/configured."""
-        self._span_totals.clear()
-        self._span_counts.clear()
-        self._counters.clear()
-        self._hists.clear()
-        self._events.clear()
-        self._dropped_events = 0
-        self._origin = perf_counter()
-
 
 #: The process-wide disabled hub — the default ambient telemetry.
 DISABLED = Telemetry(enabled=False)

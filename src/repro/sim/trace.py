@@ -9,7 +9,7 @@ behaviour — the trace is the audit trail for Fig. 2b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Append-only event log with simple querying.
+    """Append-only event log with live listeners.
 
     Recording can be disabled wholesale (``enabled=False``) for large
     benchmark sweeps where only final metrics matter.
@@ -75,34 +75,3 @@ class TraceRecorder:
     def events(self) -> List[TraceEvent]:
         """All recorded events in emission order."""
         return list(self._events)
-
-    def iter_filter(self, category: Optional[str] = None) -> Iterator[TraceEvent]:
-        """Events of ``category`` (every event when ``None``), lazily.
-
-        ``category`` matches exact name or any dotted descendant, so
-        ``iter_filter(category="fsm")`` yields ``fsm.transition`` events
-        too.
-        """
-        prefix = None if category is None else category + "."
-        for event in self._events:
-            if category is not None:
-                if event.category != category and not event.category.startswith(
-                    prefix
-                ):
-                    continue
-            yield event
-
-    def count(self, category: Optional[str] = None) -> int:
-        """Number of events of ``category`` (see :meth:`iter_filter`)."""
-        return sum(1 for _ in self.iter_filter(category=category))
-
-    def last(self, category: Optional[str] = None) -> Optional[TraceEvent]:
-        """Most recent event of ``category``, or ``None``."""
-        result = None
-        for event in self.iter_filter(category=category):
-            result = event
-        return result
-
-    def clear(self) -> None:
-        """Drop all recorded events (listeners stay subscribed)."""
-        self._events.clear()

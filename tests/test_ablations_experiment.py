@@ -1,35 +1,34 @@
-"""Tests for the ablation sweep runners (small trial counts)."""
+"""Tests for the ablation sweep grids (small trial counts)."""
 
 import pytest
 
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
 from repro.experiments.ablations import (
-    sweep_adapt_threshold,
-    sweep_codebook_beamwidth,
-    sweep_handover_margin,
+    adapt_threshold_spec,
+    codebook_beamwidth_spec,
+    handover_margin_spec,
 )
-from repro.experiments.fig2c import tracking_headline
 
 
-def summarize(sweep):
-    return {label: tracking_headline(trials) for label, trials in sweep.items()}
+def run(spec, field):
+    return arm_headlines(spec, run_campaign(spec).results_in_order(), field)
 
 
 class TestHandoverMarginSweep:
     @pytest.fixture(scope="class")
-    def sweep(self):
-        return sweep_handover_margin(
-            margins_db=(0.0, 6.0), n_trials=4, base_seed=7000
-        )
+    def summary(self):
+        spec = handover_margin_spec(margins_db=(0.0, 6.0), n_trials=4, base_seed=7000)
+        return run(spec, "override_label")
 
-    def test_arms_labeled(self, sweep):
-        assert set(sweep) == {"T=0dB", "T=6dB"}
+    def test_arms_labeled(self, summary):
+        assert list(summary) == ["T=0dB", "T=6dB"]
 
-    def test_trials_counted(self, sweep):
-        for trials in sweep.values():
-            assert len(trials) == 4
+    def test_trials_counted(self, summary):
+        for headline in summary.values():
+            assert headline["trials"] == 4
 
-    def test_summary_rows(self, sweep):
-        summary = summarize(sweep)
+    def test_summary_rows(self, summary):
         assert len(summary) == 2
         for headline in summary.values():
             assert 0.0 <= headline["completed_per_trial"] <= 1.0
@@ -37,21 +36,19 @@ class TestHandoverMarginSweep:
 
 class TestAdaptThresholdSweep:
     def test_runs(self):
-        sweep = sweep_adapt_threshold(
-            thresholds_db=(3.0,), n_trials=3, base_seed=7100
-        )
-        assert set(sweep) == {"adapt=3dB"}
-        assert summarize(sweep)["adapt=3dB"]["trials"] == 3
+        spec = adapt_threshold_spec(thresholds_db=(3.0,), n_trials=3, base_seed=7100)
+        summary = run(spec, "override_label")
+        assert set(summary) == {"adapt=3dB"}
+        assert summary["adapt=3dB"]["trials"] == 3
 
 
 class TestCodebookSweep:
     def test_all_kinds(self):
-        sweep = sweep_codebook_beamwidth(n_trials=3, base_seed=7200)
-        assert set(sweep) == {"narrow", "wide", "omni"}
+        summary = run(codebook_beamwidth_spec(n_trials=3, base_seed=7200), "protocol")
+        assert set(summary) == {"narrow", "wide", "omni"}
 
     def test_narrow_beats_omni(self):
-        sweep = sweep_codebook_beamwidth(n_trials=4, base_seed=7300)
-        summary = summarize(sweep)
+        summary = run(codebook_beamwidth_spec(n_trials=4, base_seed=7300), "protocol")
         assert (
             summary["narrow"]["completed_per_trial"]
             >= summary["omni"]["completed_per_trial"]
@@ -61,7 +58,7 @@ class TestCodebookSweep:
 class TestSummaryShape:
     def test_empty_completed_arm(self):
         # Omni arm often completes nothing; summary must not crash.
-        sweep = sweep_codebook_beamwidth(n_trials=2, base_seed=7500)
-        for headline in summarize(sweep).values():
+        summary = run(codebook_beamwidth_spec(n_trials=2, base_seed=7500), "protocol")
+        for headline in summary.values():
             if headline["completed_per_trial"] == 0.0:
                 assert headline["mean_completion_s"] is None

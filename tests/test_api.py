@@ -136,17 +136,6 @@ class TestSessionLifecycle:
         session.close()
         session.close()
 
-    def test_result_envelope(self):
-        with Session(TrialSpec(scenario="rotation", seed=9)) as session:
-            session.run(0.25)
-            result = session.result("search", {"answer": 42})
-        assert isinstance(result, TrialResult)
-        assert result.experiment == "search"
-        assert result.scenario == "rotation"
-        assert result.seed == 9
-        assert result.duration_s == 0.25
-        assert result.payload == {"answer": 42}
-
 
 class TestRunTrial:
     def test_search_kind(self):
@@ -157,6 +146,7 @@ class TestRunTrial:
             seed=100,
             params={"deadline_s": 0.5},
         )
+        assert isinstance(result, TrialResult)
         assert result.experiment == "search"
         assert result.codebook == "narrow"
         assert result.payload.codebook == "narrow"

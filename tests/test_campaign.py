@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.campaign.aggregate import (
-    group_trials,
+    arm_headlines,
     load_campaign,
     summarize_campaign,
 )
@@ -35,7 +35,6 @@ from repro.campaign.store import ArtifactStore, StoreError
 from repro.cli import main
 from repro.core.beamsurfer import BeamSurferConfig
 from repro.core.config import SilentTrackerConfig
-from repro.experiments.fig2a import search_headline
 
 
 def small_search_spec(**kwargs) -> CampaignSpec:
@@ -186,10 +185,11 @@ class TestRunCampaign:
         assert isinstance(result, CampaignResult)
         assert result.executed == 4
         assert result.skipped == 0
-        arms = group_trials(result.results_in_order(), "protocol")
-        assert set(arms) == {"narrow", "omni"}
-        assert len(arms["narrow"]) == 2
-        headlines = {kind: search_headline(trials) for kind, trials in arms.items()}
+        headlines = arm_headlines(
+            small_search_spec(), result.results_in_order(), "protocol"
+        )
+        assert set(headlines) == {"narrow", "omni"}
+        assert headlines["narrow"]["trials"] == 2
         assert (
             headlines["narrow"]["successes_per_trial"]
             >= headlines["omni"]["successes_per_trial"]
@@ -210,13 +210,18 @@ class TestRunCampaign:
         assert campaign_trials == direct
 
     def test_tracking_payload_roundtrips_outcome(self):
-        from repro.experiments.fig2c import run_fig2c, run_tracking_trial
+        from repro.experiments.fig2c import fig2c_spec, run_tracking_trial
 
-        results = run_fig2c(n_trials=2, base_seed=200)
+        result = run_campaign(fig2c_spec(n_trials=2, base_seed=200))
+        campaign_trials = [
+            decode_payload(cell.experiment, payload)
+            for cell, payload in result.results_in_order()
+            if cell.scenario == "vehicular"
+        ]
         direct = [
             run_tracking_trial("vehicular", seed=200 + k) for k in range(2)
         ]
-        assert results["vehicular"]["trials"] == direct
+        assert campaign_trials == direct
 
     @pytest.fixture()
     def exploding_codebook(self):
@@ -317,6 +322,14 @@ class TestDeterminismAndResume:
         headers, rows = summarize_campaign(spec, pairs)
         assert headers[:3] == ["scenario", "protocol", "override"]
         assert len(rows) == 2  # narrow + omni arms
+        # The reloaded store and an in-memory run give the same arms,
+        # keyed in grid order.
+        reloaded = arm_headlines(spec, pairs, "protocol")
+        in_memory = arm_headlines(
+            spec, run_campaign(small_search_spec()).results_in_order(), "protocol"
+        )
+        assert list(reloaded) == ["narrow", "omni"]
+        assert reloaded == in_memory
 
 
 class TestStore:

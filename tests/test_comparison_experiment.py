@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
 from repro.experiments.comparison import (
     ComparisonTrialResult,
     comparison_headline,
-    run_comparison,
+    comparison_spec,
     run_comparison_trial,
 )
 
@@ -29,18 +31,12 @@ class TestComparisonTrial:
 
 class TestComparisonAggregate:
     @pytest.fixture(scope="class")
-    def results(self):
-        return run_comparison(scenario="vehicular", n_trials=4, base_seed=7600)
+    def summary(self):
+        spec = comparison_spec(scenario="vehicular", n_trials=4, base_seed=7600)
+        return arm_headlines(spec, run_campaign(spec).results_in_order(), "protocol")
 
-    def test_protocol_arms(self, results):
-        assert set(results) == {"silent-tracker", "reactive", "oracle"}
-
-    @pytest.fixture(scope="class")
-    def summary(self, results):
-        return {
-            protocol: comparison_headline(trials)
-            for protocol, trials in results.items()
-        }
+    def test_protocol_arms(self, summary):
+        assert set(summary) == {"silent-tracker", "reactive", "oracle"}
 
     def test_summary_interruption_gap(self, summary):
         tracker = summary["silent-tracker"]["mean_first_interruption_s"]

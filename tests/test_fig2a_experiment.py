@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.experiments.fig2a import run_fig2a, run_search_trial
+from repro.analysis.stats import summarize
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
+from repro.experiments.fig2a import fig2a_spec, run_search_trial
 
 
 class TestSearchTrial:
@@ -31,35 +34,42 @@ class TestSearchTrial:
 class TestFig2aAggregate:
     @pytest.fixture(scope="class")
     def results(self):
-        return run_fig2a(n_trials=12, base_seed=900)
+        spec = fig2a_spec(n_trials=12, base_seed=900)
+        return arm_headlines(spec, run_campaign(spec).results_in_order(), "protocol")
 
     def test_success_ordering(self, results):
         """The paper's headline: narrow > wide >> omni."""
-        assert results["narrow"]["success_rate"] >= results["wide"]["success_rate"]
-        assert results["wide"]["success_rate"] > results["omni"]["success_rate"]
+        assert (
+            results["narrow"]["successes_per_trial"]
+            >= results["wide"]["successes_per_trial"]
+        )
+        assert (
+            results["wide"]["successes_per_trial"]
+            > results["omni"]["successes_per_trial"]
+        )
 
     def test_narrow_success_high(self, results):
-        assert results["narrow"]["success_rate"] >= 0.9
+        assert results["narrow"]["successes_per_trial"] >= 0.9
 
     def test_omni_success_low(self, results):
-        assert results["omni"]["success_rate"] <= 0.3
+        assert results["omni"]["successes_per_trial"] <= 0.3
 
     def test_latency_summaries_present(self, results):
-        latency = results["narrow"]["latency"]
+        latency = summarize(results["narrow"]["dwells"])
         assert latency["count"] > 0
         assert latency["mean"] > 0
 
     def test_narrow_needs_more_dwells_than_wide(self, results):
         """More beams to walk -> higher median search latency."""
         assert (
-            results["narrow"]["latency"]["p50"]
-            > results["wide"]["latency"]["p50"]
+            summarize(results["narrow"]["dwells"])["p50"]
+            > summarize(results["wide"]["dwells"])["p50"]
         )
 
     def test_trial_lists_full(self, results):
         for kind in ("narrow", "wide", "omni"):
-            assert len(results[kind]["trials"]) == 12
+            assert results[kind]["trials"] == 12
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            run_fig2a(n_trials=0)
+            fig2a_spec(n_trials=0)

@@ -5,10 +5,12 @@ import math
 import pytest
 
 from repro.api import Session
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
 from repro.experiments.fig2c import (
     SERVING_CELL,
     TrackingTrialResult,
-    run_fig2c,
+    fig2c_spec,
     run_tracking_trial,
 )
 from repro.net.handover import HandoverOutcome
@@ -126,7 +128,8 @@ class TestEarlyStop:
 class TestFig2cAggregate:
     @pytest.fixture(scope="class")
     def results(self):
-        return run_fig2c(n_trials=8, base_seed=950)
+        spec = fig2c_spec(n_trials=8, base_seed=950)
+        return arm_headlines(spec, run_campaign(spec).results_in_order(), "scenario")
 
     def test_all_scenarios_present(self, results):
         assert set(results) == {"walk", "rotation", "vehicular"}
@@ -134,11 +137,11 @@ class TestFig2cAggregate:
     def test_high_completion_rate(self, results):
         """Silent Tracker succeeds in all three mobility scenarios."""
         for scenario, data in results.items():
-            assert data["completion_rate"] >= 0.75, scenario
+            assert data["completed_per_trial"] >= 0.75, scenario
 
     def test_mostly_soft(self, results):
         for scenario, data in results.items():
-            assert data["soft_rate"] >= 0.5, scenario
+            assert data["soft_per_completed"] >= 0.5, scenario
 
     def test_times_in_paper_band(self, results):
         """Fig. 2c's x-axis spans ~0.4-1.8 s; our distribution must be
@@ -149,4 +152,4 @@ class TestFig2cAggregate:
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            run_fig2c(n_trials=0)
+            fig2c_spec(n_trials=0)

@@ -503,7 +503,9 @@ class TestShardedRunner:
         assert result.merged.users is None
         record = json.loads((tmp_path / "fleet.json").read_text())
         assert record["users"] is None
-        assert record["aggregates"]["exact"] in (True, False)
+        assert record["aggregates"]["exact"] is True
+        full = run_fleet_sharded(spec, 2, stream=False)
+        assert result.merged.aggregates == full.merged.aggregates
         loaded = load_sharded_fleet(tmp_path)
         assert loaded.aggregates == result.merged.aggregates
 

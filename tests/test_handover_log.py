@@ -30,7 +30,7 @@ class TestLog:
         log = self.make_log()
         assert len(log) == 3
         for outcome in HandoverOutcome:
-            assert log.count(outcome) == 1
+            assert sum(1 for r in log.records if r.outcome is outcome) == 1
 
     def test_records_copy(self):
         log = self.make_log()

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.experiments.hierarchical import (
-    compare_search_strategies,
-    run_hierarchical_trial,
-)
+from repro.analysis.stats import summarize
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
+from repro.experiments.hierarchical import run_hierarchical_trial, strategy_spec
 
 
 class TestHierarchicalTrial:
@@ -27,21 +27,22 @@ class TestHierarchicalTrial:
 class TestComparison:
     @pytest.fixture(scope="class")
     def results(self):
-        return compare_search_strategies(n_trials=10, base_seed=3100)
+        spec = strategy_spec(n_trials=10, base_seed=3100)
+        return arm_headlines(spec, run_campaign(spec).results_in_order(), "protocol")
 
     def test_both_strategies_reported(self, results):
         assert set(results) == {"exhaustive", "hierarchical"}
 
     def test_exhaustive_success_high(self, results):
-        assert results["exhaustive"]["success_rate"] >= 0.8
+        assert results["exhaustive"]["successes_per_trial"] >= 0.8
 
     def test_hierarchical_fewer_dwells_when_it_works(self, results):
         """Two-stage search is cheaper on successful trials."""
-        hier = results["hierarchical"]["latency"]
-        exhaustive = results["exhaustive"]["latency"]
+        hier = summarize(results["hierarchical"]["dwells"])
+        exhaustive = summarize(results["exhaustive"]["dwells"])
         if hier["count"] >= 3 and exhaustive["count"] >= 3:
             assert hier["mean"] <= exhaustive["mean"] + 2.0
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            compare_search_strategies(n_trials=0)
+            strategy_spec(n_trials=0)

@@ -9,6 +9,10 @@ from repro.experiments.scenarios import build_cell_edge_deployment
 from repro.net.handover import HandoverOutcome
 
 
+def of_category(deployment, category):
+    return [e for e in deployment.trace.events if e.category == category]
+
+
 def full_run(scenario, seed, duration_s=6.0, config=None):
     deployment, mobile = build_cell_edge_deployment(seed, scenario=scenario)
     tracker = SilentTracker(deployment, mobile, "cellA", config)
@@ -25,22 +29,22 @@ class TestTraceInvariants:
 
     def test_edge_c_preceded_by_edge_b(self, run):
         deployment, _, _ = run
-        events = list(deployment.trace.iter_filter(category="fsm.neighbor"))
+        events = of_category(deployment, "fsm.neighbor")
         first_b = next(e.time for e in events if e.data["edge"] == "B")
         first_c = next(e.time for e in events if e.data["edge"] == "C")
         assert first_b <= first_c
 
     def test_handover_trigger_before_complete(self, run):
         deployment, _, _ = run
-        trigger = deployment.trace.last(category="handover.trigger")
-        complete = deployment.trace.last(category="handover.complete")
-        assert trigger is not None and complete is not None
-        assert trigger.time <= complete.time
+        triggers = of_category(deployment, "handover.trigger")
+        completes = of_category(deployment, "handover.complete")
+        assert triggers and completes
+        assert triggers[-1].time <= completes[-1].time
 
     def test_rach_messages_ordered(self, run):
         deployment, _, _ = run
-        msg1 = list(deployment.trace.iter_filter(category="rach.msg1"))
-        msg4 = list(deployment.trace.iter_filter(category="rach.msg4"))
+        msg1 = of_category(deployment, "rach.msg1")
+        msg4 = of_category(deployment, "rach.msg4")
         assert msg1 and msg4
         assert msg1[0].time < msg4[-1].time
 

@@ -158,15 +158,6 @@ class TestTelemetryHub:
         assert merged["spans"]["a"] == {"count": 3, "total_s": 4.0}
         assert merged["spans"]["b"]["count"] == 1
 
-    def test_clear(self):
-        hub = Telemetry(record_events=True)
-        hub.record_span("s", 0.0, 1.0)
-        hub.incr("c")
-        hub.clear()
-        assert hub.summary()["spans"] == {}
-        assert hub.span_events() == []
-        assert hub.enabled
-
     def test_use_restores_previous_hub(self):
         before = telemetry_mod.current()
         inner = Telemetry()

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.campaign.aggregate import arm_headlines
+from repro.campaign.runner import run_campaign
 from repro.core.config import SilentTrackerConfig
 from repro.experiments.pingpong import (
     _run_loiter_trial,
     count_ping_pongs,
-    pingpong_headline,
-    sweep_time_to_trigger,
+    pingpong_spec,
 )
 from repro.net.handover import HandoverRecord
 
@@ -85,15 +86,14 @@ class TestTrials:
 
 class TestSweep:
     def test_sweep_shape(self):
-        sweep = sweep_time_to_trigger(
-            ttt_s_values=(0.0, 0.16), n_trials=3, base_seed=8100
+        spec = pingpong_spec(ttt_s_values=(0.0, 0.16), n_trials=3, base_seed=8100)
+        headlines = arm_headlines(
+            spec, run_campaign(spec).results_in_order(), "override_label"
         )
-        assert set(sweep) == {"ttt=0ms", "ttt=160ms"}
-        headlines = [pingpong_headline(trials) for trials in sweep.values()]
-        assert len(headlines) == 2
-        for headline in headlines:
+        assert set(headlines) == {"ttt=0ms", "ttt=160ms"}
+        for headline in headlines.values():
             assert headline["handovers_per_trial"] >= 0.0
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            sweep_time_to_trigger(n_trials=0)
+            pingpong_spec(n_trials=0)

@@ -87,11 +87,10 @@ SRC = ROOT / "src"
 
 ENTRY_POINTS = ("repro.__main__", "repro.cli", "repro.api")
 
-#: Unreached on purpose.  ``ablations`` sweeps the paper's own design
-#: constants (the 3 dB adaptation threshold, the handover margin T and
-#: the receive codebook) through ``run_campaign``; the
-#: ``benchmarks/test_ablation_*`` files and the README's ablation
-#: sweeps consume it.
+#: Unreached on purpose.  ``ablations`` builds the campaign grids that
+#: sweep the paper's own design constants (the 3 dB adaptation
+#: threshold, the handover margin T and the receive codebook); the
+#: ``benchmarks/test_ablation_*`` files run them.
 ALLOWED_UNREACHED = frozenset({"repro.experiments.ablations"})
 
 #: Methods only tests call, kept because deleting one would push the

@@ -61,42 +61,3 @@ class TestEmit:
         trace.subscribe(seen.append)
         trace.emit(0.0, "cat", "node")
         assert seen == []
-
-    def test_clear_keeps_listeners_subscribed(self):
-        trace = TraceRecorder()
-        seen = []
-        trace.subscribe(seen.append)
-        trace.emit(0.0, "cat", "node")
-        trace.clear()
-        trace.emit(0.1, "cat", "node")
-        assert len(seen) == 2
-        assert len(trace) == 1
-
-
-class TestFilter:
-    def test_exact_category(self):
-        assert len(list(make_recorder().iter_filter(category="rach.msg1"))) == 1
-
-    def test_prefix_matches_descendants(self):
-        # 'fsm' matches 'fsm' and 'fsm.transition'.
-        assert len(list(make_recorder().iter_filter(category="fsm"))) == 3
-
-    def test_prefix_requires_dot_boundary(self):
-        trace = TraceRecorder()
-        trace.emit(0.0, "fsmx", "n")
-        assert list(trace.iter_filter(category="fsm")) == []
-
-    def test_count(self):
-        assert make_recorder().count(category="fsm.transition") == 2
-
-    def test_last(self):
-        last = make_recorder().last(category="fsm.transition")
-        assert last.time == 0.3
-
-    def test_last_none_when_empty(self):
-        assert TraceRecorder().last() is None
-
-    def test_clear(self):
-        trace = make_recorder()
-        trace.clear()
-        assert len(trace) == 0
